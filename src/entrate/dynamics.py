@@ -4,9 +4,32 @@ The generator is the usual GKSL form
 
     L(rho) = -i[H, rho] + sum_k ( L_k rho L_k† - {L_k† L_k, rho} / 2 )
 
-with H and the jump operators acting on A ⊗ B and embedded as
-I_a ⊗ (·) ⊗ I_b on the full space.  Integration is fixed-step RK4 with no
-renormalization; drift in the trace or spectrum is reported, never hidden.
+with H and the jump operators given on A ⊗ B and acting as I_a ⊗ (·) ⊗ I_b
+on the full space, so the ancilla indices of rho are spectators.  With
+K = H - (i/2) sum_k L_k† L_k the generator is -i(K rho - rho K†) +
+sum_k L_k rho L_k†, and every product below is taken on the A ⊗ B block of
+rho only; nothing is embedded in the full space.
+
+Integration is fixed-step RK4 with no renormalization; drift in the trace or
+spectrum is reported, never hidden.  For a constant generator one RK4 step is
+exactly the polynomial T4(hS) = I + hS + (hS)^2/2 + (hS)^3/6 + (hS)^4/24 of
+the superoperator S = -i(K ⊗ I) + i(I ⊗ K̄) + sum_k L_k ⊗ L̄_k, which acts on
+the row-major vec of the A ⊗ B block (size d_AB^2).  An integration of
+``steps`` steps is then one product of the step map M = T4(hS)^steps with rho
+reshaped to (d_AB^2, (d_a d_b)^2).  The other path runs the RK4 loop on the
+block in K-form, with 2 + 2k products of size d_AB per generator application
+(k jump operators).  Both compute the same polynomial; they differ by
+roundoff only.
+
+Each generator caches its last (h, steps): the step map once built, or how
+many integrations in a row ran in K-form.  ``_map_pays`` picks the path by a
+rent-or-buy rule on estimated multiply-add counts: M is built once it costs
+no more than the K-form integrations made with this (h, steps) so far, the
+current one included.  Measured with one BLAS thread on a 2.0 GHz Xeon, a
+one-off 64-step integration takes the map up to d_AB = 9 (build 1.2 ms
+against 2-10 ms of K-form) and stays in K-form at d_AB = 16 without ancillas
+(build 28 ms against 4-13 ms); the 2 ⊗ (4 ⊗ 4) ⊗ 2 time series of ``entrate
+simulate`` builds M on its second segment and reuses it for the rest.
 """
 
 from __future__ import annotations
@@ -33,6 +56,11 @@ __all__ = [
 # post-integration sanity thresholds on trace and positivity drift
 DRIFT_TOL = 1e-8
 
+# fixed cost of one small K-form product in multiply-add units (about 6 µs
+# of numpy call overhead at ~0.2 ns per complex multiply-add, one BLAS
+# thread, 2.0 GHz Xeon); it sets the crossover of ``_map_pays``
+KFORM_CALL_COST = 30_000
+
 
 class IntegrationError(RuntimeError):
     """Integrator drifted out of tolerance.  Carries a step-count suggestion."""
@@ -43,12 +71,17 @@ class IntegrationError(RuntimeError):
         self.suggested_steps = suggested_steps
 
 
-def embed_ab(op: np.ndarray, dims: DimensionSignature) -> np.ndarray:
-    """Lift an operator on A ⊗ B to I_a ⊗ op ⊗ I_b on the full space."""
-    op = as_matrix(op, name="A⊗B operator")
+def _check_ab(op: np.ndarray, dims: DimensionSignature, name: str) -> np.ndarray:
+    op = as_matrix(op, name=name)
     ab = dims.d_A * dims.d_B
     if op.shape[0] != ab:
         raise ShapeError(f"operator dim {op.shape[0]} does not match d_A*d_B = {ab}")
+    return op
+
+
+def embed_ab(op: np.ndarray, dims: DimensionSignature) -> np.ndarray:
+    """Lift an operator on A ⊗ B to I_a ⊗ op ⊗ I_b on the full space."""
+    op = _check_ab(op, dims, "A⊗B operator")
     return tensor(np.eye(dims.d_a), op, np.eye(dims.d_b))
 
 
@@ -56,51 +89,197 @@ def embed_ab(op: np.ndarray, dims: DimensionSignature) -> np.ndarray:
 class LindbladGenerator:
     """GKSL generator with H and jump operators given on the A ⊗ B factors.
 
-    Embedded full-space copies are built once at construction; ``hamiltonian``
-    may be None for purely dissipative dynamics, and an empty ``lindblad_ops``
-    tuple gives closed (unitary) dynamics.
+    ``hamiltonian`` may be None for purely dissipative dynamics, and an empty
+    ``lindblad_ops`` tuple gives closed (unitary) dynamics.  The effective
+    operator K = H - (i/2) sum L† L is formed once at construction; the last
+    RK4 step map built for this generator is cached on it.
     """
 
     dims: DimensionSignature
     hamiltonian: np.ndarray | None = None
     lindblad_ops: tuple[np.ndarray, ...] = ()
-    h_full: np.ndarray = field(init=False, repr=False)
-    ls_full: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _k: np.ndarray = field(init=False, repr=False)
+    _map_cache: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         h = self.hamiltonian
         if h is not None:
-            h = as_matrix(h, name="hamiltonian")
+            h = _check_ab(h, self.dims, "hamiltonian")
             herm = float(np.abs(h - dag(h)).max())
             if herm > 1e-12:
                 raise ValueError(f"hamiltonian not Hermitian: max |H - H†| = {herm:.3e}")
-        ls = tuple(as_matrix(l, name="lindblad op") for l in self.lindblad_ops)
+        ls = tuple(_check_ab(l, self.dims, "lindblad op") for l in self.lindblad_ops)
+        ab = self.dims.d_A * self.dims.d_B
+        k = np.zeros((ab, ab), dtype=complex) if h is None else h.copy()
+        for l in ls:
+            k -= 0.5j * (dag(l) @ l)
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "lindblad_ops", ls)
-        full = self.dims.total
-        h_full = np.zeros((full, full), dtype=complex) if h is None else embed_ab(h, self.dims)
-        object.__setattr__(self, "h_full", h_full)
-        object.__setattr__(self, "ls_full", tuple(embed_ab(l, self.dims) for l in ls))
+        object.__setattr__(self, "_k", k)
+        object.__setattr__(self, "_map_cache", {})
+
+    def _step_map(self, h: float, steps: int) -> np.ndarray | None:
+        """T4(hS)^steps once building it pays (see ``_map_pays``), else None.
+
+        Only the last (h, steps) is kept, with the number of consecutive
+        integrations that used it; any other step size or count replaces it.
+        """
+        key = (h, steps)
+        uses, m = self._map_cache.get(key, (0, None))
+        if m is None:
+            uses += 1
+            if _map_pays(self, steps, uses):
+                m = _build_step_map(self._k, self.lindblad_ops, h, steps)
+            self._map_cache.clear()
+            self._map_cache[key] = (uses, m)
+        return m
+
+
+# ------------------------------------------------------------ block layouts
+#
+# rho on a ⊗ (A⊗B) ⊗ b has axes (a, AB, b, a', AB', b').  The K-form keeps it
+# as rows AB by columns (a, b, a', b', AB'), so left products act on the rows
+# and right products on the trailing AB' axis of the same buffer; the step
+# map takes rows (AB, AB') by columns (a, b, a', b').
+
+_ROWS = (1, 0, 2, 3, 5, 4)  # self-inverse
+_VEC = (1, 4, 0, 2, 3, 5)
+_VEC_INV = (2, 0, 3, 4, 1, 5)
+
+
+def _axes(dims: DimensionSignature) -> tuple[int, int, int, int]:
+    d_a, d_A, d_B, d_b = dims.factors()
+    return d_a, d_A * d_B, d_b, dims.total
+
+
+def _to_rows(rho: np.ndarray, dims: DimensionSignature) -> np.ndarray:
+    d_a, ab, d_b, _ = _axes(dims)
+    return rho.reshape(d_a, ab, d_b, d_a, ab, d_b).transpose(_ROWS).reshape(ab, -1)
+
+
+def _from_rows(y: np.ndarray, dims: DimensionSignature) -> np.ndarray:
+    d_a, ab, d_b, n = _axes(dims)
+    return y.reshape(ab, d_a, d_b, d_a, d_b, ab).transpose(_ROWS).reshape(n, n)
+
+
+def _kform(k: np.ndarray, ls: tuple[np.ndarray, ...]):
+    """The generator on the row layout: y -> -i(K y - y K†) + sum L y L†."""
+    ab = k.shape[0]
+    k_dag = dag(k)
+    pairs = [(l, dag(l)) for l in ls]
+
+    def apply(y: np.ndarray) -> np.ndarray:
+        out = k @ y
+        out -= (y.reshape(-1, ab) @ k_dag).reshape(ab, -1)
+        out *= -1j
+        for l, l_dag in pairs:
+            out += ((l @ y).reshape(-1, ab) @ l_dag).reshape(ab, -1)
+        return out
+
+    return apply
 
 
 def apply_generator(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
-    out = -1j * (gen.h_full @ rho - rho @ gen.h_full)
-    for l in gen.ls_full:
-        ld = dag(l)
-        ldl = ld @ l
-        out += l @ rho @ ld - 0.5 * (ldl @ rho + rho @ ldl)
-    return out
+    """L(rho) for a full-space rho, computed on its A ⊗ B block."""
+    rows = _kform(gen._k, gen.lindblad_ops)(_to_rows(rho, gen.dims))
+    return _from_rows(rows, gen.dims)
+
+
+# ------------------------------------------------------------ the step map
+
+def _build_step_map(k: np.ndarray, ls: tuple[np.ndarray, ...], h: float, steps: int) -> np.ndarray:
+    ab = k.shape[0]
+    n = ab * ab
+    if ls:
+        stack = np.asarray(ls)
+        a = np.einsum("xij,xkl->ikjl", stack, stack.conj())  # sum L ⊗ L̄, axes (p, q, p', q')
+    else:
+        a = np.zeros((ab, ab, ab, ab), dtype=complex)
+    for q in range(ab):
+        a[:, q, :, q] -= 1j * k
+    k_bar = 1j * k.conj()
+    for p in range(ab):
+        a[p, :, p, :] += k_bar
+    a = a.reshape(n, n)
+    a *= h
+    # Horner: T4(A) = I + A(I + A/2(I + A/3(I + A/4))); every partial sum is
+    # a polynomial in A, so it commutes with A and takes the product in place
+    t = a * 0.25
+    _add_identity(t)
+    for c in (1.0 / 3.0, 0.5, 1.0):
+        _times_in_place(t, a)
+        t *= c
+        _add_identity(t)
+    return _power(t, steps, spare=a)
+
+
+def _add_identity(m: np.ndarray) -> None:
+    m.flat[:: m.shape[0] + 1] += 1.0
+
+
+def _times_in_place(x: np.ndarray, y: np.ndarray, rows: int = 32) -> None:
+    # x <- x @ y one block of rows at a time, so no second n×n buffer is needed
+    for i in range(0, x.shape[0], rows):
+        x[i : i + rows] = x[i : i + rows] @ y
+
+
+def _power(base: np.ndarray, steps: int, spare: np.ndarray) -> np.ndarray:
+    # binary powering that overwrites ``base`` and ``spare``; the powers of one
+    # matrix commute, so the result is multiplied in place, and a power of two
+    # needs no buffer beyond the two given
+    result = None
+    while True:
+        if steps & 1:
+            if result is None:
+                result = base if steps == 1 else base.copy()
+            else:
+                _times_in_place(result, base)
+        steps >>= 1
+        if not steps:
+            return result
+        np.matmul(base, base, out=spare)
+        base, spare = spare, base
+
+
+def _apply_step_map(m: np.ndarray, rho: np.ndarray, dims: DimensionSignature) -> np.ndarray:
+    d_a, ab, d_b, n = _axes(dims)
+    x = rho.reshape(d_a, ab, d_b, d_a, ab, d_b).transpose(_VEC).reshape(ab * ab, -1)
+    y = m @ x
+    return y.reshape(ab, ab, d_a, d_b, d_a, d_b).transpose(_VEC_INV).reshape(n, n)
+
+
+# ------------------------------------------------------------- integration
+
+def _map_pays(gen: LindbladGenerator, steps: int, uses: int) -> bool:
+    """Build M once the K-form work spent on this (h, steps) would match it.
+
+    Costs are multiply-adds: the build is bit_length + popcount + 1 products
+    of size d_AB^2 (Horner, then binary powering); one K-form integration is
+    4 (2 + 2k) products per step, each d_AB^3 times the spectator count plus
+    KFORM_CALL_COST.  A one-off integration thus takes the cheaper path, and
+    a repeated one builds M by the time the K-form path has cost as much as
+    the build (at most twice the cost of the better choice in hindsight).
+    """
+    d_a, ab, d_b, _ = _axes(gen.dims)
+    build = (steps.bit_length() + steps.bit_count() + 1) * ab**6
+    kform = steps * 4 * (2 + 2 * len(gen.lindblad_ops)) * (ab**3 * (d_a * d_b) ** 2 + KFORM_CALL_COST)
+    return build <= uses * kform
 
 
 def _integrate(gen: LindbladGenerator, rho: np.ndarray, t: float, steps: int) -> np.ndarray:
     h = t / steps
+    m = gen._step_map(h, steps)
+    if m is not None:
+        return _apply_step_map(m, rho, gen.dims)
+    apply = _kform(gen._k, gen.lindblad_ops)
+    y = _to_rows(rho, gen.dims)
     for _ in range(steps):
-        k1 = apply_generator(gen, rho)
-        k2 = apply_generator(gen, rho + 0.5 * h * k1)
-        k3 = apply_generator(gen, rho + 0.5 * h * k2)
-        k4 = apply_generator(gen, rho + h * k3)
-        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return rho
+        k1 = apply(y)
+        k2 = apply(y + 0.5 * h * k1)
+        k3 = apply(y + 0.5 * h * k2)
+        k4 = apply(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return _from_rows(y, gen.dims)
 
 
 def evolve(gen: LindbladGenerator, rho0: DensityMatrix, t: float, steps: int = 1000) -> DensityMatrix:

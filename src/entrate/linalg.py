@@ -67,8 +67,8 @@ def dag(m: np.ndarray) -> np.ndarray:
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """(M + M†)/2, the Hermitian part of M."""
-    return (m + np.conjugate(m).T) / 2.0
+    """(M + M†)/2, the Hermitian part of M (of each matrix, for a stack)."""
+    return (m + np.conjugate(m).swapaxes(-1, -2)) / 2.0
 
 
 @dataclass(frozen=True, eq=False)

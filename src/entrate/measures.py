@@ -77,7 +77,7 @@ def relative_entropy(rho, sigma, *, support_tol: float = SUPPORT_TOL) -> float:
     term_r = float((pos * np.log(pos)).sum())
     supp = ~null
     w = s_vec[:, supp]
-    weights = np.real(np.einsum("ij,ik,kj->j", np.conjugate(w), r_m, w))
+    weights = np.real(np.einsum("ij,ij->j", np.conjugate(w), r_m @ w))
     term_s = float((np.log(s_lam[supp]) * weights).sum())
     return max(term_r - term_s, 0.0)
 
@@ -159,12 +159,18 @@ def _log_gradient(r_m: np.ndarray, s_m: np.ndarray) -> np.ndarray:
 
 
 def _project_density(m: np.ndarray) -> np.ndarray:
+    # each matrix of the (members, n, n) stack to the nearest density matrix
+    # (spectrum clipped at zero, trace renormalized); a member whose clipped
+    # trace vanishes becomes the maximally mixed state
+    n = m.shape[-1]
     lam, v = np.linalg.eigh(hermitize(m))
     lam = np.clip(lam, 0.0, None)
-    tr = lam.sum()
-    if tr <= 1e-14:
-        return np.eye(m.shape[0]) / m.shape[0]
-    return hermitize((v * (lam / tr)) @ dag(v))
+    tr = lam.sum(axis=-1)
+    live = tr > 1e-14
+    lam = lam / np.where(live, tr, 1.0)[:, None]
+    out = hermitize((v * lam[:, None, :]) @ np.conjugate(v).swapaxes(-1, -2))
+    out[~live] = np.eye(n) / n
+    return out
 
 
 def _top_product_vector(g_full: np.ndarray, na: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
@@ -266,8 +272,8 @@ def _seesaw(rho_m, dims, w, fa, fb, max_iters, tol):
         scale = max(np.abs(grad_a).max(), np.abs(grad_b).max(), 1e-300)
         tau = 0.5 / scale
         for _ in range(25):
-            ca = np.array([_project_density(fa[i] - tau * grad_a[i]) for i in range(len(w))])
-            cb = np.array([_project_density(fb[i] - tau * grad_b[i]) for i in range(len(w))])
+            ca = _project_density(fa - tau * grad_a)
+            cb = _project_density(fb - tau * grad_b)
             cand_val = _rel_ent_raw(rho_m, _assemble(w, ca, cb))
             if cand_val < value:
                 fa, fb, value = ca, cb, cand_val

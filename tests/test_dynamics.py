@@ -4,6 +4,7 @@ import pytest
 from entrate.dynamics import (
     IntegrationError,
     LindbladGenerator,
+    _integrate,
     apply_generator,
     convergence_order,
     embed_ab,
@@ -12,7 +13,14 @@ from entrate.dynamics import (
     generator_to_json,
 )
 from entrate.linalg import ShapeError, tensor
-from entrate.states import DensityMatrix, DimensionSignature, random_density, random_pure
+from entrate.states import (
+    DensityMatrix,
+    DimensionSignature,
+    random_density,
+    random_ginibre_lindblad,
+    random_gue_hamiltonian,
+    random_pure,
+)
 
 
 def _expm(m, t=1.0):
@@ -30,15 +38,99 @@ def _expm(m, t=1.0):
     return out
 
 
+def _full_space_ops(gen):
+    # the generator's operators embedded as I_a ⊗ (·) ⊗ I_b on the full space
+    n = gen.dims.total
+    h = np.zeros((n, n), dtype=complex) if gen.hamiltonian is None else embed_ab(gen.hamiltonian, gen.dims)
+    return h, [embed_ab(l, gen.dims) for l in gen.lindblad_ops]
+
+
 def _liouvillian(gen):
     n = gen.dims.total
     eye = np.eye(n)
-    h = gen.h_full
+    h, ls = _full_space_ops(gen)
     sup = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for l in gen.ls_full:
+    for l in ls:
         ld = l.conj().T
         sup += np.kron(l, l.conj()) - 0.5 * (np.kron(ld @ l, eye) + np.kron(eye, (ld @ l).T))
     return sup
+
+
+def _full_space_apply(gen):
+    # the generator on the full space: the reference for the block kernels
+    h_full, ls = _full_space_ops(gen)
+
+    def apply(r):
+        out = -1j * (h_full @ r - r @ h_full)
+        for l in ls:
+            ldl = l.conj().T @ l
+            out += l @ r @ l.conj().T - 0.5 * (ldl @ r + r @ ldl)
+        return out
+
+    return apply
+
+
+def _rk4_full(gen, rho, t, steps):
+    apply = _full_space_apply(gen)
+    h = t / steps
+    for _ in range(steps):
+        k1 = apply(rho)
+        k2 = apply(rho + 0.5 * h * k1)
+        k3 = apply(rho + 0.5 * h * k2)
+        k4 = apply(rho + h * k3)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rho
+
+
+def _random_generator(factors, k, seed):
+    rng = np.random.default_rng(seed)
+    dims = DimensionSignature(*factors)
+    ab = dims.d_A * dims.d_B
+    ls = tuple(random_ginibre_lindblad(ab, rng) for _ in range(k))
+    return LindbladGenerator(dims, random_gue_hamiltonian(ab, rng), ls), random_density(dims.total, rng)
+
+
+@pytest.mark.parametrize(
+    "factors, uses_map",
+    [((2, 2, 3, 2), True), ((1, 3, 3, 1), True), ((1, 4, 4, 1), False)],
+    ids=["ancillas-map", "no-ancilla-map", "kform-fallback"],
+)
+def test_block_kernels_match_full_space_rk4(factors, uses_map):
+    gen, rho = _random_generator(factors, 2, seed=sum(factors))
+    got = _integrate(gen, rho, 0.3, 48)  # 48 = 0b110000 also exercises the powering's multiply
+    assert (gen._map_cache[(0.3 / 48, 48)][1] is not None) == uses_map
+    assert np.abs(got - _rk4_full(gen, rho, 0.3, 48)).max() <= 1e-13
+    assert np.abs(apply_generator(gen, rho) - _full_space_apply(gen)(rho)).max() <= 1e-13
+
+
+def test_repeated_segments_switch_to_the_step_map():
+    # one K-form integration does not pay for the map at d_AB = 16 without
+    # ancillas; repeating the same (h, steps) does, and the result is the
+    # same RK4 polynomial either way
+    gen, rho = _random_generator((1, 4, 4, 1), 3, seed=11)
+    want = _rk4_full(gen, rho, 0.2, 64)
+    seen = []
+    for _ in range(3):
+        assert np.abs(_integrate(gen, rho, 0.2, 64) - want).max() <= 1e-13
+        seen.append(gen._map_cache[(0.2 / 64, 64)][1] is not None)
+    assert seen == [False, False, True]
+
+
+def test_new_step_count_rebuilds_the_map():
+    gen, rho = _random_generator((2, 2, 2, 1), 1, seed=5)
+    coarse = _integrate(gen, rho, 0.5, 4)
+    fine = _integrate(gen, rho, 0.5, 8)
+    assert np.abs(coarse - _rk4_full(gen, rho, 0.5, 4)).max() <= 1e-13
+    assert np.abs(fine - _rk4_full(gen, rho, 0.5, 8)).max() <= 1e-13
+    assert np.abs(coarse - fine).max() > 1e-8
+    assert list(gen._map_cache) == [(0.5 / 8, 8)]
+
+
+def test_convergence_order_with_ancillas():
+    gen, _ = _random_generator((2, 2, 2, 2), 2, seed=9)
+    rho0 = random_pure(gen.dims, 10).density()
+    order = convergence_order(gen, rho0, 0.5, 8)
+    assert order is not None and order >= 3.7
 
 
 def test_generator_validates_inputs():
@@ -47,6 +139,8 @@ def test_generator_validates_inputs():
         LindbladGenerator(dims, np.array([[0.0, 1.0], [0.0, 0.0]]))  # not hermitian
     with pytest.raises(ShapeError):
         LindbladGenerator(dims, np.eye(3))  # wrong block size
+    with pytest.raises(ShapeError):
+        LindbladGenerator(dims, None, (np.eye(3),))
 
 
 def test_embed_ab_acts_trivially_on_ancillas():
