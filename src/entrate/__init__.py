@@ -48,7 +48,6 @@ from .measures import (
     entanglement_entropy,
     mutual_information,
     ree_bruteforce,
-    ree_upper_bound,
     relative_entropy,
     von_neumann_entropy,
 )

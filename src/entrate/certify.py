@@ -390,22 +390,6 @@ def _eval(family: str, inputs: dict, tol: float) -> list[dict]:
 
 # ------------------------------------------------------------ serialization
 
-def _pure_to_json(psi: PureState) -> dict:
-    return {
-        "dims": list(psi.dims.factors()),
-        "re": psi.amplitudes.real.tolist(),
-        "im": psi.amplitudes.imag.tolist(),
-    }
-
-
-def _pure_from_json(obj) -> PureState:
-    if not isinstance(obj, dict) or not {"dims", "re", "im"} <= set(obj):
-        raise FormatError("pure state needs 'dims', 're', 'im'")
-    dims = DimensionSignature(*(int(d) for d in obj["dims"]))
-    amp = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
-    return PureState(dims, amp)
-
-
 # field kinds per family, used to round-trip counterexample inputs
 _SCHEMAS = {
     "prop1": {"psi": "pure"},
@@ -433,14 +417,12 @@ def _pack_inputs(family: str, inputs: dict) -> dict:
     out = {}
     for key, kind in _SCHEMAS[family].items():
         val = inputs[key]
-        if kind == "pure":
-            out[key] = _pure_to_json(val)
+        if kind in ("pure", "state"):
+            out[key] = state_to_json(val)
         elif kind == "matrix":
             out[key] = matrix_to_json(val)
         elif kind == "matrix_list":
             out[key] = [matrix_to_json(m) for m in val]
-        elif kind == "state":
-            out[key] = state_to_json(val)
         else:
             out[key] = val
     return out
@@ -457,14 +439,14 @@ def _unpack_inputs(family: str, obj: dict) -> dict:
     try:
         for key, kind in schema.items():
             val = obj[key]
-            if kind == "pure":
-                out[key] = _pure_from_json(val)
+            if kind in ("pure", "state"):
+                out[key] = state_from_json(val)
+                if isinstance(out[key], PureState) != (kind == "pure"):
+                    raise FormatError(f"a {kind!r} field got a {type(out[key]).__name__}")
             elif kind == "matrix":
                 out[key] = matrix_from_json(val)
             elif kind == "matrix_list":
                 out[key] = [matrix_from_json(m) for m in val]
-            elif kind == "state":
-                out[key] = state_from_json(val)
             else:
                 out[key] = val
     except (ValueError, TypeError) as exc:

@@ -48,6 +48,7 @@ from .states import (
     random_pure,
     schmidt,
     smooth,
+    state_from_json,
 )
 
 CSV_COLUMNS = (
@@ -83,22 +84,12 @@ def _load_instance(path: str):
         gen = generator_from_json(obj["generator"])
     except (ValueError, TypeError) as exc:
         raise FormatError(f"bad generator: {exc}") from exc
-    st = obj["state"]
-    if not isinstance(st, dict) or not {"dims", "re", "im"} <= set(st):
-        raise FormatError("state needs 'dims', 're', 'im'")
-    dims = DimensionSignature(*(int(d) for d in st["dims"]))
-    if dims != gen.dims:
-        raise FormatError("state and generator dims disagree")
-    re, im = np.asarray(st["re"], dtype=float), np.asarray(st["im"], dtype=float)
     try:
-        if re.ndim == 1:
-            state = PureState(dims, re + 1j * im)
-        elif re.ndim == 2:
-            state = DensityMatrix(dims, re + 1j * im)
-        else:
-            raise FormatError("state re/im must be a vector or a square matrix")
-    except ValueError as exc:
+        state = state_from_json(obj["state"])
+    except (ValueError, TypeError) as exc:
         raise FormatError(f"bad state: {exc}") from exc
+    if state.dims != gen.dims:
+        raise FormatError("state and generator dims disagree")
     return state, gen
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import ShapeError, as_matrix, dag, hermitize, tensor
-from .states import DensityMatrix, DimensionSignature, matrix_from_json, matrix_to_json
+from .states import DensityMatrix, DimensionSignature, _signature_from_json, matrix_from_json, matrix_to_json
 
 __all__ = [
     "IntegrationError",
@@ -282,6 +282,13 @@ def _integrate(gen: LindbladGenerator, rho: np.ndarray, t: float, steps: int) ->
     return _from_rows(y, gen.dims)
 
 
+def _drift(m: np.ndarray) -> float:
+    """Trace and positivity drift max(|Re tr - 1| + |Im tr|, -lambda_min, 0)."""
+    tr = m.trace()
+    return max(abs(float(np.real(tr)) - 1.0) + abs(float(np.imag(tr))),
+               -float(np.linalg.eigvalsh(hermitize(m)).min()), 0.0)
+
+
 def evolve(gen: LindbladGenerator, rho0: DensityMatrix, t: float, steps: int = 1000) -> DensityMatrix:
     """Integrate for time ``t`` with fixed-step RK4.
 
@@ -297,9 +304,7 @@ def evolve(gen: LindbladGenerator, rho0: DensityMatrix, t: float, steps: int = 1
     if t == 0:
         return rho0
     out = _integrate(gen, rho0.matrix, t, steps)
-    trace_drift = abs(float(np.real(out.trace())) - 1.0) + abs(float(np.imag(out.trace())))
-    min_eig = float(np.linalg.eigvalsh(hermitize(out)).min())
-    drift = max(trace_drift, -min_eig, 0.0)
+    drift = _drift(out)
     if drift > DRIFT_TOL:
         grow = (drift / DRIFT_TOL) ** 0.25
         suggested = max(2 * steps, int(math.ceil(steps * grow)))
@@ -335,12 +340,7 @@ def generator_to_json(gen: LindbladGenerator) -> dict:
 
 
 def generator_from_json(obj) -> LindbladGenerator:
-    if not isinstance(obj, dict) or "dims" not in obj:
-        raise ValueError("generator object must have a 'dims' field")
-    dims = obj["dims"]
-    if not (isinstance(dims, list) and len(dims) == 4):
-        raise ValueError(f"dims must be a list of four factors, got {dims!r}")
-    sig = DimensionSignature(*(int(d) for d in dims))
+    sig = _signature_from_json(obj, "generator")
     h = obj.get("H")
     ls = obj.get("Ls", [])
     if not isinstance(ls, list):

@@ -122,10 +122,8 @@ def matrix_log_on_support(m, floor: float = LOG_FLOOR) -> np.ndarray:
 
 
 def singular_values(m) -> np.ndarray:
-    """Singular values, descending, via the spectrum of M†M."""
-    a = as_matrix(m)
-    vals = np.linalg.eigvalsh(np.conjugate(a).T @ a)
-    return np.sqrt(np.clip(vals[::-1], 0.0, None))
+    """Singular values, descending, from the SVD of M (M†M would lose the small ones)."""
+    return np.linalg.svd(as_matrix(m), compute_uv=False)
 
 
 def operator_norm(m) -> float:

@@ -1,5 +1,9 @@
 """Entropies, relative entropy, and entanglement measures across aA | Bb.
 
+D(rho || sigma) = -S(rho) - Tr rho ln sigma is computed everywhere from the
+two private kernels ``_entropy`` and ``_log_overlap``; the see-saw holds rho
+fixed, so it computes -S(rho) once.
+
 The relative-entropy-of-entanglement routines come in two flavors: an exact
 closed form for pure states (Schmidt entropy, with the dephased Schmidt
 mixture as the minimizer) and a brute-force see-saw minimization over
@@ -22,7 +26,6 @@ __all__ = [
     "von_neumann_entropy",
     "relative_entropy",
     "entanglement_entropy",
-    "ree_upper_bound",
     "mutual_information",
     "SeparableEnsemble",
     "ReeEstimate",
@@ -45,11 +48,33 @@ def _mat(x) -> np.ndarray:
     return as_matrix(x, name="state")
 
 
-def von_neumann_entropy(rho) -> float:
-    """-Tr rho ln rho; eigenvalues are clipped at zero before the log."""
-    lam = np.clip(np.linalg.eigvalsh(hermitize(_mat(rho))), 0.0, None)
+def _entropy(m: np.ndarray) -> float:
+    lam = np.clip(np.linalg.eigvalsh(hermitize(m)), 0.0, None)
     pos = lam[lam > 0]
     return float(-(pos * np.log(pos)).sum())
+
+
+def von_neumann_entropy(rho) -> float:
+    """-Tr rho ln rho; eigenvalues are clipped at zero before the log."""
+    return _entropy(_mat(rho))
+
+
+def _log_overlap(r_m: np.ndarray, s_m: np.ndarray, support_tol: float) -> float:
+    # Tr rho ln sigma on the support of sigma, or -inf on the leak that
+    # relative_entropy documents
+    s_lam, s_vec = np.linalg.eigh(hermitize(s_m))
+    null = s_lam <= support_tol
+    if null.any():
+        r_lam, r_vec = np.linalg.eigh(hermitize(r_m))
+        live = r_vec[:, r_lam > support_tol]
+        if live.size:
+            leak = np.abs(dag(s_vec[:, null]) @ live) ** 2
+            if leak.sum(axis=0).max() > support_tol:
+                return -np.inf
+    supp = ~null
+    w = s_vec[:, supp]
+    weights = np.real(np.einsum("ij,ij->j", np.conjugate(w), r_m @ w))
+    return float((np.log(s_lam[supp]) * weights).sum())
 
 
 def relative_entropy(rho, sigma, *, support_tol: float = SUPPORT_TOL) -> float:
@@ -63,37 +88,12 @@ def relative_entropy(rho, sigma, *, support_tol: float = SUPPORT_TOL) -> float:
     r_m, s_m = _mat(rho), _mat(sigma)
     if r_m.shape != s_m.shape:
         raise ValueError(f"shape mismatch {r_m.shape} vs {s_m.shape}")
-    s_lam, s_vec = np.linalg.eigh(hermitize(s_m))
-    null = s_lam <= support_tol
-    if null.any():
-        r_lam, r_vec = np.linalg.eigh(hermitize(r_m))
-        live = r_vec[:, r_lam > support_tol]
-        if live.size:
-            leak = np.abs(dag(s_vec[:, null]) @ live) ** 2
-            if leak.sum(axis=0).max() > support_tol:
-                return float("inf")
-    r_lam = np.clip(np.linalg.eigvalsh(hermitize(r_m)), 0.0, None)
-    pos = r_lam[r_lam > 0]
-    term_r = float((pos * np.log(pos)).sum())
-    supp = ~null
-    w = s_vec[:, supp]
-    weights = np.real(np.einsum("ij,ij->j", np.conjugate(w), r_m @ w))
-    term_s = float((np.log(s_lam[supp]) * weights).sum())
-    return max(term_r - term_s, 0.0)
+    return max(-_entropy(r_m) - _log_overlap(r_m, s_m, support_tol), 0.0)
 
 
 def entanglement_entropy(psi: PureState) -> float:
     """Entropy of the reduced state across aA | Bb, via the Schmidt spectrum."""
     return schmidt(psi).entropy()
-
-
-def ree_upper_bound(rho, sigma) -> float:
-    """Relative entropy to an explicit separable state.
-
-    Valid upper bound on the relative entropy of entanglement whenever
-    ``sigma`` is separable across aA | Bb; this function does not check that.
-    """
-    return relative_entropy(rho, sigma)
 
 
 def mutual_information(rho: DensityMatrix) -> float:
@@ -130,18 +130,6 @@ class ReeEstimate:
 
 def _assemble(w, fa, fb) -> np.ndarray:
     return np.einsum("i,iab,icd->acbd", w, fa, fb).reshape(fa.shape[1] * fb.shape[1], -1)
-
-
-def _rel_ent_raw(r_m: np.ndarray, s_m: np.ndarray) -> float:
-    # internal fast path; assumes full-rank sigma, returns inf on leak
-    s_lam, s_vec = np.linalg.eigh(hermitize(s_m))
-    if s_lam.min() <= SUPPORT_TOL:
-        return relative_entropy(r_m, s_m)
-    r_lam = np.clip(np.linalg.eigvalsh(hermitize(r_m)), 0.0, None)
-    pos = r_lam[r_lam > 0]
-    term_r = float((pos * np.log(pos)).sum())
-    weights = np.real(np.einsum("ij,ik,kj->j", np.conjugate(s_vec), r_m, s_vec))
-    return max(term_r - float((np.log(s_lam) * weights).sum()), 0.0)
 
 
 def _log_gradient(r_m: np.ndarray, s_m: np.ndarray) -> np.ndarray:
@@ -199,7 +187,12 @@ def _factor_grads(g_full: np.ndarray, w, fa, fb):
 
 
 def _seesaw(rho_m, dims, w, fa, fb, max_iters, tol):
-    value = _rel_ent_raw(rho_m, _assemble(w, fa, fb))
+    neg_entropy = -_entropy(rho_m)
+
+    def score(cw, ca, cb) -> float:
+        return max(neg_entropy - _log_overlap(rho_m, _assemble(cw, ca, cb), SUPPORT_TOL), 0.0)
+
+    value = score(w, fa, fb)
     iters = 0
     full = fa.shape[1] * fb.shape[1]
     cap = len(w) + 16  # room for exchange-step members
@@ -224,7 +217,7 @@ def _seesaw(rho_m, dims, w, fa, fb, max_iters, tol):
                 cw = np.append((1.0 - gamma) * w, gamma)
                 ca = np.concatenate([fa, pa[None]])
                 cb = np.concatenate([fb, pb[None]])
-            cand_val = _rel_ent_raw(rho_m, _assemble(cw, ca, cb))
+            cand_val = score(cw, ca, cb)
             if cand_val < value and (best is None or cand_val < best[0]):
                 best = (cand_val, cw, ca, cb)
         if best is not None:
@@ -244,7 +237,7 @@ def _seesaw(rho_m, dims, w, fa, fb, max_iters, tol):
                 if not total > 0.0:
                     return None, np.inf
                 cand /= total
-                return cand, _rel_ent_raw(rho_m, _assemble(cand, fa, fb))
+                return cand, score(cand, fa, fb)
 
             eta = 1.0
             cand, cand_val = weight_step(eta)
@@ -274,7 +267,7 @@ def _seesaw(rho_m, dims, w, fa, fb, max_iters, tol):
         for _ in range(25):
             ca = _project_density(fa - tau * grad_a)
             cb = _project_density(fb - tau * grad_b)
-            cand_val = _rel_ent_raw(rho_m, _assemble(w, ca, cb))
+            cand_val = score(w, ca, cb)
             if cand_val < value:
                 fa, fb, value = ca, cb, cand_val
                 break

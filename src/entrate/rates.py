@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import IntegrationError, LindbladGenerator, apply_generator, _integrate
+from .dynamics import IntegrationError, LindbladGenerator, apply_generator, _drift, _integrate
 from .linalg import (
     LOG_FLOOR,
     as_matrix,
@@ -38,7 +38,7 @@ from .linalg import (
     partial_trace,
     trace_norm,
 )
-from .measures import mutual_information, relative_entropy, ree_bruteforce
+from .measures import _mat, mutual_information, relative_entropy, ree_bruteforce
 from .states import (
     DegenerateCut,
     DensityMatrix,
@@ -138,21 +138,13 @@ def binary_entropy(p: float) -> float:
     return float(-p * math.log(p) - (1.0 - p) * math.log(1.0 - p))
 
 
-def _state_mat(x) -> np.ndarray:
-    if isinstance(x, DensityMatrix):
-        return x.matrix
-    if isinstance(x, PureState):
-        return x.projector()
-    return as_matrix(x, name="state")
-
-
 # ------------------------------------------------------ one-step quantities
 
 def hamiltonian_term(h, rho, sigma, *, floor: float = LOG_FLOOR) -> float:
     """i Tr(H [rho, ln sigma]) — the coherent part of the surrogate rate."""
     h = as_matrix(h, name="hamiltonian")
-    r = _state_mat(rho)
-    log_s = matrix_log_on_support(_state_mat(sigma), floor=floor)
+    r = _mat(rho)
+    log_s = matrix_log_on_support(_mat(sigma), floor=floor)
     return float(np.real(1j * np.trace(h @ (r @ log_s - log_s @ r))))
 
 
@@ -234,8 +226,8 @@ def dissipative_commutator_check(l, x, y, p: float) -> InequalityResult:
 def mixing_term(h, rho1, rho2, p: float, *, floor: float = LOG_FLOOR) -> float:
     """i Tr(H [p rho1, ln(p rho1 + (1-p) rho2)])."""
     h = as_matrix(h, name="hamiltonian")
-    r1 = _state_mat(rho1)
-    r2 = _state_mat(rho2)
+    r1 = _mat(rho1)
+    r2 = _mat(rho2)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     mix = matrix_log_on_support(p * r1 + (1.0 - p) * r2, floor=floor)
@@ -377,21 +369,13 @@ def mi_rate_bound(gen: LindbladGenerator) -> float:
 
 # ------------------------------------------------------------- rate probes
 
-def _ref_support_tol(eta_ref: float, total: int) -> float:
-    # the regularized reference has min eigenvalue >= eta_ref/total; put the
-    # support threshold safely below that so the regularization is visible
-    return min(1e-12, eta_ref / (4.0 * total))
-
-
 def _evolve_tight(gen: LindbladGenerator, rho: DensityMatrix, t: float) -> DensityMatrix:
     # short-horizon integration, retried with doubled resolution until the
     # trace/positivity drift is below 1e-10
     steps = 64
     while True:
         out = _integrate(gen, rho.matrix, t, steps)
-        tr = out.trace()
-        drift = max(abs(float(np.real(tr)) - 1.0) + abs(float(np.imag(tr))),
-                    -float(np.linalg.eigvalsh(hermitize(out)).min()), 0.0)
+        drift = _drift(out)
         if drift <= TIGHT_DRIFT:
             return DensityMatrix(rho.dims, out, trace_tol=1e-9, psd_tol=1e-9)
         if steps >= 8192:
@@ -422,22 +406,34 @@ def surrogate_rate_analytic(psi: PureState, gen: LindbladGenerator, *, eta: floa
     return float(np.real(np.trace(rhodot @ (log_rho - log_sig))))
 
 
-def surrogate_rate_fd(
-    psi: PureState, gen: LindbladGenerator, delta_t: float, *, eta_ref: float = 1e-13
-) -> float:
-    """(D(rho_dt || reference) - E(psi)) / dt against the fixed regularized
-    separable reference; anchored at the exact Schmidt entropy at t = 0."""
+def _surrogate_step(
+    psi: PureState, gen: LindbladGenerator, delta_t: float, eta_ref: float
+) -> tuple[float, DensityMatrix, float]:
+    # (E(psi), rho_dt, D(rho_dt || reference)) against the regularized Schmidt reference
     if psi.dims.d < 2:
         raise DegenerateCut("d = 1 cut: no entanglement is possible across it")
     if delta_t <= 0:
         raise ValueError(f"delta_t must be > 0, got {delta_t}")
+    if psi.dims != gen.dims:
+        raise ValueError("state and generator live on different spaces")
     if not 0.0 < eta_ref <= 1e-6:
         raise ValueError(f"eta_ref must lie in (0, 1e-6], got {eta_ref}")
     sd = schmidt(psi)
     reference = smooth(closest_separable_state(sd), eta_ref)
     rho_dt = _evolve_tight(gen, psi.density(), delta_t)
-    dist = relative_entropy(rho_dt, reference, support_tol=_ref_support_tol(eta_ref, psi.dims.total))
-    return (dist - sd.entropy()) / delta_t
+    # the reference has min eigenvalue >= eta_ref/total; put the support
+    # threshold safely below that so the regularization is visible
+    support_tol = min(1e-12, eta_ref / (4.0 * psi.dims.total))
+    return sd.entropy(), rho_dt, relative_entropy(rho_dt, reference, support_tol=support_tol)
+
+
+def surrogate_rate_fd(
+    psi: PureState, gen: LindbladGenerator, delta_t: float, *, eta_ref: float = 1e-13
+) -> float:
+    """(D(rho_dt || reference) - E(psi)) / dt against the fixed regularized
+    separable reference; anchored at the exact Schmidt entropy at t = 0."""
+    e0, _, dist = _surrogate_step(psi, gen, delta_t, eta_ref)
+    return (dist - e0) / delta_t
 
 
 def surrogate_rate_fd_richardson(
@@ -522,19 +518,7 @@ def entangling_rate_fd(
     """
     if measure not in ("surrogate", "bruteforce"):
         raise ValueError(f"measure must be 'surrogate' or 'bruteforce', got {measure!r}")
-    if psi.dims.d < 2:
-        raise DegenerateCut("d = 1 cut: no entanglement is possible across it")
-    if delta_t <= 0:
-        raise ValueError(f"delta_t must be > 0, got {delta_t}")
-    if psi.dims != gen.dims:
-        raise ValueError("state and generator live on different spaces")
-    if not 0.0 < eta_ref <= 1e-6:
-        raise ValueError(f"eta_ref must lie in (0, 1e-6], got {eta_ref}")
-    sd = schmidt(psi)
-    e0 = sd.entropy()
-    reference = smooth(closest_separable_state(sd), eta_ref)
-    rho_dt = _evolve_tight(gen, psi.density(), delta_t)
-    surr_dt = relative_entropy(rho_dt, reference, support_tol=_ref_support_tol(eta_ref, psi.dims.total))
+    e0, rho_dt, surr_dt = _surrogate_step(psi, gen, delta_t, eta_ref)
     gamma_surrogate = (surr_dt - e0) / delta_t
     if measure == "bruteforce":
         kwargs = dict(ree_kwargs or {})

@@ -299,18 +299,26 @@ def matrix_from_json(obj) -> np.ndarray:
     return np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
 
 
-def state_to_json(rho: DensityMatrix) -> dict:
-    """Schema: {"dims": [d_a, d_A, d_B, d_b], "re": [[...]], "im": [[...]]}."""
-    out = {"dims": list(rho.dims.factors())}
-    out.update(matrix_to_json(rho.matrix))
+def state_to_json(state: PureState | DensityMatrix) -> dict:
+    """Schema: {"dims": [d_a, d_A, d_B, d_b], "re": [...], "im": [...]}, with
+    re/im the amplitude vector of a PureState or the matrix of a DensityMatrix."""
+    out = {"dims": list(state.dims.factors())}
+    out.update(matrix_to_json(state.amplitudes if isinstance(state, PureState) else state.matrix))
     return out
 
 
-def state_from_json(obj) -> DensityMatrix:
+def _signature_from_json(obj, what: str) -> DimensionSignature:
     if not isinstance(obj, dict) or "dims" not in obj:
-        raise ValueError("state object must have a 'dims' field")
+        raise ValueError(f"{what} object must have a 'dims' field")
     dims = obj["dims"]
     if not (isinstance(dims, list) and len(dims) == 4):
         raise ValueError(f"dims must be a list of four factors, got {dims!r}")
-    sig = DimensionSignature(*(int(d) for d in dims))
-    return DensityMatrix(sig, matrix_from_json(obj))
+    return DimensionSignature(*(int(d) for d in dims))
+
+
+def state_from_json(obj) -> PureState | DensityMatrix:
+    sig = _signature_from_json(obj, "state")
+    data = matrix_from_json(obj)
+    if data.ndim == 1:
+        return PureState(sig, data)
+    return DensityMatrix(sig, data)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from entrate.certify import (
@@ -186,6 +187,10 @@ def test_replay_rejects_malformed_files(tmp_path):
         replay(bad)
     bad.write_text(json.dumps({"family": "prop1", "cell": {}, "seed": 1, "inputs": {}}))
     with pytest.raises(FormatError):  # inputs missing the state
+        replay(bad)
+    mixed = {"dims": [1, 2, 2, 1], "re": (np.eye(4) / 4).tolist(), "im": np.zeros((4, 4)).tolist()}
+    bad.write_text(json.dumps({"family": "prop1", "cell": {}, "seed": 1, "inputs": {"psi": mixed}}))
+    with pytest.raises(FormatError):  # psi must decode to a pure state
         replay(bad)
 
 

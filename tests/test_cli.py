@@ -78,6 +78,11 @@ def test_simulate_rejects_bad_inputs(tmp_path):
     assert main(["simulate", "--instance", str(bad)]) == 2
     assert main(["simulate", "--dims", "2", "2", "--t-max", "-1"]) == 2
     assert main(["simulate", "--dims", "3"]) == 2  # wrong factor count
+    inst = json.loads(_instance_file(tmp_path).read_text())
+    for dims in ([1, 2, 2, 1, 1], [1, 2, 2]):  # state.dims must list four factors
+        inst["state"]["dims"] = dims
+        bad.write_text(json.dumps(inst))
+        assert main(["simulate", "--instance", str(bad)]) == 2
 
 
 def test_rate_report_stdout(capsys):

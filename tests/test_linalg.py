@@ -86,6 +86,13 @@ def test_singular_values_known_matrix():
     s = singular_values(m)
     assert s[0] == pytest.approx(5.0)
     assert s[1] == pytest.approx(0.0, abs=1e-12)
+    # a rotated spread spectrum: the small values keep their relative accuracy
+    rng = np.random.default_rng(11)
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    v, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    spread = np.array([1.0, 1e-3, 1e-7, 1e-9])
+    s = singular_values(u @ np.diag(spread) @ dag(v))
+    assert np.all(np.abs(s - spread) <= 1e-6 * spread)
 
 
 def test_operator_and_trace_norm_diagonal():

@@ -8,7 +8,6 @@ from entrate.measures import (
     entanglement_entropy,
     mutual_information,
     ree_bruteforce,
-    ree_upper_bound,
     relative_entropy,
     von_neumann_entropy,
 )
@@ -77,7 +76,7 @@ def test_entanglement_entropy_frozen_value():
 def test_ree_upper_bound_is_relative_entropy_to_reference():
     psi = random_pure(DimensionSignature.cut(3, 3), 5)
     sigma = closest_separable_state(schmidt(psi))
-    assert ree_upper_bound(psi.density(), sigma) == pytest.approx(entanglement_entropy(psi), abs=1e-10)
+    assert relative_entropy(psi.density(), sigma) == pytest.approx(entanglement_entropy(psi), abs=1e-10)
 
 
 def test_mutual_information_landmarks():

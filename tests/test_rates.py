@@ -288,6 +288,8 @@ def test_surrogate_rate_input_validation():
     other = random_pure(DimensionSignature.cut(2, 3), seed=0)
     with pytest.raises(ValueError):
         surrogate_rate_analytic(other, gen)
+    with pytest.raises(ValueError, match="different spaces"):
+        surrogate_rate_fd(other, gen, 1e-3)
 
 
 @pytest.mark.parametrize("da,db", [(2, 2), (2, 3)])

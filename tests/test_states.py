@@ -205,6 +205,10 @@ def test_state_json_roundtrip():
     back = state_from_json(obj)
     assert back.dims == dims
     assert np.array_equal(back.matrix, rho.matrix)
+    psi = random_pure(dims, 9)
+    back_psi = state_from_json(state_to_json(psi))
+    assert isinstance(back_psi, PureState) and back_psi.dims == dims
+    assert np.array_equal(back_psi.amplitudes, psi.amplitudes)
     with pytest.raises(ValueError):
         state_from_json({"re": [[1.0]], "im": [[0.0]]})  # missing dims
 
