@@ -115,8 +115,7 @@ def _require_pure(state, what: str) -> PureState:
     purity = state.purity()
     if purity < 1.0 - PURITY_TOL:
         raise FormatError(f"{what} needs a pure state; input has purity {purity:.6f}")
-    lam, vec = np.linalg.eigh(hermitize(state.matrix))
-    top = vec[:, -1]
+    top = state.eigh()[1][:, -1]
     return PureState(state.dims, top / np.linalg.norm(top))
 
 
@@ -163,13 +162,12 @@ def _cmd_simulate(args) -> int:
                         if attempt == 3:
                             raise
                         seg_steps = exc.suggested_steps
-            m = current.matrix
-            tr = m.trace()
+            tr = current.matrix.trace()
             writer.writerow(
                 [
                     f"{t:.10g}",
                     repr(abs(float(np.real(tr)) - 1.0) + abs(float(np.imag(tr)))),
-                    repr(float(np.linalg.eigvalsh(hermitize(m)).min())),
+                    repr(float(current.spectrum.min())),
                     repr(relative_entropy(current, reference)),
                     repr(mutual_information(current)),
                     repr(current.purity()),

@@ -39,8 +39,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ShapeError, as_matrix, dag, hermitize, tensor
-from .states import DensityMatrix, DimensionSignature, _signature_from_json, matrix_from_json, matrix_to_json
+from .linalg import ShapeError, as_matrix, dag, tensor
+from .states import (
+    DensityMatrix,
+    DimensionSignature,
+    _eigvalsh,
+    _signature_from_json,
+    matrix_from_json,
+    matrix_to_json,
+)
 
 __all__ = [
     "IntegrationError",
@@ -282,18 +289,21 @@ def _integrate(gen: LindbladGenerator, rho: np.ndarray, t: float, steps: int) ->
     return _from_rows(y, gen.dims)
 
 
-def _drift(m: np.ndarray) -> float:
-    """Trace and positivity drift max(|Re tr - 1| + |Im tr|, -lambda_min, 0)."""
+def _drift(m: np.ndarray) -> tuple[float, np.ndarray]:
+    """Trace and positivity drift max(|Re tr - 1| + |Im tr|, -lambda_min, 0),
+    with the spectrum it read, for the DensityMatrix that adopts ``m``."""
+    lam = _eigvalsh(m)
     tr = m.trace()
-    return max(abs(float(np.real(tr)) - 1.0) + abs(float(np.imag(tr))),
-               -float(np.linalg.eigvalsh(hermitize(m)).min()), 0.0)
+    return max(abs(float(np.real(tr)) - 1.0) + abs(float(np.imag(tr))), -float(lam.min()), 0.0), lam
 
 
 def evolve(gen: LindbladGenerator, rho0: DensityMatrix, t: float, steps: int = 1000) -> DensityMatrix:
     """Integrate for time ``t`` with fixed-step RK4.
 
     Raises IntegrationError (with a suggested step count scaled by the
-    fourth root of the overshoot) if trace or positivity drift exceeds 1e-8.
+    fourth root of the overshoot) if trace or positivity drift exceeds 1e-8,
+    before the result is validated as a state.  The returned state keeps the
+    spectrum the drift check computed.
     """
     if gen.dims != rho0.dims:
         raise ShapeError("generator and state live on different spaces")
@@ -304,7 +314,7 @@ def evolve(gen: LindbladGenerator, rho0: DensityMatrix, t: float, steps: int = 1
     if t == 0:
         return rho0
     out = _integrate(gen, rho0.matrix, t, steps)
-    drift = _drift(out)
+    drift, lam = _drift(out)
     if drift > DRIFT_TOL:
         grow = (drift / DRIFT_TOL) ** 0.25
         suggested = max(2 * steps, int(math.ceil(steps * grow)))
@@ -313,7 +323,7 @@ def evolve(gen: LindbladGenerator, rho0: DensityMatrix, t: float, steps: int = 1
             drift=drift,
             suggested_steps=suggested,
         )
-    return DensityMatrix(rho0.dims, out, trace_tol=DRIFT_TOL, psd_tol=DRIFT_TOL)
+    return DensityMatrix._adopt(rho0.dims, out, lam, trace_tol=DRIFT_TOL, psd_tol=DRIFT_TOL)
 
 
 def convergence_order(gen: LindbladGenerator, rho0: DensityMatrix, t: float, steps: int) -> float | None:

@@ -2,7 +2,10 @@
 
 D(rho || sigma) = -S(rho) - Tr rho ln sigma is computed everywhere from the
 two private kernels ``_entropy`` and ``_log_overlap``; the see-saw holds rho
-fixed, so it computes -S(rho) once.
+fixed, so it computes -S(rho) once.  Given a DensityMatrix, both kernels
+read the spectrum and eigendecomposition the state keeps, so a fixed
+reference sigma is diagonalized once however often it is used; raw arrays
+(the see-saw's candidates) are diagonalized on the spot.
 
 The relative-entropy-of-entanglement routines come in two flavors: an exact
 closed form for pure states (Schmidt entropy, with the dephased Schmidt
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix, dag, hermitize, partial_trace
-from .states import DensityMatrix, DimensionSignature, PureState, schmidt
+from .states import DensityMatrix, DimensionSignature, PureState, _eigvalsh, schmidt
 
 __all__ = [
     "OptimizerStall",
@@ -48,24 +51,39 @@ def _mat(x) -> np.ndarray:
     return as_matrix(x, name="state")
 
 
-def _entropy(m: np.ndarray) -> float:
-    lam = np.clip(np.linalg.eigvalsh(hermitize(m)), 0.0, None)
+# The kernels below take an operand: a DensityMatrix, whose kept spectrum and
+# eigendecomposition they read, or a raw matrix, diagonalized on the spot.
+
+def _operand(x):
+    return x if isinstance(x, DensityMatrix) else _mat(x)
+
+
+def _raw(x) -> np.ndarray:
+    return x.matrix if isinstance(x, DensityMatrix) else x
+
+
+def _eigh(x) -> tuple[np.ndarray, np.ndarray]:
+    return x.eigh() if isinstance(x, DensityMatrix) else np.linalg.eigh(hermitize(x))
+
+
+def _entropy(x) -> float:
+    lam = np.clip(x.spectrum if isinstance(x, DensityMatrix) else _eigvalsh(x), 0.0, None)
     pos = lam[lam > 0]
     return float(-(pos * np.log(pos)).sum())
 
 
 def von_neumann_entropy(rho) -> float:
     """-Tr rho ln rho; eigenvalues are clipped at zero before the log."""
-    return _entropy(_mat(rho))
+    return _entropy(_operand(rho))
 
 
-def _log_overlap(r_m: np.ndarray, s_m: np.ndarray, support_tol: float) -> float:
+def _log_overlap(r, s, support_tol: float) -> float:
     # Tr rho ln sigma on the support of sigma, or -inf on the leak that
     # relative_entropy documents
-    s_lam, s_vec = np.linalg.eigh(hermitize(s_m))
+    s_lam, s_vec = _eigh(s)
     null = s_lam <= support_tol
     if null.any():
-        r_lam, r_vec = np.linalg.eigh(hermitize(r_m))
+        r_lam, r_vec = _eigh(r)
         live = r_vec[:, r_lam > support_tol]
         if live.size:
             leak = np.abs(dag(s_vec[:, null]) @ live) ** 2
@@ -73,7 +91,7 @@ def _log_overlap(r_m: np.ndarray, s_m: np.ndarray, support_tol: float) -> float:
                 return -np.inf
     supp = ~null
     w = s_vec[:, supp]
-    weights = np.real(np.einsum("ij,ij->j", np.conjugate(w), r_m @ w))
+    weights = np.real(np.einsum("ij,ij->j", np.conjugate(w), _raw(r) @ w))
     return float((np.log(s_lam[supp]) * weights).sum())
 
 
@@ -85,10 +103,10 @@ def relative_entropy(rho, sigma, *, support_tol: float = SUPPORT_TOL) -> float:
     space of sigma; otherwise both logs are taken on their joint support.
     The result is clamped at zero.
     """
-    r_m, s_m = _mat(rho), _mat(sigma)
-    if r_m.shape != s_m.shape:
-        raise ValueError(f"shape mismatch {r_m.shape} vs {s_m.shape}")
-    return max(-_entropy(r_m) - _log_overlap(r_m, s_m, support_tol), 0.0)
+    r, s = _operand(rho), _operand(sigma)
+    if _raw(r).shape != _raw(s).shape:
+        raise ValueError(f"shape mismatch {_raw(r).shape} vs {_raw(s).shape}")
+    return max(-_entropy(r) - _log_overlap(r, s, support_tol), 0.0)
 
 
 def entanglement_entropy(psi: PureState) -> float:
@@ -183,7 +201,7 @@ def _factor_grads(g_full: np.ndarray, w, fa, fb):
     g4 = g_full.reshape(na, nb, na, nb)
     grad_a = -np.einsum("akcl,ilk->iac", g4, fb) * w[:, None, None]
     grad_b = -np.einsum("akcl,ica->ikl", g4, fa) * w[:, None, None]
-    return np.array([hermitize(g) for g in grad_a]), np.array([hermitize(g) for g in grad_b])
+    return hermitize(grad_a), hermitize(grad_b)
 
 
 def _seesaw(rho_m, dims, w, fa, fb, max_iters, tol):
@@ -311,8 +329,7 @@ def ree_bruteforce(
     stalled_any = False
     for r in range(restarts):
         if r == 0:
-            lam, vec = np.linalg.eigh(hermitize(rho_m))
-            top = vec[:, -1]
+            top = rho.eigh()[1][:, -1]
             sd = schmidt(PureState(dims, top / np.linalg.norm(top)))
             k = sd.coefficients.size
             fa = np.empty((k + 1, na, na), dtype=complex)

@@ -375,9 +375,9 @@ def _evolve_tight(gen: LindbladGenerator, rho: DensityMatrix, t: float) -> Densi
     steps = 64
     while True:
         out = _integrate(gen, rho.matrix, t, steps)
-        drift = _drift(out)
+        drift, lam = _drift(out)
         if drift <= TIGHT_DRIFT:
-            return DensityMatrix(rho.dims, out, trace_tol=1e-9, psd_tol=1e-9)
+            return DensityMatrix._adopt(rho.dims, out, lam, trace_tol=1e-9, psd_tol=1e-9)
         if steps >= 8192:
             raise IntegrationError(
                 f"drift {drift:.3e} still above {TIGHT_DRIFT} at {steps} steps",

@@ -118,18 +118,37 @@ class PureState:
         return DensityMatrix(self.dims, self.projector())
 
 
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part of ``m``."""
+    return np.linalg.eigvalsh(hermitize(m))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Positive unit-trace operator on the full space.
 
     Construction validates Hermiticity, trace, and approximate positivity.
     Integrators that accumulate small drift can pass looser tolerances.
+
+    The state diagonalizes itself at most once.  Validation computes the
+    spectrum (ascending eigenvalues of the Hermitian part) and keeps it as
+    ``spectrum``; ``eigh()`` computes the full decomposition of the Hermitian
+    part on first request and keeps it too.  The matrix (a copy, when the
+    caller passed in an array it still holds) and both results are
+    read-only, so the kept spectrum cannot go stale.
     """
 
     dims: DimensionSignature
     matrix: np.ndarray
     trace_tol: float = field(default=1e-10, repr=False, compare=False)
     psd_tol: float = field(default=1e-10, repr=False, compare=False)
+    _spectrum: np.ndarray = field(init=False, repr=False)
+    _eigh: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = as_matrix(self.matrix, name="density matrix")
@@ -141,10 +160,38 @@ class DensityMatrix:
         tr = m.trace()
         if abs(tr - 1.0) > self.trace_tol:
             raise ValueError(f"trace {tr} is not 1 within {self.trace_tol}")
-        lo = float(np.linalg.eigvalsh(hermitize(m)).min())
+        lam = self.__dict__.get("_spectrum")  # set only by _adopt
+        if lam is None:
+            if m is self.matrix:
+                m = m.copy()
+            lam = _eigvalsh(m)
+        lo = float(lam.min())
         if lo < -self.psd_tol:
             raise ValueError(f"min eigenvalue {lo:.3e} below -{self.psd_tol}")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", _read_only(m))
+        object.__setattr__(self, "_spectrum", _read_only(lam))
+
+    @classmethod
+    def _adopt(cls, dims: DimensionSignature, m: np.ndarray, spectrum: np.ndarray, **tols) -> "DensityMatrix":
+        """Validate a matrix the library has just computed and hands over,
+        with its ``_eigvalsh(m)`` already known, so nothing is copied or
+        diagonalized again."""
+        rho = cls.__new__(cls)
+        object.__setattr__(rho, "_spectrum", spectrum)
+        rho.__init__(dims, m, **tols)
+        return rho
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of the Hermitian part, ascending, as validation found them."""
+        return self._spectrum
+
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh`` of the Hermitian part, computed once."""
+        if self._eigh is None:
+            lam, vec = np.linalg.eigh(hermitize(self.matrix))
+            object.__setattr__(self, "_eigh", (_read_only(lam), _read_only(vec)))
+        return self._eigh
 
     def purity(self) -> float:
         return float(np.real(np.trace(self.matrix @ self.matrix)))
@@ -296,7 +343,10 @@ def matrix_to_json(m: np.ndarray) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         raise ValueError("matrix object must have 're' and 'im' fields")
-    return np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+    re, im = np.asarray(obj["re"], dtype=float), np.asarray(obj["im"], dtype=float)
+    if re.shape != im.shape:
+        raise ValueError(f"'re' has shape {re.shape} but 'im' has shape {im.shape}")
+    return re + 1j * im
 
 
 def state_to_json(state: PureState | DensityMatrix) -> dict:
@@ -313,7 +363,9 @@ def _signature_from_json(obj, what: str) -> DimensionSignature:
     dims = obj["dims"]
     if not (isinstance(dims, list) and len(dims) == 4):
         raise ValueError(f"dims must be a list of four factors, got {dims!r}")
-    return DimensionSignature(*(int(d) for d in dims))
+    if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
+        raise ValueError(f"dims must be integers, got {dims!r}")
+    return DimensionSignature(*dims)
 
 
 def state_from_json(obj) -> PureState | DensityMatrix:

@@ -192,6 +192,10 @@ def test_replay_rejects_malformed_files(tmp_path):
     bad.write_text(json.dumps({"family": "prop1", "cell": {}, "seed": 1, "inputs": {"psi": mixed}}))
     with pytest.raises(FormatError):  # psi must decode to a pure state
         replay(bad)
+    ragged = {"dims": [1, 2, 2, 1], "re": [0.5, 0.5, 0.5, 0.5], "im": [0.0]}
+    bad.write_text(json.dumps({"family": "prop1", "cell": {}, "seed": 1, "inputs": {"psi": ragged}}))
+    with pytest.raises(FormatError):  # re and im of different shapes
+        replay(bad)
 
 
 def test_certificate_status_precedence():

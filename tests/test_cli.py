@@ -4,13 +4,18 @@ import json
 import numpy as np
 import pytest
 
+from entrate import cli
 from entrate.cli import CSV_COLUMNS, SWEEP_COLUMNS, main
 from entrate.dynamics import LindbladGenerator, generator_to_json
 from entrate.states import (
+    DensityMatrix,
     DimensionSignature,
     matrix_to_json,
+    random_density,
+    random_ginibre_lindblad,
     random_gue_hamiltonian,
     random_pure,
+    state_to_json,
 )
 
 
@@ -83,6 +88,56 @@ def test_simulate_rejects_bad_inputs(tmp_path):
         inst["state"]["dims"] = dims
         bad.write_text(json.dumps(inst))
         assert main(["simulate", "--instance", str(bad)]) == 2
+    # a unit vector in re, but re and im of different shapes
+    inst["state"] = {"dims": [1, 2, 2, 1], "re": [0.5, 0.5, 0.5, 0.5], "im": [0.0]}
+    bad.write_text(json.dumps(inst))
+    assert main(["simulate", "--instance", str(bad)]) == 2
+
+
+def _entropy(m):
+    lam = np.clip(np.linalg.eigvalsh((m + m.conj().T) / 2), 0.0, None)
+    pos = lam[lam > 0]
+    return float(-(pos * np.log(pos)).sum())
+
+
+@pytest.mark.parametrize("pure", [True, False])
+def test_simulate_columns_match_plain_numpy(tmp_path, monkeypatch, pure):
+    # every CSV value, recomputed from the row's state and the reference with
+    # plain numpy, must equal what simulate wrote from the kept spectra
+    dims = DimensionSignature(2, 2, 2, 1)
+    state = state_to_json(random_pure(dims, 7) if pure else DensityMatrix(dims, random_density(8, 7)))
+    gen = LindbladGenerator(dims, random_gue_hamiltonian(4, 8), (0.5 * random_ginibre_lindblad(4, 9),))
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"state": state, "generator": generator_to_json(gen)}))
+    seen = []
+    relative_entropy = cli.relative_entropy
+
+    def recording(rho, sigma, **kwargs):
+        seen.append((rho.matrix.copy(), sigma.matrix.copy()))
+        return relative_entropy(rho, sigma, **kwargs)
+
+    monkeypatch.setattr(cli, "relative_entropy", recording)
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--instance", str(path), "--t-max", "0.2",
+                 "--samples", "4", "--out", str(out)]) == 0
+    monkeypatch.undo()
+    rows = _read_csv(out)[1:]
+    assert len(rows) == len(seen) == 4
+    for t, row, (m, s) in zip(np.linspace(0.0, 0.2, 4), rows, seen):
+        tr = m.trace()
+        s_lam, s_vec = np.linalg.eigh((s + s.conj().T) / 2)
+        overlap = float((np.log(s_lam) * np.real(np.einsum("ij,ij->j", s_vec.conj(), m @ s_vec))).sum())
+        left = np.trace(m.reshape(4, 2, 4, 2), axis1=1, axis2=3)  # keep aA, trace out Bb
+        right = np.trace(m.reshape(4, 2, 4, 2), axis1=0, axis2=2)  # keep Bb
+        expected = [
+            f"{t:.10g}",
+            repr(abs(float(np.real(tr)) - 1.0) + abs(float(np.imag(tr)))),
+            repr(float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())),
+            repr(max(-_entropy(m) - overlap, 0.0)),
+            repr(_entropy(left) + _entropy(right) - _entropy(m)),
+            repr(float(np.real(np.trace(m @ m)))),
+        ]
+        assert row == expected
 
 
 def test_rate_report_stdout(capsys):

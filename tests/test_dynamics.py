@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from entrate import dynamics
 from entrate.dynamics import (
     IntegrationError,
     LindbladGenerator,
@@ -216,6 +217,20 @@ def test_evolve_reports_drift_with_step_suggestion():
         evolve(gen, rho0, 5.0, steps=1)
     assert exc.value.suggested_steps >= 2
     assert exc.value.drift > 1e-8
+
+
+def test_drift_is_reported_before_hermiticity(monkeypatch):
+    # a result that drifts and is also non-Hermitian is an IntegrationError,
+    # so the CLI retries it with more steps instead of rejecting the state
+    dims = DimensionSignature.cut(2, 1)
+    gen = LindbladGenerator(dims, None, ())
+    rho0 = DensityMatrix(dims, np.diag([0.5, 0.5]).astype(complex))
+    broken = np.array([[0.75, 1e-3], [0.0, 0.5]], dtype=complex)  # trace 1.25, |M - M†| = 1e-3
+    monkeypatch.setattr(dynamics, "_integrate", lambda gen, rho, t, steps: broken.copy())
+    with pytest.raises(IntegrationError) as exc:
+        evolve(gen, rho0, 0.1, steps=4)
+    assert exc.value.drift == pytest.approx(0.25)
+    assert exc.value.suggested_steps >= 8
 
 
 def test_convergence_order_is_four():

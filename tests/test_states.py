@@ -66,6 +66,24 @@ def test_density_matrix_validation():
     DensityMatrix(dims, drifted, trace_tol=1e-8, psd_tol=1e-8)
 
 
+def test_density_matrix_keeps_its_spectrum():
+    dims = DimensionSignature(1, 2, 3, 1)
+    m = random_density(6, 4)
+    rho = DensityMatrix(dims, m)
+    assert np.array_equal(rho.spectrum, np.linalg.eigvalsh((m + m.conj().T) / 2))
+    lam, vec = rho.eigh()
+    fresh_lam, fresh_vec = np.linalg.eigh((m + m.conj().T) / 2)
+    assert np.array_equal(lam, fresh_lam) and np.array_equal(vec, fresh_vec)
+    assert rho.eigh()[1] is vec  # computed once
+    for kept in (rho.matrix, rho.spectrum, lam, vec):
+        with pytest.raises(ValueError):
+            kept[0] = 0.0
+    # the caller's array was copied: writing to it leaves the state alone
+    before = m.copy()
+    m[0, 0] += 1.0
+    assert np.array_equal(rho.matrix, before)
+
+
 def test_schmidt_bell_state():
     dims = DimensionSignature.cut(2, 2)
     psi = PureState(dims, np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2))
@@ -211,6 +229,11 @@ def test_state_json_roundtrip():
     assert np.array_equal(back_psi.amplitudes, psi.amplitudes)
     with pytest.raises(ValueError):
         state_from_json({"re": [[1.0]], "im": [[0.0]]})  # missing dims
+    with pytest.raises(ValueError):  # re and im of different shapes
+        state_from_json({"dims": [1, 2, 2, 1], "re": [0.5, 0.5, 0.5, 0.5], "im": [0.0]})
+    for dims in ([1, 2.7, 2, 1], [1, "2", 2, 1], [1, True, 2, 1]):  # dims must be integers
+        with pytest.raises(ValueError):
+            state_from_json({"dims": dims, "re": [0.5, 0.5, 0.5, 0.5], "im": [0.0] * 4})
 
 
 @settings(max_examples=25, deadline=None)
