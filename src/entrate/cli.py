@@ -127,8 +127,8 @@ def _open_out(path):
 
 def _cmd_simulate(args) -> int:
     state, gen = _instance_from_args(args)
-    if args.t_max <= 0:
-        raise FormatError("--t-max must be > 0")
+    if not 0 < args.t_max < math.inf:
+        raise FormatError("--t-max must be finite and > 0")
     if args.samples < 2:
         raise FormatError("--samples must be >= 2")
     rho = state.density() if isinstance(state, PureState) else state
@@ -368,3 +368,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -16,26 +16,33 @@ exactly the polynomial T4(hS) = I + hS + (hS)^2/2 + (hS)^3/6 + (hS)^4/24 of
 the superoperator S = -i(K ⊗ I) + i(I ⊗ K̄) + sum_k L_k ⊗ L̄_k, which acts on
 the row-major vec of the A ⊗ B block (size d_AB^2).  An integration of
 ``steps`` steps is then one product of the step map M = T4(hS)^steps with rho
-reshaped to (d_AB^2, (d_a d_b)^2).  The other path runs the RK4 loop on the
-block in K-form, with 2 + 2k products of size d_AB per generator application
-(k jump operators).  Both compute the same polynomial; they differ by
-roundoff only.
+reshaped to (d_AB^2, (d_a d_b)^2).  S preserves Hermiticity, so in an
+orthonormal basis of Hermitian operators (E_jj, and (E_jk + E_kj)/√2 and
+i(E_jk - E_kj)/√2 for j < k) it is a real matrix, as in the coherence-vector
+form of Gorini, Kossakowski & Sudarshan, J. Math. Phys. 17, 821 (1976).  M is
+built and kept in that basis in float64, half the bytes of the complex map,
+and is applied to the real and imaginary parts of the rotated columns in
+one real product.  The other path runs the RK4 loop on the block in K-form,
+with 2 + 2k products of size d_AB per generator application (k jump
+operators).  Both compute the same polynomial; they differ by roundoff only.
 
 Each generator caches its last (h, steps): the step map once built, or how
 many integrations in a row ran in K-form.  ``_map_pays`` picks the path by a
 rent-or-buy rule on estimated multiply-add counts: M is built once it costs
 no more than the K-form integrations made with this (h, steps) so far, the
 current one included.  Measured with one BLAS thread on a 2.0 GHz Xeon, a
-one-off 64-step integration takes the map up to d_AB = 9 (build 1.2 ms
-against 2-10 ms of K-form) and stays in K-form at d_AB = 16 without ancillas
-(build 28 ms against 4-13 ms); the 2 ⊗ (4 ⊗ 4) ⊗ 2 time series of ``entrate
-simulate`` builds M on its second segment and reuses it for the rest.
+one-off 64-step integration takes the map up to d_AB = 9 (build 0.4 ms
+against 3-6 ms of K-form) and stays in K-form at d_AB = 16 without ancillas
+(build 7-9 ms against 4-9 ms), where a repeated one builds M on its second
+use; the 2 ⊗ (4 ⊗ 4) ⊗ 2 time series of ``entrate simulate`` builds M on its
+first segment (6-9 ms against 18-26 ms of K-form) and reuses it for the rest.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -126,7 +133,8 @@ class LindbladGenerator:
         object.__setattr__(self, "_map_cache", {})
 
     def _step_map(self, h: float, steps: int) -> np.ndarray | None:
-        """T4(hS)^steps once building it pays (see ``_map_pays``), else None.
+        """T4(hS)^steps, real in the Hermitian basis, once building it pays
+        (see ``_map_pays``), else None.
 
         Only the last (h, steps) is kept, with the number of consecutive
         integrations that used it; any other step size or count replaces it.
@@ -193,6 +201,44 @@ def apply_generator(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
 
 
 # ------------------------------------------------------------ the step map
+#
+# The Hermitian basis keeps each E_jj and replaces each vec pair (jk, kj),
+# j < k, by (E_jk + E_kj)/√2 and i(E_jk - E_kj)/√2: the unitary
+# U = [[1, 1], [-i, i]]/√2 on the pair's coordinates.  The step map is built
+# and kept as the real matrix U T4(hS)^steps U†.
+
+
+@lru_cache(maxsize=16)
+def _pair_coefficients(ab: int) -> tuple[np.ndarray, np.ndarray]:
+    # U as (alpha, beta): (Ux)[p, q] = alpha[p, q] x[p, q] + beta[p, q] x[q, p]
+    # for x of shape (ab, ab, ...); read-only, as the arrays are shared
+    r = math.sqrt(0.5)
+    upper = np.triu(np.ones((ab, ab)), 1)
+    alpha = np.eye(ab) + r * upper + 1j * r * upper.T
+    beta = r * upper - 1j * r * upper.T
+    alpha.flags.writeable = beta.flags.writeable = False
+    return alpha, beta
+
+
+def _mix_pairs(x: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    # alpha ∘ x + beta ∘ xᵀ, with the transpose taken over the first two axes
+    return alpha[:, :, None] * x + beta[:, :, None] * x.swapaxes(0, 1)
+
+
+def _to_hermitian_basis(s: np.ndarray) -> None:
+    # S <- U S U† in place for S with axes (p, q, p', q'), 32 columns and then
+    # 32 rows at a time so that the temporaries stay small; a row of S U† is
+    # conj(U) times the same row of S
+    ab = s.shape[0]
+    alpha, beta = _pair_coefficients(ab)
+    rows, cols = s.reshape(ab, ab, -1), s.reshape(-1, ab, ab)
+    for i in range(0, ab * ab, 32):
+        block = rows[:, :, i : i + 32]
+        block[...] = _mix_pairs(block, alpha, beta)
+    for i in range(0, ab * ab, 32):
+        block = cols[i : i + 32].transpose(1, 2, 0)
+        block[...] = _mix_pairs(block, alpha.conj(), beta.conj())
+
 
 def _build_step_map(k: np.ndarray, ls: tuple[np.ndarray, ...], h: float, steps: int) -> np.ndarray:
     ab = k.shape[0]
@@ -207,8 +253,8 @@ def _build_step_map(k: np.ndarray, ls: tuple[np.ndarray, ...], h: float, steps: 
     k_bar = 1j * k.conj()
     for p in range(ab):
         a[p, :, p, :] += k_bar
-    a = a.reshape(n, n)
-    a *= h
+    _to_hermitian_basis(a)
+    a = a.real.reshape(n, n) * h  # the imaginary part is roundoff
     # Horner: T4(A) = I + A(I + A/2(I + A/3(I + A/4))); every partial sum is
     # a polynomial in A, so it commutes with A and takes the product in place
     t = a * 0.25
@@ -249,10 +295,17 @@ def _power(base: np.ndarray, steps: int, spare: np.ndarray) -> np.ndarray:
 
 
 def _apply_step_map(m: np.ndarray, rho: np.ndarray, dims: DimensionSignature) -> np.ndarray:
+    # rotate the rows into the Hermitian basis, apply the real map to the real
+    # and imaginary parts of every column in one real product (the complex
+    # array viewed as interleaved floats), and rotate back with U†, whose
+    # coefficients are (conj alpha, conj betaᵀ)
     d_a, ab, d_b, n = _axes(dims)
-    x = rho.reshape(d_a, ab, d_b, d_a, ab, d_b).transpose(_VEC).reshape(ab * ab, -1)
-    y = m @ x
-    return y.reshape(ab, ab, d_a, d_b, d_a, d_b).transpose(_VEC_INV).reshape(n, n)
+    alpha, beta = _pair_coefficients(ab)
+    x = rho.reshape(d_a, ab, d_b, d_a, ab, d_b).transpose(_VEC).reshape(ab, ab, -1)
+    y = _mix_pairs(x, alpha, beta).reshape(ab * ab, -1)
+    z = (m @ y.view(np.float64)).view(complex).reshape(ab, ab, -1)
+    out = _mix_pairs(z, alpha.conj(), beta.T.conj())
+    return out.reshape(ab, ab, d_a, d_b, d_a, d_b).transpose(_VEC_INV).reshape(n, n)
 
 
 # ------------------------------------------------------------- integration
@@ -260,15 +313,18 @@ def _apply_step_map(m: np.ndarray, rho: np.ndarray, dims: DimensionSignature) ->
 def _map_pays(gen: LindbladGenerator, steps: int, uses: int) -> bool:
     """Build M once the K-form work spent on this (h, steps) would match it.
 
-    Costs are multiply-adds: the build is bit_length + popcount + 1 products
-    of size d_AB^2 (Horner, then binary powering); one K-form integration is
-    4 (2 + 2k) products per step, each d_AB^3 times the spectator count plus
-    KFORM_CALL_COST.  A one-off integration thus takes the cheaper path, and
-    a repeated one builds M by the time the K-form path has cost as much as
-    the build (at most twice the cost of the better choice in hindsight).
+    Costs are complex multiply-adds: the build is bit_length + popcount + 1
+    real products of size d_AB^2 (Horner, then binary powering), charged at
+    half a complex multiply-add each as measured (d_AB = 16, 32 or 64 steps:
+    7-9 ms real against 18-28 ms for the same products in complex); one
+    K-form integration is 4 (2 + 2k) products per step, each d_AB^3 times
+    the spectator count plus KFORM_CALL_COST.  A one-off integration thus
+    takes the cheaper path, and a repeated one builds M by the time the
+    K-form path has cost as much as the build (at most twice the cost of the
+    better choice in hindsight).
     """
     d_a, ab, d_b, _ = _axes(gen.dims)
-    build = (steps.bit_length() + steps.bit_count() + 1) * ab**6
+    build = (steps.bit_length() + steps.bit_count() + 1) * ab**6 // 2
     kform = steps * 4 * (2 + 2 * len(gen.lindblad_ops)) * (ab**3 * (d_a * d_b) ** 2 + KFORM_CALL_COST)
     return build <= uses * kform
 
@@ -307,8 +363,8 @@ def evolve(gen: LindbladGenerator, rho0: DensityMatrix, t: float, steps: int = 1
     """
     if gen.dims != rho0.dims:
         raise ShapeError("generator and state live on different spaces")
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be finite and >= 0, got {t}")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if t == 0:
@@ -330,8 +386,8 @@ def convergence_order(gen: LindbladGenerator, rho0: DensityMatrix, t: float, ste
     """Empirical order from errors at ``steps`` and ``2*steps`` against a
     reference at ``16*steps``.  Returns None when the errors are too close to
     roundoff to resolve a slope."""
-    if t <= 0:
-        raise ValueError(f"t must be > 0, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be finite and > 0, got {t}")
     ref = _integrate(gen, rho0.matrix, t, 16 * steps)
     e1 = float(np.linalg.norm(_integrate(gen, rho0.matrix, t, steps) - ref))
     e2 = float(np.linalg.norm(_integrate(gen, rho0.matrix, t, 2 * steps) - ref))

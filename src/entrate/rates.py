@@ -412,8 +412,8 @@ def _surrogate_step(
     # (E(psi), rho_dt, D(rho_dt || reference)) against the regularized Schmidt reference
     if psi.dims.d < 2:
         raise DegenerateCut("d = 1 cut: no entanglement is possible across it")
-    if delta_t <= 0:
-        raise ValueError(f"delta_t must be > 0, got {delta_t}")
+    if not 0 < delta_t < math.inf:
+        raise ValueError(f"delta_t must be finite and > 0, got {delta_t}")
     if psi.dims != gen.dims:
         raise ValueError("state and generator live on different spaces")
     if not 0.0 < eta_ref <= 1e-6:
@@ -486,8 +486,8 @@ def mutual_info_rate_analytic(
 def mutual_info_rate_fd(
     rho: DensityMatrix, gen: LindbladGenerator, delta_t: float, *, richardson: bool = True
 ) -> float:
-    if delta_t <= 0:
-        raise ValueError(f"delta_t must be > 0, got {delta_t}")
+    if not 0 < delta_t < math.inf:
+        raise ValueError(f"delta_t must be finite and > 0, got {delta_t}")
     i0 = mutual_information(rho)
 
     def quot(h: float) -> float:

@@ -58,7 +58,7 @@ class DimensionSignature:
     def __post_init__(self):
         for name in ("d_a", "d_A", "d_B", "d_b"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ShapeError(f"{name} must be a positive integer, got {v!r}")
         if self.total > TOTAL_DIM_CAP:
             raise ShapeError(f"total dimension {self.total} exceeds cap {TOTAL_DIM_CAP}")
@@ -363,8 +363,6 @@ def _signature_from_json(obj, what: str) -> DimensionSignature:
     dims = obj["dims"]
     if not (isinstance(dims, list) and len(dims) == 4):
         raise ValueError(f"dims must be a list of four factors, got {dims!r}")
-    if not all(isinstance(d, int) and not isinstance(d, bool) for d in dims):
-        raise ValueError(f"dims must be integers, got {dims!r}")
     return DimensionSignature(*dims)
 
 

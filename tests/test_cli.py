@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -75,13 +79,16 @@ def test_simulate_instance_file_pure_and_mixed(tmp_path):
     assert abs(float(first["mutual_information"])) < 1e-9
 
 
-def test_simulate_rejects_bad_inputs(tmp_path):
+def test_simulate_rejects_bad_inputs(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert main(["simulate", "--instance", str(bad)]) == 2
     bad.write_text(json.dumps({"state": {}}))
     assert main(["simulate", "--instance", str(bad)]) == 2
-    assert main(["simulate", "--dims", "2", "2", "--t-max", "-1"]) == 2
+    out = tmp_path / "out.csv"
+    for t_max in ("-1", "nan", "inf"):
+        assert main(["simulate", "--dims", "2", "2", "--t-max", t_max, "--out", str(out)]) == 2
+        assert not out.exists() and "--t-max" in capsys.readouterr().err
     assert main(["simulate", "--dims", "3"]) == 2  # wrong factor count
     inst = json.loads(_instance_file(tmp_path).read_text())
     for dims in ([1, 2, 2, 1, 1], [1, 2, 2]):  # state.dims must list four factors
@@ -92,6 +99,25 @@ def test_simulate_rejects_bad_inputs(tmp_path):
     inst["state"] = {"dims": [1, 2, 2, 1], "re": [0.5, 0.5, 0.5, 0.5], "im": [0.0]}
     bad.write_text(json.dumps(inst))
     assert main(["simulate", "--instance", str(bad)]) == 2
+
+
+def test_module_runs_as_a_script(tmp_path):
+    # the CLI also runs as a module, without the installed entry point
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "entrate.cli", *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    out = tmp_path / "out.csv"
+    proc = run("simulate", "--dims", "2", "2", "--t-max", "0.05", "--samples", "3", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    rows = _read_csv(out)
+    assert rows[0] == list(CSV_COLUMNS) and len(rows) == 4
+    proc = run("simulate", "--dims", "2", "2", "--t-max", "nan")
+    assert proc.returncode == 2 and "--t-max" in proc.stderr
 
 
 def _entropy(m):

@@ -93,28 +93,30 @@ def _random_generator(factors, k, seed):
 
 @pytest.mark.parametrize(
     "factors, uses_map",
-    [((2, 2, 3, 2), True), ((1, 3, 3, 1), True), ((1, 4, 4, 1), False)],
-    ids=["ancillas-map", "no-ancilla-map", "kform-fallback"],
+    [((2, 2, 3, 2), True), ((1, 3, 3, 1), True), ((2, 4, 4, 2), True), ((1, 4, 4, 1), False)],
+    ids=["ancillas-map", "no-ancilla-map", "d16-ancillas-map", "kform-fallback"],
 )
 def test_block_kernels_match_full_space_rk4(factors, uses_map):
     gen, rho = _random_generator(factors, 2, seed=sum(factors))
     got = _integrate(gen, rho, 0.3, 48)  # 48 = 0b110000 also exercises the powering's multiply
-    assert (gen._map_cache[(0.3 / 48, 48)][1] is not None) == uses_map
+    m = gen._map_cache[(0.3 / 48, 48)][1]
+    assert (m is not None) == uses_map
+    assert m is None or m.dtype == np.float64  # kept in the Hermitian basis
     assert np.abs(got - _rk4_full(gen, rho, 0.3, 48)).max() <= 1e-13
     assert np.abs(apply_generator(gen, rho) - _full_space_apply(gen)(rho)).max() <= 1e-13
 
 
 def test_repeated_segments_switch_to_the_step_map():
     # one K-form integration does not pay for the map at d_AB = 16 without
-    # ancillas; repeating the same (h, steps) does, and the result is the
-    # same RK4 polynomial either way
+    # ancillas; the second with the same (h, steps) does, and the result is
+    # the same RK4 polynomial either way
     gen, rho = _random_generator((1, 4, 4, 1), 3, seed=11)
     want = _rk4_full(gen, rho, 0.2, 64)
     seen = []
     for _ in range(3):
         assert np.abs(_integrate(gen, rho, 0.2, 64) - want).max() <= 1e-13
         seen.append(gen._map_cache[(0.2 / 64, 64)][1] is not None)
-    assert seen == [False, False, True]
+    assert seen == [False, True, True]
 
 
 def test_new_step_count_rebuilds_the_map():
@@ -132,6 +134,9 @@ def test_convergence_order_with_ancillas():
     rho0 = random_pure(gen.dims, 10).density()
     order = convergence_order(gen, rho0, 0.5, 8)
     assert order is not None and order >= 3.7
+    for t in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            convergence_order(gen, rho0, t, 8)
 
 
 def test_generator_validates_inputs():
@@ -194,8 +199,9 @@ def test_evolve_zero_time_is_identity():
     rho = random_pure(dims, 5).density()
     gen = LindbladGenerator(dims)
     assert evolve(gen, rho, 0.0) is rho
-    with pytest.raises(ValueError):
-        evolve(gen, rho, -1.0)
+    for t in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            evolve(gen, rho, t)
     with pytest.raises(ValueError):
         evolve(gen, rho, 1.0, steps=0)
 

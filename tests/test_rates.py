@@ -279,8 +279,9 @@ def test_surrogate_rate_input_validation():
     dims = DimensionSignature.cut(2, 2)
     psi = random_pure(dims, seed=0)
     gen = _unitary_gen(dims, 0)
-    with pytest.raises(ValueError):
-        surrogate_rate_fd(psi, gen, 0.0)
+    for dt in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            surrogate_rate_fd(psi, gen, dt)
     with pytest.raises(ValueError):
         surrogate_rate_fd(psi, gen, 1e-3, eta_ref=1e-3)  # too coarse
     with pytest.raises(ValueError):
@@ -311,8 +312,9 @@ def test_mi_rate_fd_matches_analytic():
         fd = mutual_info_rate_fd(rho, gen, 1e-4)
         exact = mutual_info_rate_analytic(rho, gen)
         assert fd == pytest.approx(exact, abs=1e-4)
-    with pytest.raises(ValueError):
-        mutual_info_rate_fd(rho, gen, -1.0)
+    for dt in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            mutual_info_rate_fd(rho, gen, dt)
 
 
 def test_mi_rate_analytic_smoothed_pure_states():

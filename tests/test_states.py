@@ -40,6 +40,8 @@ def test_signature_rejects_bad_dims():
         DimensionSignature(0, 2, 2, 1)
     with pytest.raises(ShapeError):
         DimensionSignature(2, 4, 4, 3)  # 96 > 64
+    with pytest.raises(ShapeError):
+        DimensionSignature(True, 2, 2, True)  # bool is an int subclass, not a dimension
     assert DimensionSignature(1, 8, 8, 1).total == TOTAL_DIM_CAP  # boundary fits
 
 
