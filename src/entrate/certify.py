@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .dynamics import IntegrationError, LindbladGenerator
-from .linalg import NumericalFailure, dag, hermitize
+from .linalg import NumericalFailure, ShapeError, dag, hermitize
 from .measures import OptimizerStall, entanglement_entropy, ree_bruteforce
 from .rates import (
     InequalityResult,
@@ -43,6 +43,7 @@ from .states import (
     DensityMatrix,
     DimensionSignature,
     PureState,
+    _positive_int,
     matrix_from_json,
     matrix_to_json,
     random_density,
@@ -123,7 +124,14 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "families", tuple(self.families))
-        object.__setattr__(self, "dims_grid", tuple(int(d) for d in self.dims_grid))
+        try:
+            grid = tuple(_positive_int(d, "dims_grid entry") for d in self.dims_grid)
+        except ShapeError as exc:
+            raise FormatError(str(exc)) from exc
+        object.__setattr__(self, "dims_grid", grid)
+        for t in self.delta_ts:
+            if isinstance(t, bool) or not isinstance(t, (int, float, np.integer, np.floating)) or not (math.isfinite(t) and t > 0):
+                raise FormatError(f"delta_ts entries must be finite numbers > 0, got {t!r}")
         object.__setattr__(self, "delta_ts", tuple(float(t) for t in self.delta_ts))
         for fam in self.families:
             if fam not in FAMILIES:
@@ -137,8 +145,6 @@ class SweepConfig:
             raise FormatError(f"measure must be 'surrogate' or 'bruteforce', got {self.measure!r}")
         if any(d < 2 for d in self.dims_grid):
             raise FormatError("dims_grid entries must be >= 2")
-        if any(t <= 0 for t in self.delta_ts):
-            raise FormatError("delta_ts entries must be > 0")
         if not 0.0 <= self.fail_fraction < 1.0:
             raise FormatError("fail_fraction must lie in [0, 1)")
 

@@ -1,11 +1,20 @@
 """Entropies, relative entropy, and entanglement measures across aA | Bb.
 
 D(rho || sigma) = -S(rho) - Tr rho ln sigma is computed everywhere from the
-two private kernels ``_entropy`` and ``_log_overlap``; the see-saw holds rho
-fixed, so it computes -S(rho) once.  Given a DensityMatrix, both kernels
-read the spectrum and eigendecomposition the state keeps, so a fixed
-reference sigma is diagonalized once however often it is used; raw arrays
-(the see-saw's candidates) are diagonalized on the spot.
+two private kernels ``_entropy`` and ``_log_overlap``; the latter takes the
+eigendecomposition of one sigma or of a stack of them.  Given a
+DensityMatrix, both kernels read the spectrum and eigendecomposition the
+state keeps, so a fixed reference sigma is diagonalized once however often
+it is used; raw arrays are diagonalized on the spot.
+
+The see-saw holds rho fixed, so rho is diagonalized once per call (its kept
+spectrum gives -S(rho), its kept eigenvectors the support a candidate must
+cover).  A candidate sigma = sum_i w_i A_i ⊗ B_i is assembled as one matmul,
+weights @ prods, with the stack prods of the products A_i ⊗ B_i built once
+per factor change.  Candidates are scored in batches, each batch from one
+stacked eigh (``_ree_scores``), and the eigendecomposition of the accepted
+candidate is reused for the next gradient, so each sigma is diagonalized
+once.
 
 The relative-entropy-of-entanglement routines come in two flavors: an exact
 closed form for pure states (Schmidt entropy, with the dephased Schmidt
@@ -77,22 +86,21 @@ def von_neumann_entropy(rho) -> float:
     return _entropy(_operand(rho))
 
 
-def _log_overlap(r, s, support_tol: float) -> float:
-    # Tr rho ln sigma on the support of sigma, or -inf on the leak that
-    # relative_entropy documents
-    s_lam, s_vec = _eigh(s)
+def _log_overlap(r, s_lam: np.ndarray, s_vec: np.ndarray, support_tol: float) -> np.ndarray:
+    # Tr rho ln sigma on the support of sigma, for sigma given by its
+    # eigendecomposition (a single one or a stack), or -inf on the leak that
+    # relative_entropy documents; rho is diagonalized only if some sigma is
+    # rank deficient
     null = s_lam <= support_tol
+    weights = np.real(np.einsum("...ij,...ij->...j", np.conjugate(s_vec), _raw(r) @ s_vec))
+    out = np.where(null, 0.0, np.log(np.where(null, 1.0, s_lam)) * weights).sum(axis=-1)
     if null.any():
         r_lam, r_vec = _eigh(r)
         live = r_vec[:, r_lam > support_tol]
         if live.size:
-            leak = np.abs(dag(s_vec[:, null]) @ live) ** 2
-            if leak.sum(axis=0).max() > support_tol:
-                return -np.inf
-    supp = ~null
-    w = s_vec[:, supp]
-    weights = np.real(np.einsum("ij,ij->j", np.conjugate(w), _raw(r) @ w))
-    return float((np.log(s_lam[supp]) * weights).sum())
+            leak = np.abs(np.conjugate(s_vec).swapaxes(-1, -2) @ live) ** 2
+            out = np.where((leak * null[..., None]).sum(axis=-2).max(axis=-1) > support_tol, -np.inf, out)
+    return out
 
 
 def relative_entropy(rho, sigma, *, support_tol: float = SUPPORT_TOL) -> float:
@@ -106,7 +114,7 @@ def relative_entropy(rho, sigma, *, support_tol: float = SUPPORT_TOL) -> float:
     r, s = _operand(rho), _operand(sigma)
     if _raw(r).shape != _raw(s).shape:
         raise ValueError(f"shape mismatch {_raw(r).shape} vs {_raw(s).shape}")
-    return max(-_entropy(r) - _log_overlap(r, s, support_tol), 0.0)
+    return max(-_entropy(r) - float(_log_overlap(r, *_eigh(s), support_tol)), 0.0)
 
 
 def entanglement_entropy(psi: PureState) -> float:
@@ -134,7 +142,9 @@ class SeparableEnsemble:
     factors_b: np.ndarray  # (m, bob, bob)
 
     def assemble(self) -> DensityMatrix:
-        return DensityMatrix(self.dims, hermitize(_assemble(self.weights, self.factors_a, self.factors_b)))
+        n = self.dims.total
+        sigma = self.weights @ _products(self.factors_a, self.factors_b)
+        return DensityMatrix(self.dims, hermitize(sigma.reshape(n, n)))
 
 
 @dataclass(frozen=True)
@@ -146,14 +156,24 @@ class ReeEstimate:
     stalled: bool
 
 
-def _assemble(w, fa, fb) -> np.ndarray:
-    return np.einsum("i,iab,icd->acbd", w, fa, fb).reshape(fa.shape[1] * fb.shape[1], -1)
+def _products(fa: np.ndarray, fb: np.ndarray) -> np.ndarray:
+    # the members A_i ⊗ B_i of a factor stack (..., m, na, na), (..., m, nb, nb)
+    # as the rows of an (..., m, n²) stack, so weights @ prods assembles sigma
+    na, nb = fa.shape[-1], fb.shape[-1]
+    return np.einsum("...iab,...icd->...iacbd", fa, fb).reshape(*fa.shape[:-2], (na * nb) ** 2)
 
 
-def _log_gradient(r_m: np.ndarray, s_m: np.ndarray) -> np.ndarray:
+def _ree_scores(rho: DensityMatrix, neg_entropy: float, sigmas: np.ndarray):
+    # max(-S(rho) - Tr rho ln sigma_k, 0) for each sigma_k of a (k, n, n)
+    # stack, +inf on a leak, from one stacked eigh; that eigh is returned too,
+    # so the gradient at an accepted candidate does not diagonalize it again
+    lam, vec = np.linalg.eigh(hermitize(sigmas))
+    return np.maximum(neg_entropy - _log_overlap(rho, lam, vec, SUPPORT_TOL), 0.0), lam, vec
+
+
+def _log_gradient(r_m: np.ndarray, s_lam: np.ndarray, v: np.ndarray) -> np.ndarray:
     # G = d Tr[rho ln sigma] / d sigma via the divided-difference (Loewner)
-    # matrix of ln on the spectrum of sigma; dD/dsigma = -G
-    s_lam, v = np.linalg.eigh(hermitize(s_m))
+    # matrix of ln on the spectrum (s_lam, v) of sigma; dD/dsigma = -G
     s_lam = np.clip(s_lam, 1e-300, None)
     log_lam = np.log(s_lam)
     diff = s_lam[:, None] - s_lam[None, :]
@@ -204,92 +224,106 @@ def _factor_grads(g_full: np.ndarray, w, fa, fb):
     return hermitize(grad_a), hermitize(grad_b)
 
 
-def _seesaw(rho_m, dims, w, fa, fb, max_iters, tol):
-    neg_entropy = -_entropy(rho_m)
+def _in_chunks(steps: np.ndarray, sizes: tuple[int, ...], evaluate):
+    # evaluate's per-step results for the step schedule, in order, computed a
+    # chunk at a time: a scan that stops early scores only the chunks it reached
+    start = 0
+    for size in sizes:
+        yield from evaluate(steps[start:start + size])
+        start += size
 
-    def score(cw, ca, cb) -> float:
-        return max(neg_entropy - _log_overlap(rho_m, _assemble(cw, ca, cb), SUPPORT_TOL), 0.0)
 
-    value = score(w, fa, fb)
+def _seesaw(rho: DensityMatrix, w, fa, fb, max_iters, tol):
+    r_m = rho.matrix
+    neg_entropy = -_entropy(rho)
+    na, nb = fa.shape[1], fb.shape[1]
+    n = na * nb
+
+    def score(sigmas):
+        # (values, lam, vec) of the candidates whose flattened sigmas are the rows
+        return _ree_scores(rho, neg_entropy, sigmas.reshape(-1, n, n))
+
+    prods = _products(fa, fb)
+    vals, lam, vec = score(w @ prods)
+    value, eig = vals[0], (lam[0], vec[0])
     iters = 0
-    full = fa.shape[1] * fb.shape[1]
     cap = len(w) + 16  # room for exchange-step members
     for iters in range(1, max_iters + 1):
         start = value
         # exchange step: mix in the product state the gradient likes best, so
-        # the ensemble can escape a conic hull that misses the optimum; try a
-        # geometric grid of mixing fractions and keep the best
-        g_log = _log_gradient(rho_m, _assemble(w, fa, fb))
-        av, bv = _top_product_vector(g_log, fa.shape[1], fb.shape[1])
+        # the ensemble can escape a conic hull that misses the optimum; score
+        # a geometric grid of mixing fractions as one stack and keep the best
+        g_log = _log_gradient(r_m, *eig)
+        av, bv = _top_product_vector(g_log, na, nb)
         pa, pb = np.outer(av, av.conj()), np.outer(bv, bv.conj())
-        best = None
-        for gamma in 0.5 ** np.arange(1, 13):
-            if len(w) >= cap:
-                drop = int(np.argmin(w))
-                keep = np.arange(len(w)) != drop
-                wk = w[keep] / w[keep].sum()
-                cw = np.append((1.0 - gamma) * wk, gamma)
-                ca = np.concatenate([fa[keep], pa[None]])
-                cb = np.concatenate([fb[keep], pb[None]])
-            else:
-                cw = np.append((1.0 - gamma) * w, gamma)
-                ca = np.concatenate([fa, pa[None]])
-                cb = np.concatenate([fb, pb[None]])
-            cand_val = score(cw, ca, cb)
-            if cand_val < value and (best is None or cand_val < best[0]):
-                best = (cand_val, cw, ca, cb)
-        if best is not None:
-            value, w, fa, fb = best
+        wk, keep = w, np.ones(len(w), dtype=bool)
+        if len(w) >= cap:
+            keep[int(np.argmin(w))] = False
+            wk = w[keep] / w[keep].sum()
+        gammas = 0.5 ** np.arange(1, 13)
+        cw = np.concatenate([np.outer(1.0 - gammas, wk), gammas[:, None]], axis=1)
+        cprods = np.concatenate([prods[keep], _products(pa[None], pb[None])])
+        vals, lam, vec = score(cw @ cprods)
+        j = int(np.argmin(vals))
+        if vals[j] < value:
+            value, eig, w, prods = vals[j], (lam[j], vec[j]), cw[j], cprods
+            fa = np.concatenate([fa[keep], pa[None]])
+            fb = np.concatenate([fb[keep], pb[None]])
         # weight phase: the weight subproblem is convex, so polish it with
         # exponentiated-gradient updates whose step is line-searched both ways
         # (doubling lets near-useless members decay in a handful of updates
-        # instead of one e^{-eta*gap} factor per iteration)
-        prods = np.einsum("iab,icd->iacbd", fa, fb).reshape(len(w), full, full)
+        # instead of one e^{-eta*gap} factor per iteration); the steps are
+        # scored in chunks and scanned in order, accepting what a
+        # one-at-a-time search would
         for _ in range(60):
-            g_log = _log_gradient(rho_m, _assemble(w, fa, fb))
-            slopes = np.clip(np.real(np.einsum("iab,ba->i", prods, g_log)), 1e-12, None)
+            g_log = _log_gradient(r_m, *eig)
+            slopes = np.clip(np.real(prods @ g_log.T.reshape(-1)), 1e-12, None)
 
-            def weight_step(eta):
-                cand = w * np.exp(eta * (slopes - slopes.max()))
-                total = cand.sum()
-                if not total > 0.0:
-                    return None, np.inf
-                cand /= total
-                return cand, score(cand, fa, fb)
+            def weight_steps(etas, w=w, slopes=slopes):
+                # w * exp(eta (slopes - max)), renormalized, a row per eta; a row
+                # whose total vanishes stays zero and scores +inf by the leak rule
+                cand = w * np.exp(etas[:, None] * (slopes - slopes.max()))
+                total = cand.sum(axis=1)
+                cand[total > 0.0] /= total[total > 0.0, None]
+                return zip(cand, *score(cand @ prods))
 
-            eta = 1.0
-            cand, cand_val = weight_step(eta)
+            ups = _in_chunks(2.0 ** np.arange(41), (4, 8, 29), weight_steps)  # eta = 1, 2, ..., 2^40
+            cand, cand_val, *cand_eig = next(ups)
             if cand_val < value:
-                while eta < 1e12:
-                    nxt, nxt_val = weight_step(2.0 * eta)
+                for nxt, nxt_val, *nxt_eig in ups:
                     if not nxt_val < cand_val:
                         break
-                    eta, cand, cand_val = 2.0 * eta, nxt, nxt_val
+                    cand, cand_val, cand_eig = nxt, nxt_val, nxt_eig
             else:
-                for _ in range(20):
-                    eta *= 0.5
-                    cand, cand_val = weight_step(eta)
+                downs = _in_chunks(0.5 ** np.arange(1, 21), (4, 16), weight_steps)
+                for cand, cand_val, *cand_eig in downs:
                     if cand_val < value:
                         break
             if not cand_val < value:
                 break
             improved = value - cand_val
-            w, value = cand, cand_val
+            w, value, eig = cand, cand_val, cand_eig
             if improved < 0.1 * tol:
                 break
-        # projected-gradient step on all factors at a shared backtracked step
-        g_log = _log_gradient(rho_m, _assemble(w, fa, fb))
+        # projected-gradient step on all factors at a shared backtracked step,
+        # the step sizes projected and scored in chunks
+        g_log = _log_gradient(r_m, *eig)
         grad_a, grad_b = _factor_grads(g_log, w, fa, fb)
         scale = max(np.abs(grad_a).max(), np.abs(grad_b).max(), 1e-300)
-        tau = 0.5 / scale
-        for _ in range(25):
-            ca = _project_density(fa - tau * grad_a)
-            cb = _project_density(fb - tau * grad_b)
-            cand_val = score(w, ca, cb)
+
+        def factor_steps(taus, fa=fa, fb=fb):
+            t = taus[:, None, None, None]
+            ca = _project_density((fa - t * grad_a).reshape(-1, na, na)).reshape(len(taus), *fa.shape)
+            cb = _project_density((fb - t * grad_b).reshape(-1, nb, nb)).reshape(len(taus), *fb.shape)
+            cprods = _products(ca, cb)
+            return zip(ca, cb, cprods, *score(w @ cprods))
+
+        taus = 0.5 / scale * 0.5 ** np.arange(25)
+        for ca, cb, cprods, cand_val, *cand_eig in _in_chunks(taus, (1, 4, 20), factor_steps):
             if cand_val < value:
-                fa, fb, value = ca, cb, cand_val
+                # copies, so the ensemble does not hold on to the whole chunk
+                fa, fb, prods, value, eig = ca.copy(), cb.copy(), cprods.copy(), cand_val, cand_eig
                 break
-            tau *= 0.5
         if start - value < tol:
             return value, w, fa, fb, iters, True
     return value, w, fa, fb, iters, False
@@ -312,6 +346,13 @@ def ree_bruteforce(
     across restarts wins (ties to the earliest restart); if a restart hits the
     iteration cap an OptimizerStall warning is emitted and the best value so
     far is still returned.
+
+    Each step scores its candidates in batches: the exchange step's 12 mixing
+    fractions in one stack, the weight and factor line searches in chunks
+    that are scanned in the one-at-a-time order, so the same candidate is
+    accepted.  rho is diagonalized once per call, each candidate sigma once
+    (its score's eigendecomposition also gives the next gradient), and sigma
+    is assembled by one matmul of the weights with the product stack.
     """
     if rho.dims.total > BRUTEFORCE_DIM_CAP:
         raise ValueError(f"brute-force REE limited to total dimension <= {BRUTEFORCE_DIM_CAP}")
@@ -323,7 +364,6 @@ def ree_bruteforce(
     if m < 2:
         raise ValueError("ensemble_size must be at least 2")
     rng = np.random.default_rng(seed)
-    rho_m = rho.matrix
 
     best = None
     stalled_any = False
@@ -355,7 +395,7 @@ def ree_bruteforce(
             # keep one maximally mixed member so sigma starts full rank
             fa[-1] = np.eye(na) / na
             fb[-1] = np.eye(nb) / nb
-        value, w, fa, fb, iters, converged = _seesaw(rho_m, dims, w, fa, fb, max_iters, tol)
+        value, w, fa, fb, iters, converged = _seesaw(rho, w, fa, fb, max_iters, tol)
         if not converged:
             stalled_any = True
             warnings.warn(

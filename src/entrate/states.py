@@ -46,6 +46,14 @@ class DegenerateCut(ValueError):
     """The cut has min(d_A, d_B) = 1, so the quantity asked for is vacuous."""
 
 
+def _positive_int(v, name: str) -> int:
+    """``v`` as an int if it is an integer >= 1 (a numpy integer too, a bool
+    not); anything else, 2.7 or "2" included, raises ShapeError."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+        raise ShapeError(f"{name} must be a positive integer, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class DimensionSignature:
     """Factor dimensions (d_a, d_A, d_B, d_b) of the a ⊗ A ⊗ B ⊗ b layout."""
@@ -57,16 +65,14 @@ class DimensionSignature:
 
     def __post_init__(self):
         for name in ("d_a", "d_A", "d_B", "d_b"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ShapeError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, _positive_int(getattr(self, name), name))
         if self.total > TOTAL_DIM_CAP:
             raise ShapeError(f"total dimension {self.total} exceeds cap {TOTAL_DIM_CAP}")
 
     @classmethod
     def cut(cls, d_A: int, d_B: int) -> "DimensionSignature":
         """Ancilla-free signature (1, d_A, d_B, 1)."""
-        return cls(1, int(d_A), int(d_B), 1)
+        return cls(1, d_A, d_B, 1)
 
     @property
     def total(self) -> int:

@@ -38,6 +38,15 @@ def test_config_rejects_bad_values():
         SweepConfig(dims_grid=(1, 2))
     with pytest.raises(FormatError):
         SweepConfig(delta_ts=(0.0,))
+    for bad in (float("nan"), float("inf"), "nan", True):  # non-finite or not a number
+        with pytest.raises(FormatError):
+            SweepConfig(delta_ts=(1e-3, bad))
+    for bad in (2.7, "2", True):  # not an exact integer
+        with pytest.raises(FormatError):
+            SweepConfig(dims_grid=(bad, 3))
+    with pytest.raises(FormatError):
+        SweepConfig.from_json({"dims_grid": [2.7, 3], "delta_ts": ["nan", "inf"], "trials": 1})
+    assert SweepConfig(dims_grid=(np.int64(2), 3)).dims_grid == (2, 3)
     with pytest.raises(FormatError):
         SweepConfig(fail_fraction=1.0)
     with pytest.raises(FormatError):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import entrate.measures as measures
 from entrate.measures import (
     OptimizerStall,
     entanglement_entropy,
@@ -153,6 +154,66 @@ def test_bruteforce_deterministic_per_seed():
     a = ree_bruteforce(rho, seed=2, max_iters=60)
     b = ree_bruteforce(rho, seed=2, max_iters=60)
     assert a.value == b.value
+
+
+def test_stacked_scores_match_relative_entropy():
+    # the see-saw's stacked kernel equals relative_entropy(rho, sigma_k) for
+    # every sigma_k of the stack, +inf included; only the order of summation
+    # differs, so the tolerance is 1e-12
+    rng = np.random.default_rng(17)
+    n = 6
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    rho = DensityMatrix(DimensionSignature.cut(2, 3), (q[:, :3] * [0.5, 0.3, 0.2]) @ q[:, :3].conj().T)
+
+    def on(basis, spectrum):
+        return (basis * spectrum) @ basis.conj().T
+
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    sigmas = [
+        random_density(n, 3),  # full rank
+        random_density(n, 4),
+        on(q, [0.3, 0.3, 0.2, 0.2, 0.0, 0.0]),  # rank deficient, holds supp(rho): finite
+        on(q[:, :3], [0.5, 0.25, 0.25]),  # support exactly supp(rho): finite
+        on(q, [0.4, 0.4, 0.0, 0.1, 0.1, 0.0]),  # misses a live direction: leak
+        on(u[:, :4], [0.25] * 4),  # generic rank 4: leak
+    ]
+    neg_entropy = -von_neumann_entropy(rho)
+    got, lam, vec = measures._ree_scores(rho, neg_entropy, np.stack(sigmas))
+    want = [relative_entropy(rho, s) for s in sigmas]
+    assert [np.isinf(x) for x in want] == [False, False, False, False, True, True]
+    for g, x in zip(got, want):
+        assert g == x if np.isinf(x) else abs(g - x) <= 1e-12
+    for s, l, v in zip(sigmas, lam, vec):  # the kept eigh reproduces each sigma
+        assert np.abs((v * l) @ v.conj().T - s).max() <= 1e-12
+
+
+# (d_A, d_B, state seed, restarts, ree seed) -> iterations of each restart and
+# the best value, as recorded before the see-saw scored its candidates in
+# batches; values may move by roundoff, pinned to the see-saw's own tol 1e-9
+SEESAW_PINS = [
+    ((2, 2, 11, 1, 0), [2], 0.6231618602054644),
+    ((2, 3, 12, 1, 0), [2], 0.4865414770295764),
+    ((3, 2, 13, 1, 0), [2], 0.33739125479907844),
+    ((2, 2, 43, 2, 3), [2, 68], 0.454903452157855),  # restart 1 is random
+]
+
+
+@pytest.mark.parametrize("case,iterations,value", SEESAW_PINS)
+def test_bruteforce_regression_pins(monkeypatch, case, iterations, value):
+    da, db, state_seed, restarts, seed = case
+    seen = []
+    seesaw = measures._seesaw
+
+    def recording(*args):
+        out = seesaw(*args)
+        seen.append(out[4])
+        return out
+
+    monkeypatch.setattr(measures, "_seesaw", recording)
+    psi = random_pure(DimensionSignature.cut(da, db), state_seed)
+    est = ree_bruteforce(psi.density(), restarts=restarts, seed=seed)
+    assert seen == iterations
+    assert est.value == pytest.approx(value, abs=1e-9)
 
 
 @settings(max_examples=25, deadline=None)

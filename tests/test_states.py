@@ -42,6 +42,10 @@ def test_signature_rejects_bad_dims():
         DimensionSignature(2, 4, 4, 3)  # 96 > 64
     with pytest.raises(ShapeError):
         DimensionSignature(True, 2, 2, True)  # bool is an int subclass, not a dimension
+    for bad in ((2.7, 2), ("2", 2), (2, True)):
+        with pytest.raises(ShapeError):
+            DimensionSignature.cut(*bad)
+    assert DimensionSignature.cut(np.int64(2), np.int32(3)) == DimensionSignature.cut(2, 3)
     assert DimensionSignature(1, 8, 8, 1).total == TOTAL_DIM_CAP  # boundary fits
 
 
