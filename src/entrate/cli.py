@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -129,8 +130,6 @@ def _cmd_simulate(args) -> int:
     state, gen = _instance_from_args(args)
     if not 0 < args.t_max < math.inf:
         raise FormatError("--t-max must be finite and > 0")
-    if args.samples < 2:
-        raise FormatError("--samples must be >= 2")
     rho = state.density() if isinstance(state, PureState) else state
     # fixed separable reference: dephased Schmidt mixture for a pure start,
     # product of the initial marginals otherwise; smoothing keeps its
@@ -282,18 +281,34 @@ def _cmd_sweep_rates(args) -> int:
 
 # ------------------------------------------------------------------ parser
 
+def _at_least(minimum: int):
+    """argparse type for a count flag: an integer >= ``minimum``.  A value
+    out of range is a usage error (exit 2) naming the flag, never clamped."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return integer
+
+
 def _add_instance_flags(sp):
     sp.add_argument("--instance", help="instance JSON file (see module help for the schema)")
     sp.add_argument("--dims", type=int, nargs="+", metavar="D",
                     help="random instance factor dims: 'd_A d_B' or 'd_a d_A d_B d_b'")
     sp.add_argument("--seed", type=int, default=0, help="seed for random instances (default 0)")
-    sp.add_argument("--lindblad-ops", type=int, default=1, metavar="K",
+    sp.add_argument("--lindblad-ops", type=_at_least(0), default=1, metavar="K",
                     help="number of jump operators for random instances (default 1)")
     sp.add_argument("--no-hamiltonian", action="store_true",
                     help="random instance without a coherent term")
 
 
+@functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args leaves it unchanged, and no flag has
+    # a mutable default (the repeatable flags default to None)
     parser = argparse.ArgumentParser(
         prog="entrate",
         description="Entangling-rate laboratory for open bipartite systems.",
@@ -305,7 +320,7 @@ def _parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="integrate an instance, emit CSV time series")
     _add_instance_flags(sim)
     sim.add_argument("--t-max", type=float, default=1.0, help="horizon (default 1.0)")
-    sim.add_argument("--samples", type=int, default=50, help="CSV rows (default 50)")
+    sim.add_argument("--samples", type=_at_least(2), default=50, help="CSV rows (default 50)")
     sim.add_argument("--out", help="CSV path (default stdout)")
     sim.set_defaults(func=_cmd_simulate)
 
@@ -327,19 +342,19 @@ def _parser() -> argparse.ArgumentParser:
     cert.add_argument("--trials", type=int, help="override trials per cell")
     cert.add_argument("--seed", type=int, help="override the base seed")
     cert.add_argument("--out", help="write the JSONL certificate here")
-    cert.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    cert.add_argument("--workers", type=_at_least(1), default=1, help="parallel worker processes")
     cert.add_argument("--strict", action="store_true", help="exit 1 when violations are found")
     cert.set_defaults(func=_cmd_certify)
 
     sweep = sub.add_parser("sweep-rates", help="max observed rate vs the closed-form cap, per d")
     sweep.add_argument("--dims", type=int, nargs="+", metavar="D", help="cut sizes d (default 2 3 4)")
-    sweep.add_argument("--trials", type=int, default=50, help="instances per d (default 50)")
+    sweep.add_argument("--trials", type=_at_least(1), default=50, help="instances per d (default 50)")
     sweep.add_argument("--delta-t", type=float, action="append", metavar="DT",
                        help="finite-difference step (default 1e-4)")
     sweep.add_argument("--eta-ref", type=float, default=1e-13,
                        help="regularization of the separable reference (default 1e-13)")
     sweep.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    sweep.add_argument("--lindblad-ops", type=int, default=1, metavar="K",
+    sweep.add_argument("--lindblad-ops", type=_at_least(0), default=1, metavar="K",
                        help="jump operators per instance (default 1)")
     sweep.add_argument("--no-hamiltonian", action="store_true")
     sweep.add_argument("--out", help="CSV path (default stdout)")

@@ -22,20 +22,23 @@ i(E_jk - E_kj)/√2 for j < k) it is a real matrix, as in the coherence-vector
 form of Gorini, Kossakowski & Sudarshan, J. Math. Phys. 17, 821 (1976).  M is
 built and kept in that basis in float64, half the bytes of the complex map,
 and is applied to the real and imaginary parts of the rotated columns in
-one real product.  The other path runs the RK4 loop on the block in K-form,
-with 2 + 2k products of size d_AB per generator application (k jump
-operators).  Both compute the same polynomial; they differ by roundoff only.
+one real product.  The build forms sum_k L_k ⊗ L̄_k as one batched product
+over the jump operators, T4(A) = (I + A) + A^2 (I/2 + A/6 + A^2/24) in two
+products of size d_AB^2, and the power by binary powering.  The other path
+runs the RK4 loop on the block in K-form, with 2 + 2k products of size d_AB
+per generator application (k jump operators).  Both compute the same
+polynomial; they differ by roundoff only.
 
 Each generator caches its last (h, steps): the step map once built, or how
 many integrations in a row ran in K-form.  ``_map_pays`` picks the path by a
 rent-or-buy rule on estimated multiply-add counts: M is built once it costs
 no more than the K-form integrations made with this (h, steps) so far, the
 current one included.  Measured with one BLAS thread on a 2.0 GHz Xeon, a
-one-off 64-step integration takes the map up to d_AB = 9 (build 0.4 ms
+one-off 64-step integration takes the map up to d_AB = 9 (build 0.4-0.5 ms
 against 3-6 ms of K-form) and stays in K-form at d_AB = 16 without ancillas
 (build 7-9 ms against 4-9 ms), where a repeated one builds M on its second
 use; the 2 ⊗ (4 ⊗ 4) ⊗ 2 time series of ``entrate simulate`` builds M on its
-first segment (6-9 ms against 18-26 ms of K-form) and reuses it for the rest.
+first segment (7-9 ms against 18-26 ms of K-form) and reuses it for the rest.
 """
 
 from __future__ import annotations
@@ -222,7 +225,9 @@ def _pair_coefficients(ab: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _mix_pairs(x: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     # alpha ∘ x + beta ∘ xᵀ, with the transpose taken over the first two axes
-    return alpha[:, :, None] * x + beta[:, :, None] * x.swapaxes(0, 1)
+    out = alpha[:, :, None] * x
+    out += beta[:, :, None] * x.swapaxes(0, 1)
+    return out
 
 
 def _to_hermitian_basis(s: np.ndarray) -> None:
@@ -244,8 +249,10 @@ def _build_step_map(k: np.ndarray, ls: tuple[np.ndarray, ...], h: float, steps: 
     ab = k.shape[0]
     n = ab * ab
     if ls:
+        # sum L ⊗ L̄, axes (p, q, p', q'), as one product over the jump
+        # operators batched over (p, q): block (p, q) is L[:, p, :]ᵀ L̄[:, q, :]
         stack = np.asarray(ls)
-        a = np.einsum("xij,xkl->ikjl", stack, stack.conj())  # sum L ⊗ L̄, axes (p, q, p', q')
+        a = np.matmul(stack.transpose(1, 2, 0)[:, None], stack.conj().transpose(1, 0, 2)[None])
     else:
         a = np.zeros((ab, ab, ab, ab), dtype=complex)
     for q in range(ab):
@@ -255,19 +262,22 @@ def _build_step_map(k: np.ndarray, ls: tuple[np.ndarray, ...], h: float, steps: 
         a[p, :, p, :] += k_bar
     _to_hermitian_basis(a)
     a = a.real.reshape(n, n) * h  # the imaginary part is roundoff
-    # Horner: T4(A) = I + A(I + A/2(I + A/3(I + A/4))); every partial sum is
-    # a polynomial in A, so it commutes with A and takes the product in place
-    t = a * 0.25
-    _add_identity(t)
-    for c in (1.0 / 3.0, 0.5, 1.0):
-        _times_in_place(t, a)
-        t *= c
-        _add_identity(t)
+    # T4(A) = (I + A) + A²(I/2 + A/6 + A²/24) in two products; the bracket
+    # is a polynomial in A, so it commutes with A² and takes the product in place
+    t = a @ a
+    bracket = t / 4.0
+    bracket += a
+    bracket /= 6.0
+    _add_identity(bracket, 0.5)
+    _times_in_place(t, bracket)
+    t += a
+    _add_identity(t, 1.0)
+    del bracket  # the powering needs two n×n buffers, not three
     return _power(t, steps, spare=a)
 
 
-def _add_identity(m: np.ndarray) -> None:
-    m.flat[:: m.shape[0] + 1] += 1.0
+def _add_identity(m: np.ndarray, c: float) -> None:
+    m.flat[:: m.shape[0] + 1] += c
 
 
 def _times_in_place(x: np.ndarray, y: np.ndarray, rows: int = 32) -> None:
@@ -313,10 +323,11 @@ def _apply_step_map(m: np.ndarray, rho: np.ndarray, dims: DimensionSignature) ->
 def _map_pays(gen: LindbladGenerator, steps: int, uses: int) -> bool:
     """Build M once the K-form work spent on this (h, steps) would match it.
 
-    Costs are complex multiply-adds: the build is bit_length + popcount + 1
-    real products of size d_AB^2 (Horner, then binary powering), charged at
-    half a complex multiply-add each as measured (d_AB = 16, 32 or 64 steps:
-    7-9 ms real against 18-28 ms for the same products in complex); one
+    Costs are complex multiply-adds: the build is charged bit_length +
+    popcount + 1 real products of size d_AB^2 (two for T4, then binary
+    powering; the extra one stands for assembling S in the Hermitian basis),
+    at half a complex multiply-add each as measured (d_AB = 16, 32 or 64
+    steps: 7-9 ms real against 18-28 ms for the same products in complex); one
     K-form integration is 4 (2 + 2k) products per step, each d_AB^3 times
     the spectator count plus KFORM_CALL_COST.  A one-off integration thus
     takes the cheaper path, and a repeated one builds M by the time the

@@ -1,11 +1,15 @@
 """Entropies, relative entropy, and entanglement measures across aA | Bb.
 
-D(rho || sigma) = -S(rho) - Tr rho ln sigma is computed everywhere from the
-two private kernels ``_entropy`` and ``_log_overlap``; the latter takes the
-eigendecomposition of one sigma or of a stack of them.  Given a
-DensityMatrix, both kernels read the spectrum and eigendecomposition the
-state keeps, so a fixed reference sigma is diagonalized once however often
-it is used; raw arrays are diagonalized on the spot.
+D(rho || sigma) = -S(rho) - Tr rho ln sigma.  ``relative_entropy`` takes
+Tr rho ln sigma as one Frobenius contraction Re<L_sigma, rho> with
+L_sigma = ln sigma on its support; a DensityMatrix sigma keeps L_sigma
+(built once from the eigendecomposition it keeps), so against a fixed
+reference each call costs O(n^2) beyond the spectrum of rho, which a
+DensityMatrix rho keeps too.  Raw arrays are diagonalized on the spot.  The
+see-saw scores a stack of candidates, each once, so ``_log_overlap`` takes
+the overlap there from each candidate's eigenvector weights instead.  Both
+share the +inf leak rule of ``_leaks``.  ``mutual_information`` takes both
+marginals as traces of rho's matrix, also O(n^2).
 
 The see-saw holds rho fixed, so rho is diagonalized once per call (its kept
 spectrum gives -S(rho), its kept eigenvectors the support a candidate must
@@ -25,13 +29,16 @@ independent so one can cross-check the other.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+# partial_trace is not called here, but perfbench's traced runs wrap
+# the name measures.partial_trace, so it stays importable from this module
 from .linalg import as_matrix, dag, hermitize, partial_trace
-from .states import DensityMatrix, DimensionSignature, PureState, _eigvalsh, schmidt
+from .states import DensityMatrix, DimensionSignature, PureState, _eigvalsh, _log_on_support, schmidt
 
 __all__ = [
     "OptimizerStall",
@@ -86,20 +93,31 @@ def von_neumann_entropy(rho) -> float:
     return _entropy(_operand(rho))
 
 
+def _leaks(r, s_lam: np.ndarray, s_vec: np.ndarray, support_tol: float):
+    # whether rho leaks out of the support of sigma, as relative_entropy
+    # documents, for sigma given by its eigendecomposition: a bool, or one
+    # per sigma of a stack; rho is diagonalized only if some sigma is rank
+    # deficient
+    null = s_lam <= support_tol
+    if not null.any():
+        return False
+    r_lam, r_vec = _eigh(r)
+    live = r_vec[:, r_lam > support_tol]
+    if not live.size:
+        return False
+    leak = np.abs(np.conjugate(s_vec).swapaxes(-1, -2) @ live) ** 2
+    return (leak * null[..., None]).sum(axis=-2).max(axis=-1) > support_tol
+
+
 def _log_overlap(r, s_lam: np.ndarray, s_vec: np.ndarray, support_tol: float) -> np.ndarray:
-    # Tr rho ln sigma on the support of sigma, for sigma given by its
-    # eigendecomposition (a single one or a stack), or -inf on the leak that
-    # relative_entropy documents; rho is diagonalized only if some sigma is
-    # rank deficient
+    # Tr rho ln sigma on the support of each sigma of a stack given by its
+    # eigendecomposition, from the eigenvector weights <v_j|rho|v_j>, or -inf
+    # on a leak
     null = s_lam <= support_tol
     weights = np.real(np.einsum("...ij,...ij->...j", np.conjugate(s_vec), _raw(r) @ s_vec))
     out = np.where(null, 0.0, np.log(np.where(null, 1.0, s_lam)) * weights).sum(axis=-1)
     if null.any():
-        r_lam, r_vec = _eigh(r)
-        live = r_vec[:, r_lam > support_tol]
-        if live.size:
-            leak = np.abs(np.conjugate(s_vec).swapaxes(-1, -2) @ live) ** 2
-            out = np.where((leak * null[..., None]).sum(axis=-2).max(axis=-1) > support_tol, -np.inf, out)
+        out = np.where(_leaks(r, s_lam, s_vec, support_tol), -np.inf, out)
     return out
 
 
@@ -114,7 +132,14 @@ def relative_entropy(rho, sigma, *, support_tol: float = SUPPORT_TOL) -> float:
     r, s = _operand(rho), _operand(sigma)
     if _raw(r).shape != _raw(s).shape:
         raise ValueError(f"shape mismatch {_raw(r).shape} vs {_raw(s).shape}")
-    return max(-_entropy(r) - float(_log_overlap(r, *_eigh(s), support_tol)), 0.0)
+    lam, vec = _eigh(s)
+    if _leaks(r, lam, vec, support_tol):
+        return math.inf
+    if isinstance(s, DensityMatrix):
+        log_s = s.log_on_support(support_tol)
+    else:
+        log_s = _log_on_support(lam, vec, support_tol)
+    return max(-_entropy(r) - float(np.vdot(log_s, _raw(r)).real), 0.0)
 
 
 def entanglement_entropy(psi: PureState) -> float:
@@ -124,10 +149,11 @@ def entanglement_entropy(psi: PureState) -> float:
 
 def mutual_information(rho: DensityMatrix) -> float:
     """S(Alice) + S(Bob) - S(full) across the aA | Bb cut."""
-    dims = rho.dims.factors()
-    left = partial_trace(rho.matrix, dims, keep=(0, 1))
-    right = partial_trace(rho.matrix, dims, keep=(2, 3))
-    return von_neumann_entropy(left) + von_neumann_entropy(right) - von_neumann_entropy(rho)
+    na, nb = rho.dims.alice, rho.dims.bob
+    m = rho.matrix.reshape(na, nb, na, nb)
+    left = np.trace(m, axis1=1, axis2=3)
+    right = np.trace(m, axis1=0, axis2=2)
+    return _entropy(left) + _entropy(right) - _entropy(rho)
 
 
 # ------------------------------------------------- brute-force minimization

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ShapeError, as_matrix, hermitize, operator_norm
+from .linalg import ShapeError, as_matrix, dag, hermitize, operator_norm
 
 __all__ = [
     "TOTAL_DIM_CAP",
@@ -129,6 +129,12 @@ def _eigvalsh(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(hermitize(m))
 
 
+def _log_on_support(lam: np.ndarray, vec: np.ndarray, support_tol: float) -> np.ndarray:
+    """V diag(ln lambda) V† from an eigendecomposition (lam, V), with ln taken
+    on the eigenvalues above ``support_tol`` and 0 in place of it elsewhere."""
+    return (vec * np.log(np.where(lam > support_tol, lam, 1.0))) @ dag(vec)
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -144,9 +150,12 @@ class DensityMatrix:
     The state diagonalizes itself at most once.  Validation computes the
     spectrum (ascending eigenvalues of the Hermitian part) and keeps it as
     ``spectrum``; ``eigh()`` computes the full decomposition of the Hermitian
-    part on first request and keeps it too.  The matrix (a copy, when the
-    caller passed in an array it still holds) and both results are
-    read-only, so the kept spectrum cannot go stale.
+    part on first request and keeps it too, and ``log_on_support`` builds
+    ln of the state on its support from that decomposition and keeps it for
+    the last support tolerance asked for, so a fixed reference state costs
+    one O(n^3) log however often its relative entropy is taken.  The matrix
+    (a copy, when the caller passed in an array it still holds) and all
+    three results are read-only, so what the state keeps cannot go stale.
     """
 
     dims: DimensionSignature
@@ -155,6 +164,7 @@ class DensityMatrix:
     psd_tol: float = field(default=1e-10, repr=False, compare=False)
     _spectrum: np.ndarray = field(init=False, repr=False)
     _eigh: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
+    _log: tuple[float, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = as_matrix(self.matrix, name="density matrix")
@@ -199,8 +209,18 @@ class DensityMatrix:
             object.__setattr__(self, "_eigh", (_read_only(lam), _read_only(vec)))
         return self._eigh
 
+    def log_on_support(self, support_tol: float) -> np.ndarray:
+        """ln of the state on the eigenvalues of ``eigh()`` above
+        ``support_tol`` (0 off them), computed once per tolerance: the last
+        one asked for is kept."""
+        if self._log is None or self._log[0] != support_tol:
+            log = _read_only(_log_on_support(*self.eigh(), support_tol))
+            object.__setattr__(self, "_log", (support_tol, log))
+        return self._log[1]
+
     def purity(self) -> float:
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        """Tr rho^2 as the squared Frobenius norm, rho being Hermitian."""
+        return float(np.vdot(self.matrix, self.matrix).real)
 
 
 @dataclass(frozen=True, eq=False)

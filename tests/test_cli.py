@@ -99,6 +99,11 @@ def test_simulate_rejects_bad_inputs(tmp_path, capsys):
     inst["state"] = {"dims": [1, 2, 2, 1], "re": [0.5, 0.5, 0.5, 0.5], "im": [0.0]}
     bad.write_text(json.dumps(inst))
     assert main(["simulate", "--instance", str(bad)]) == 2
+    capsys.readouterr()
+    # a count flag out of range is rejected, not clamped to 0
+    for flag, value in (("--lindblad-ops", "-1"), ("--samples", "1")):
+        assert main(["simulate", "--dims", "2", "2", flag, value, "--out", str(out)]) == 2
+        assert not out.exists() and flag in capsys.readouterr().err
 
 
 def test_module_runs_as_a_script(tmp_path):
@@ -152,7 +157,8 @@ def test_simulate_columns_match_plain_numpy(tmp_path, monkeypatch, pure):
     for t, row, (m, s) in zip(np.linspace(0.0, 0.2, 4), rows, seen):
         tr = m.trace()
         s_lam, s_vec = np.linalg.eigh((s + s.conj().T) / 2)
-        overlap = float((np.log(s_lam) * np.real(np.einsum("ij,ij->j", s_vec.conj(), m @ s_vec))).sum())
+        # Tr m ln s as <ln s, m> with ln s = V diag(ln lambda) V† (s is full rank)
+        overlap = float(np.vdot((s_vec * np.log(s_lam)) @ s_vec.conj().T, m).real)
         left = np.trace(m.reshape(4, 2, 4, 2), axis1=1, axis2=3)  # keep aA, trace out Bb
         right = np.trace(m.reshape(4, 2, 4, 2), axis1=0, axis2=2)  # keep Bb
         expected = [
@@ -161,9 +167,13 @@ def test_simulate_columns_match_plain_numpy(tmp_path, monkeypatch, pure):
             repr(float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())),
             repr(max(-_entropy(m) - overlap, 0.0)),
             repr(_entropy(left) + _entropy(right) - _entropy(m)),
-            repr(float(np.real(np.trace(m @ m)))),
+            repr(float(np.vdot(m, m).real)),
         ]
         assert row == expected
+        # the same values by the eigenvector-weight and Tr(m @ m) formulas
+        weights = np.real(np.einsum("ij,ij->j", s_vec.conj(), m @ s_vec))
+        assert abs(float((np.log(s_lam) * weights).sum()) - overlap) <= 1e-12
+        assert abs(float(np.real(np.trace(m @ m))) - float(row[5])) <= 1e-12
 
 
 def test_rate_report_stdout(capsys):
@@ -194,10 +204,14 @@ def test_rate_requires_pure_state(tmp_path):
     assert main(["rate", "--instance", str(mixed)]) == 2
 
 
-def test_rate_rejects_bad_flags():
+def test_rate_rejects_bad_flags(capsys):
     assert main(["rate", "--dims", "2", "2", "--delta-t", "-1"]) == 2
     assert main(["rate", "--dims", "2", "2", "--eta-ref", "0.5"]) == 2
     assert main(["rate", "--dims", "1", "2"]) == 2  # degenerate cut, rate undefined
+    capsys.readouterr()
+    assert main(["rate", "--dims", "2", "2", "--lindblad-ops", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and "--lindblad-ops" in captured.err
 
 
 def test_certify_small_config(tmp_path, capsys):
@@ -234,11 +248,16 @@ def test_certify_strict_flags_violations(tmp_path, capsys):
     assert len(ces) >= 1
 
 
-def test_certify_rejects_bad_config(tmp_path):
+def test_certify_rejects_bad_config(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mystery": True}))
     assert main(["certify", "--config", str(cfg)]) == 2
     assert main(["certify", "--config", str(tmp_path / "missing.json")]) == 2
+    capsys.readouterr()
+    for workers in ("0", "-1"):  # rejected, not run serially
+        assert main(["certify", "--trials", "1", "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and "--workers" in captured.err
 
 
 def test_sweep_rates_csv(tmp_path):
@@ -256,6 +275,15 @@ def test_sweep_rates_csv(tmp_path):
 
 def test_sweep_rates_rejects_bad_dims():
     assert main(["sweep-rates", "--dims", "1", "--trials", "1"]) == 2
+
+
+def test_sweep_rates_rejects_bad_counts(capsys):
+    # a usage error before any row: with no trial there is no rate to report
+    for flags in (["--trials", "0"], ["--trials", "-3"], ["--trials", "0", "--strict"],
+                  ["--lindblad-ops", "-1"]):
+        assert main(["sweep-rates", "--dims", "2", *flags]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out and flags[0] in captured.err
 
 
 def test_usage_errors_exit_2():

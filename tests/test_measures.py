@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entrate.measures as measures
+from entrate.linalg import partial_trace
 from entrate.measures import (
     OptimizerStall,
     entanglement_entropy,
@@ -185,6 +186,55 @@ def test_stacked_scores_match_relative_entropy():
         assert g == x if np.isinf(x) else abs(g - x) <= 1e-12
     for s, l, v in zip(sigmas, lam, vec):  # the kept eigh reproduces each sigma
         assert np.abs((v * l) @ v.conj().T - s).max() <= 1e-12
+
+
+def test_relative_entropy_reads_the_kept_log():
+    # for a DensityMatrix sigma, Re<ln sigma, rho> from the log sigma keeps
+    # equals the eigenvector-weight formula; +inf exactly on a leak
+    rng = np.random.default_rng(23)
+    dims = DimensionSignature.cut(2, 3)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    rho = DensityMatrix(dims, (q[:, :3] * [0.5, 0.3, 0.2]) @ q[:, :3].conj().T)
+    cases = [
+        (random_density(6, 5), False),  # full rank
+        ((q * [0.3, 0.3, 0.2, 0.2, 0.0, 0.0]) @ q.conj().T, False),  # rank deficient, holds supp(rho)
+        ((q * [0.4, 0.4, 0.0, 0.1, 0.1, 0.0]) @ q.conj().T, True),  # misses a live direction
+    ]
+    for m, leaks in cases:
+        sigma = DensityMatrix(dims, m)
+        got = relative_entropy(rho, sigma)
+        if leaks:
+            assert got == np.inf
+            continue
+        lam, vec = np.linalg.eigh((m + m.conj().T) / 2)
+        live = lam > measures.SUPPORT_TOL
+        weights = np.real(np.einsum("ij,ij->j", vec.conj(), rho.matrix @ vec))
+        want = -von_neumann_entropy(rho) - float((np.log(lam[live]) * weights[live]).sum())
+        assert abs(got - max(want, 0.0)) <= 1e-12
+        log_s = sigma.log_on_support(measures.SUPPORT_TOL)
+        assert sigma.log_on_support(measures.SUPPORT_TOL) is log_s  # computed once
+        assert relative_entropy(rho, sigma) == got
+        with pytest.raises(ValueError):
+            log_s[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("factors", [(2, 4, 4, 2), (2, 2, 2, 1), (1, 4, 4, 1), (3, 2, 2, 3)])
+def test_mutual_information_marginals_are_partial_traces(monkeypatch, factors):
+    dims = DimensionSignature(*factors)
+    rho = DensityMatrix(dims, random_density(dims.total, sum(factors)))
+    seen = []
+    entropy = measures._entropy
+
+    def recording(x):
+        seen.append(x)
+        return entropy(x)
+
+    monkeypatch.setattr(measures, "_entropy", recording)
+    mutual_information(rho)
+    left, right, full = seen
+    assert np.array_equal(left, partial_trace(rho.matrix, factors, keep=(0, 1)))
+    assert np.array_equal(right, partial_trace(rho.matrix, factors, keep=(2, 3)))
+    assert full is rho
 
 
 # (d_A, d_B, state seed, restarts, ree seed) -> iterations of each restart and
