@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -108,6 +109,14 @@ class FormatError(ValueError):
     """Malformed sweep config or counterexample file."""
 
 
+def _finite_real(v, name: str) -> float:
+    # a finite int or float (numpy ones too) as a float; bools, strings and
+    # NaN or infinities raise
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)) or not math.isfinite(v):
+        raise FormatError(f"{name} must be a finite number, got {v!r}")
+    return float(v)
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     families: tuple[str, ...] = FAMILIES
@@ -126,27 +135,48 @@ class SweepConfig:
         object.__setattr__(self, "families", tuple(self.families))
         try:
             grid = tuple(_positive_int(d, "dims_grid entry") for d in self.dims_grid)
+            trials = _positive_int(self.trials, "trials")
         except ShapeError as exc:
             raise FormatError(str(exc)) from exc
         object.__setattr__(self, "dims_grid", grid)
-        for t in self.delta_ts:
-            if isinstance(t, bool) or not isinstance(t, (int, float, np.integer, np.floating)) or not (math.isfinite(t) and t > 0):
-                raise FormatError(f"delta_ts entries must be finite numbers > 0, got {t!r}")
-        object.__setattr__(self, "delta_ts", tuple(float(t) for t in self.delta_ts))
+        object.__setattr__(self, "trials", trials)
+        if isinstance(self.base_seed, bool) or not isinstance(self.base_seed, (int, np.integer)):
+            raise FormatError(f"base_seed must be an integer, got {self.base_seed!r}")
+        object.__setattr__(self, "base_seed", int(self.base_seed))
+        dts = tuple(_finite_real(t, "delta_ts entry") for t in self.delta_ts)
+        if any(t <= 0 for t in dts):
+            raise FormatError(f"delta_ts entries must be > 0, got {list(dts)}")
+        object.__setattr__(self, "delta_ts", dts)
         for fam in self.families:
             if fam not in FAMILIES:
                 raise FormatError(f"unknown family {fam!r}; known: {', '.join(FAMILIES)}")
+        if not isinstance(self.tolerances, dict):
+            raise FormatError("tolerances must map family names to numbers")
         for fam in self.tolerances:
             if fam not in FAMILIES:
                 raise FormatError(f"tolerance override for unknown family {fam!r}")
-        if self.trials < 1:
-            raise FormatError("trials must be >= 1")
+        # a NaN would pass every margin; a negative tolerance demands slack
+        # and is kept, as it is how a sweep is made to dump counterexamples
+        tols = {fam: _finite_real(v, f"tolerance for {fam}") for fam, v in self.tolerances.items()}
+        object.__setattr__(self, "tolerances", tols)
+        # the ranges entangling_rate_fd enforces, checked before any family runs
+        eta, eta_ref = _finite_real(self.eta, "eta"), _finite_real(self.eta_ref, "eta_ref")
+        if not 1e-10 <= eta <= 1e-4:
+            raise FormatError(f"eta must lie in [1e-10, 1e-4], got {eta}")
+        if not 0.0 < eta_ref <= 1e-6:
+            raise FormatError(f"eta_ref must lie in (0, 1e-6], got {eta_ref}")
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "eta_ref", eta_ref)
         if self.measure not in ("surrogate", "bruteforce"):
             raise FormatError(f"measure must be 'surrogate' or 'bruteforce', got {self.measure!r}")
         if any(d < 2 for d in self.dims_grid):
             raise FormatError("dims_grid entries must be >= 2")
-        if not 0.0 <= self.fail_fraction < 1.0:
+        if not 0.0 <= _finite_real(self.fail_fraction, "fail_fraction") < 1.0:
             raise FormatError("fail_fraction must lie in [0, 1)")
+        # checked here, not when the first counterexample is written
+        if self.out_dir is not None and not isinstance(self.out_dir, (str, os.PathLike)):
+            raise FormatError(f"out_dir must be a path or null, got {self.out_dir!r}")
+        object.__setattr__(self, "out_dir", None if self.out_dir is None else os.fspath(self.out_dir))
 
     @classmethod
     def from_json(cls, obj) -> "SweepConfig":

@@ -24,28 +24,43 @@ built and kept in that basis in float64, half the bytes of the complex map,
 and is applied to the real and imaginary parts of the rotated columns in
 one real product.  The build forms sum_k L_k ⊗ L̄_k as one batched product
 over the jump operators, T4(A) = (I + A) + A^2 (I/2 + A/6 + A^2/24) in two
-products of size d_AB^2, and the power by binary powering.  The other path
-runs the RK4 loop on the block in K-form, with 2 + 2k products of size d_AB
-per generator application (k jump operators).  Both compute the same
-polynomial; they differ by roundoff only.
+products of size d_AB^2, and the power by binary powering.
+
+The other path applies the generator to the block in K-form, with 2 + 2k
+products of size d_AB per application (k jump operators), and evaluates the
+same polynomial by Horner's rule instead of stepping: T4(x)^m is bounded
+coefficient by coefficient by e^(mx), so with beta = 2‖K‖ + sum ‖L_k‖² (in
+Frobenius norms, an upper bound on ‖S‖) and the steps cut into chunks of m
+with m h beta <= 1, the terms of T4(hS)^m past some degree J <= 20 sum to at
+most 1e-18 times the norm of the block.  A chunk then takes J applications
+where the RK4 loop takes 4m; J never exceeds 4m, and a one-step chunk is one
+RK4 step.  This is the truncated Taylor series of Al-Mohy & Higham, SIAM J.
+Sci. Comput. 33, 488 (2011), applied to the RK4 polynomial rather than to
+the exponential.  A 64-step integration over t <= 1e-3, as in the theorem2
+probes, takes at most eight applications (about five on average) instead
+of 256.  Both paths compute the same polynomial; they differ by roundoff
+only.
 
 Each generator caches its last (h, steps): the step map once built, or how
 many integrations in a row ran in K-form.  ``_map_pays`` picks the path by a
-rent-or-buy rule on estimated multiply-add counts: M is built once it costs
-no more than the K-form integrations made with this (h, steps) so far, the
-current one included.  Measured with one BLAS thread on a 2.0 GHz Xeon, a
-one-off 64-step integration takes the map up to d_AB = 9 (build 0.4-0.5 ms
-against 3-6 ms of K-form) and stays in K-form at d_AB = 16 without ancillas
-(build 7-9 ms against 4-9 ms), where a repeated one builds M on its second
-use; the 2 ⊗ (4 ⊗ 4) ⊗ 2 time series of ``entrate simulate`` builds M on its
-first segment (7-9 ms against 18-26 ms of K-form) and reuses it for the rest.
+rent-or-buy rule on estimated multiply-add counts, with the K-form charged
+at the RK4 loop's four applications per step, an upper bound on the Horner
+path: M is built once it costs no more than the K-form integrations made
+with this (h, steps) so far, the current one included.  Measured with one
+BLAS thread on a 2.0 GHz Xeon, a one-off 64-step integration takes the map
+up to d_AB = 9 (build 0.4-0.5 ms against 3-6 ms of the RK4 loop) and stays
+in K-form at d_AB = 16 without ancillas (build 7-9 ms against 4-9 ms of
+the loop, 0.1-0.4 ms in Horner form at t <= 1e-3), where a repeated one
+builds M on its second use; the 2 ⊗ (4 ⊗ 4) ⊗ 2 time series of ``entrate
+simulate`` builds M on its first segment (7-9 ms against 18-26 ms of the
+loop) and reuses it for the rest.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -77,6 +92,10 @@ DRIFT_TOL = 1e-8
 # of numpy call overhead at ~0.2 ns per complex multiply-add, one BLAS
 # thread, 2.0 GHz Xeon); it sets the crossover of ``_map_pays``
 KFORM_CALL_COST = 30_000
+
+# the K-form path drops the terms of T4(hS)^steps whose summed norm is at
+# most this, relative to the norm of rho's block
+HORNER_TAIL = 1e-18
 
 
 class IntegrationError(RuntimeError):
@@ -151,6 +170,12 @@ class LindbladGenerator:
             self._map_cache.clear()
             self._map_cache[key] = (uses, m)
         return m
+
+    @cached_property
+    def _norm_bound(self) -> float:
+        """beta = 2‖K‖ + sum ‖L_k‖², an upper bound on the norm of S on the
+        block, with Frobenius norms standing in for operator norms."""
+        return 2.0 * float(np.linalg.norm(self._k)) + sum(float(np.linalg.norm(l)) ** 2 for l in self.lindblad_ops)
 
 
 # ------------------------------------------------------------ block layouts
@@ -328,11 +353,12 @@ def _map_pays(gen: LindbladGenerator, steps: int, uses: int) -> bool:
     powering; the extra one stands for assembling S in the Hermitian basis),
     at half a complex multiply-add each as measured (d_AB = 16, 32 or 64
     steps: 7-9 ms real against 18-28 ms for the same products in complex); one
-    K-form integration is 4 (2 + 2k) products per step, each d_AB^3 times
-    the spectator count plus KFORM_CALL_COST.  A one-off integration thus
-    takes the cheaper path, and a repeated one builds M by the time the
-    K-form path has cost as much as the build (at most twice the cost of the
-    better choice in hindsight).
+    K-form integration is charged as the RK4 loop, 4 (2 + 2k) products per
+    step, each d_AB^3 times the spectator count plus KFORM_CALL_COST.  The
+    Horner evaluation in ``_integrate`` never applies the generator more
+    often than the loop, so the charge is an upper bound on its work.  A
+    repeated integration builds M by the time that charge has reached the
+    cost of the build.
     """
     d_a, ab, d_b, _ = _axes(gen.dims)
     build = (steps.bit_length() + steps.bit_count() + 1) * ab**6 // 2
@@ -341,19 +367,60 @@ def _map_pays(gen: LindbladGenerator, steps: int, uses: int) -> bool:
 
 
 def _integrate(gen: LindbladGenerator, rho: np.ndarray, t: float, steps: int) -> np.ndarray:
+    """rho after ``steps`` RK4 steps of size t/steps, i.e. T4(hS)^steps rho.
+
+    With the step map (see ``_map_pays``) this is one product.  In K-form the
+    steps go in chunks of m with m h beta <= 1 (beta = ``_norm_bound``), and
+    each chunk is Horner's rule on the coefficients c_0..c_J of T4(x)^m, J
+    generator applications with J <= 4m; a chunk of one step is one RK4 step.
+    """
     h = t / steps
-    m = gen._step_map(h, steps)
-    if m is not None:
-        return _apply_step_map(m, rho, gen.dims)
+    step_map = gen._step_map(h, steps)
+    if step_map is not None:
+        return _apply_step_map(step_map, rho, gen.dims)
     apply = _kform(gen._k, gen.lindblad_ops)
     y = _to_rows(rho, gen.dims)
-    for _ in range(steps):
-        k1 = apply(y)
-        k2 = apply(y + 0.5 * h * k1)
-        k3 = apply(y + 0.5 * h * k2)
-        k4 = apply(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    hb = h * gen._norm_bound
+    chunk = steps if hb * steps <= 1.0 else max(1, int(1.0 / hb))
+    for start in range(0, steps, chunk):
+        m = min(chunk, steps - start)
+        coeffs = _t4_power_coefficients(m, _horner_degree(m * hb, 4 * m))
+        acc = coeffs[-1] * y
+        for c in coeffs[-2::-1]:
+            acc = apply(acc)
+            acc *= h
+            acc += c * y
+        y = acc
     return _from_rows(y, gen.dims)
+
+
+def _horner_degree(z: float, cap: int) -> int:
+    # least J <= cap with e z^(J+1)/(J+1)! <= HORNER_TAIL.  For z <= 1 that
+    # bounds sum_{j>J} z^j/j!, and with z = m h beta this bounds the dropped
+    # terms of T4(hS)^m: T4(x)^m <= e^(mx) coefficient by coefficient.  Only
+    # one-step chunks have z > 1, and there the cap of 4 keeps every term
+    j, tail = 0, math.e * z
+    while j < cap and tail > HORNER_TAIL:
+        j += 1
+        tail *= z / (j + 1)
+    return j
+
+
+@lru_cache(maxsize=64)
+def _t4_power_coefficients(m: int, degree: int) -> np.ndarray:
+    # c_0..c_degree of T4(x)^m by binary powering of the coefficient vector,
+    # each product truncated to ``degree``; read-only, as the arrays are shared
+    base = np.array([1.0, 1.0, 1 / 2, 1 / 6, 1 / 24])[: degree + 1]
+    out = np.ones(1)
+    while True:
+        if m & 1:
+            out = np.convolve(out, base)[: degree + 1]
+        m >>= 1
+        if not m:
+            break
+        base = np.convolve(base, base)[: degree + 1]
+    out.flags.writeable = False
+    return out
 
 
 def _drift(m: np.ndarray) -> tuple[float, np.ndarray]:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -51,6 +52,39 @@ def test_config_rejects_bad_values():
         SweepConfig(fail_fraction=1.0)
     with pytest.raises(FormatError):
         SweepConfig(tolerances={"nope": 1e-3})
+    # a NaN tolerance would certify any margin: margin + nan < 0 is never true
+    for bad in (float("nan"), float("inf"), float("-inf"), "1e-3", True, None):
+        with pytest.raises(FormatError):
+            SweepConfig(tolerances={"prop1": bad})
+    for text in ('{"tolerances": {"prop1": NaN}}', '{"tolerances": {"prop1": Infinity}}'):
+        with pytest.raises(FormatError):
+            SweepConfig.from_json(json.loads(text))
+    with pytest.raises(FormatError):
+        SweepConfig(tolerances=[("prop1", 1e-3)])
+    tols = SweepConfig(tolerances={"prop1": 0, "axioms": np.float64(1e-3), "kittaneh": -1.0}).tolerances
+    assert tols == {"prop1": 0.0, "axioms": 1e-3, "kittaneh": -1.0}
+    for bad in (2.5, True, "2", 0):  # trials is an exact positive integer
+        with pytest.raises(FormatError):
+            SweepConfig(trials=bad)
+    assert SweepConfig(trials=np.int64(3)).trials == 3
+    for bad in (1.5, True, "7", None):  # base_seed is an exact integer
+        with pytest.raises(FormatError):
+            SweepConfig(base_seed=bad)
+    assert SweepConfig(base_seed=np.int64(-7)).base_seed == -7
+    # the smoothing weights are checked at construction, not by the first theorem2 trial
+    for bad in (0.0, 1e-11, 1e-3, float("nan"), "1e-8", True):
+        with pytest.raises(FormatError):
+            SweepConfig(eta=bad, families=("prop1",))
+    for bad in (0.0, -1e-13, 1e-5, float("inf"), "1e-13"):
+        with pytest.raises(FormatError):
+            SweepConfig(eta_ref=bad, families=("prop1",))
+    assert SweepConfig(eta=1e-10, eta_ref=1e-6).eta == 1e-10
+    for bad in (False, "0.1", float("nan")):
+        with pytest.raises(FormatError):
+            SweepConfig(fail_fraction=bad)
+    with pytest.raises(FormatError):  # not a path: the sweep would fail at its first dump
+        SweepConfig(out_dir=5)
+    assert SweepConfig(out_dir=pathlib.Path("ces")).out_dir == "ces"
 
 
 def test_config_json_roundtrip_and_unknown_keys():

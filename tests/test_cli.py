@@ -253,6 +253,9 @@ def test_certify_rejects_bad_config(tmp_path, capsys):
     cfg.write_text(json.dumps({"mystery": True}))
     assert main(["certify", "--config", str(cfg)]) == 2
     assert main(["certify", "--config", str(tmp_path / "missing.json")]) == 2
+    for text in ('{"trials": 2.5}', '{"trials": true}', '{"tolerances": {"prop1": NaN}}', '{"eta_ref": 1e-3}'):
+        cfg.write_text(text)
+        assert main(["certify", "--config", str(cfg)]) == 2, text
     capsys.readouterr()
     for workers in ("0", "-1"):  # rejected, not run serially
         assert main(["certify", "--trials", "1", "--workers", workers]) == 2

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,10 @@ from entrate import dynamics
 from entrate.dynamics import (
     IntegrationError,
     LindbladGenerator,
+    _horner_degree,
     _integrate,
+    _map_pays,
+    _t4_power_coefficients,
     apply_generator,
     convergence_order,
     embed_ab,
@@ -127,6 +132,72 @@ def test_new_step_count_rebuilds_the_map():
     assert np.abs(fine - _rk4_full(gen, rho, 0.5, 8)).max() <= 1e-13
     assert np.abs(coarse - fine).max() > 1e-8
     assert list(gen._map_cache) == [(0.5 / 8, 8)]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "t, steps", [(1e-3, 64), (1e-5, 64), (0.3, 48)], ids=["dt1e-3", "dt1e-5", "t0.3-chunks"]
+)
+def test_kform_horner_matches_full_space_rk4(k, t, steps):
+    # one chunk of m = steps when t beta <= 1 (the theorem2 probes), several
+    # chunks at t = 0.3; both are the RK4 polynomial T4(hS)^steps
+    gen, rho = _random_generator((1, 4, 4, 1), k, seed=20 + k)
+    got = _integrate(gen, rho, t, steps)
+    assert gen._map_cache[(t / steps, steps)][1] is None  # ran in K-form
+    assert (t * gen._norm_bound <= 1.0) == (t < 0.3)
+    assert np.abs(got - _rk4_full(gen, rho, t, steps)).max() <= 1e-13
+
+
+def test_kform_horner_long_horizons_stay_chunked(monkeypatch):
+    # t beta of 50-100: one chunk would sum terms as large as e^(t beta) and
+    # lose digits to cancellation; chunks of m h beta <= 1 do not
+    monkeypatch.setattr(dynamics, "_map_pays", lambda gen, steps, uses: False)
+    for factors, k, t, steps in [((1, 2, 2, 1), 1, 20.0, 400), ((2, 2, 2, 1), 2, 10.0, 256)]:
+        gen, rho = _random_generator(factors, k, seed=40 + k)
+        assert t * gen._norm_bound > 50
+        assert np.abs(_integrate(gen, rho, t, steps) - _rk4_full(gen, rho, t, steps)).max() <= 1e-13
+
+
+def test_kform_without_generator_returns_rho():
+    gen = LindbladGenerator(DimensionSignature(1, 4, 4, 1))  # S = 0, beta = 0
+    rho = random_density(16, 4)
+    got = _integrate(gen, rho, 0.5, 64)
+    assert gen._norm_bound == 0.0 and gen._map_cache[(0.5 / 64, 64)][1] is None
+    assert np.array_equal(got, rho)
+
+
+def test_t4_power_coefficients_match_exact_expansion():
+    t4 = [Fraction(1), Fraction(1), Fraction(1, 2), Fraction(1, 6), Fraction(1, 24)]
+    # with m h beta <= 1 the kept degree is at most 20; below 5 steps it is 4m
+    assert _horner_degree(1.0, 10**6) == 20
+    for m in (1, 2, 3, 64):
+        exact = [Fraction(1)]
+        for _ in range(m):
+            exact = [sum(exact[i] * t4[j - i] for i in range(len(exact)) if 0 <= j - i <= 4) for j in range(len(exact) + 4)]
+        degree = min(4 * m, 20)
+        got = _t4_power_coefficients(m, degree)
+        assert len(got) == degree + 1
+        assert max(abs(float((Fraction(c) - e) / e)) for c, e in zip(got, exact)) <= 1e-15, m
+
+
+def test_simulate_shape_builds_the_map_and_one_offs_stay_in_kform():
+    # the time series of ``entrate simulate`` builds the map on its first
+    # segment; a 64-step one-off at d_AB = 16 runs in K-form for any k
+    gen, rho = _random_generator((2, 4, 4, 2), 3, seed=1)
+    _integrate(gen, rho, 0.02, 32)
+    assert gen._map_cache[(0.02 / 32, 32)][1] is not None
+    for k in range(4):
+        gen, rho = _random_generator((1, 4, 4, 1), k, seed=2)
+        _integrate(gen, rho, 1e-3, 64)
+        assert gen._map_cache[(1e-3 / 64, 64)][1] is None, k
+
+
+def test_convergence_order_in_kform():
+    gen, _ = _random_generator((1, 4, 4, 1), 1, seed=12)
+    rho0 = random_pure(gen.dims, 13).density()
+    assert not any(_map_pays(gen, s, 1) for s in (8, 16, 128))  # every integration in K-form
+    order = convergence_order(gen, rho0, 0.5, 8)
+    assert order is not None and order >= 3.7
 
 
 def test_convergence_order_with_ancillas():
