@@ -252,6 +252,8 @@ def _cmd_sweep_rates(args) -> int:
     dims_list = args.dims or [2, 3, 4]
     if any(d < 2 for d in dims_list):
         raise FormatError("sweep-rates cut sizes must be >= 2")
+    if args.delta_t and len(args.delta_t) > 1:
+        raise FormatError(f"sweep-rates takes one --delta-t, got {len(args.delta_t)}")
     delta_t = (args.delta_t or [1e-4])[0]
     rows = []
     for d in dims_list:

@@ -16,15 +16,17 @@ exactly the polynomial T4(hS) = I + hS + (hS)^2/2 + (hS)^3/6 + (hS)^4/24 of
 the superoperator S = -i(K ⊗ I) + i(I ⊗ K̄) + sum_k L_k ⊗ L̄_k, which acts on
 the row-major vec of the A ⊗ B block (size d_AB^2).  An integration of
 ``steps`` steps is then one product of the step map M = T4(hS)^steps with rho
-reshaped to (d_AB^2, (d_a d_b)^2).  S preserves Hermiticity, so in an
-orthonormal basis of Hermitian operators (E_jj, and (E_jk + E_kj)/√2 and
-i(E_jk - E_kj)/√2 for j < k) it is a real matrix, as in the coherence-vector
-form of Gorini, Kossakowski & Sudarshan, J. Math. Phys. 17, 821 (1976).  M is
-built and kept in that basis in float64, half the bytes of the complex map,
-and is applied to the real and imaginary parts of the rotated columns in
-one real product.  The build forms sum_k L_k ⊗ L̄_k as one batched product
-over the jump operators, T4(A) = (I + A) + A^2 (I/2 + A/6 + A^2/24) in two
-products of size d_AB^2, and the power by binary powering.
+reshaped to (d_AB^2, (d_a d_b)^2).  S preserves Hermiticity, so it is a
+real matrix in any real coordinates of the Hermitian operators, as in the
+coherence-vector form of Gorini, Kossakowski & Sudarshan, J. Math. Phys. 17,
+821 (1976).  The coordinates used here are X -> Re X + Im X, which map the
+Hermitian operators onto the real matrices and keep the Frobenius norm; in
+them S is Re S + (Im S) P, with P the vec transpose.  M is built and kept in
+these coordinates in float64, half the bytes of the complex map, and is
+applied to the real and imaginary parts of the mixed columns in one real
+product.  The build forms sum_k L_k ⊗ L̄_k as one batched product over the
+jump operators, T4(A) = (I + A) + A^2 (I/2 + A/6 + A^2/24) in two products
+of size d_AB^2, and the power by binary powering.
 
 The other path applies the generator to the block in K-form, with 2 + 2k
 products of size d_AB per application (k jump operators), and evaluates the
@@ -69,6 +71,7 @@ from .states import (
     DensityMatrix,
     DimensionSignature,
     _eigvalsh,
+    _positive_int,
     _signature_from_json,
     matrix_from_json,
     matrix_to_json,
@@ -155,8 +158,8 @@ class LindbladGenerator:
         object.__setattr__(self, "_map_cache", {})
 
     def _step_map(self, h: float, steps: int) -> np.ndarray | None:
-        """T4(hS)^steps, real in the Hermitian basis, once building it pays
-        (see ``_map_pays``), else None.
+        """T4(hS)^steps, real in the coordinates Re X + Im X, once building
+        it pays (see ``_map_pays``), else None.
 
         Only the last (h, steps) is kept, with the number of consecutive
         integrations that used it; any other step size or count replaces it.
@@ -230,44 +233,12 @@ def apply_generator(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------ the step map
 #
-# The Hermitian basis keeps each E_jj and replaces each vec pair (jk, kj),
-# j < k, by (E_jk + E_kj)/√2 and i(E_jk - E_kj)/√2: the unitary
-# U = [[1, 1], [-i, i]]/√2 on the pair's coordinates.  The step map is built
-# and kept as the real matrix U T4(hS)^steps U†.
-
-
-@lru_cache(maxsize=16)
-def _pair_coefficients(ab: int) -> tuple[np.ndarray, np.ndarray]:
-    # U as (alpha, beta): (Ux)[p, q] = alpha[p, q] x[p, q] + beta[p, q] x[q, p]
-    # for x of shape (ab, ab, ...); read-only, as the arrays are shared
-    r = math.sqrt(0.5)
-    upper = np.triu(np.ones((ab, ab)), 1)
-    alpha = np.eye(ab) + r * upper + 1j * r * upper.T
-    beta = r * upper - 1j * r * upper.T
-    alpha.flags.writeable = beta.flags.writeable = False
-    return alpha, beta
-
-
-def _mix_pairs(x: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    # alpha ∘ x + beta ∘ xᵀ, with the transpose taken over the first two axes
-    out = alpha[:, :, None] * x
-    out += beta[:, :, None] * x.swapaxes(0, 1)
-    return out
-
-
-def _to_hermitian_basis(s: np.ndarray) -> None:
-    # S <- U S U† in place for S with axes (p, q, p', q'), 32 columns and then
-    # 32 rows at a time so that the temporaries stay small; a row of S U† is
-    # conj(U) times the same row of S
-    ab = s.shape[0]
-    alpha, beta = _pair_coefficients(ab)
-    rows, cols = s.reshape(ab, ab, -1), s.reshape(-1, ab, ab)
-    for i in range(0, ab * ab, 32):
-        block = rows[:, :, i : i + 32]
-        block[...] = _mix_pairs(block, alpha, beta)
-    for i in range(0, ab * ab, 32):
-        block = cols[i : i + 32].transpose(1, 2, 0)
-        block[...] = _mix_pairs(block, alpha.conj(), beta.conj())
+# For Hermitian X, Re X is symmetric and Im X antisymmetric, so X -> Re X + Im X
+# maps the Hermitian operators onto the real matrices and keeps the Frobenius
+# norm.  On vec(X) it is the unitary T = ((1 - i) I + (1 + i) P)/2, P the vec
+# transpose, with T^-1 = ((1 + i) I + (1 - i) P)/2; T S T^-1 = Re S + (Im S) P
+# is real, and the step map is built and kept as the real matrix
+# T T4(hS)^steps T^-1.
 
 
 def _build_step_map(k: np.ndarray, ls: tuple[np.ndarray, ...], h: float, steps: int) -> np.ndarray:
@@ -285,8 +256,8 @@ def _build_step_map(k: np.ndarray, ls: tuple[np.ndarray, ...], h: float, steps: 
     k_bar = 1j * k.conj()
     for p in range(ab):
         a[p, :, p, :] += k_bar
-    _to_hermitian_basis(a)
-    a = a.real.reshape(n, n) * h  # the imaginary part is roundoff
+    a = (a.real + a.imag.swapaxes(2, 3)).reshape(n, n)  # Re S + (Im S) P
+    a *= h
     # T4(A) = (I + A) + A²(I/2 + A/6 + A²/24) in two products; the bracket
     # is a polynomial in A, so it commutes with A² and takes the product in place
     t = a @ a
@@ -330,16 +301,17 @@ def _power(base: np.ndarray, steps: int, spare: np.ndarray) -> np.ndarray:
 
 
 def _apply_step_map(m: np.ndarray, rho: np.ndarray, dims: DimensionSignature) -> np.ndarray:
-    # rotate the rows into the Hermitian basis, apply the real map to the real
-    # and imaginary parts of every column in one real product (the complex
-    # array viewed as interleaved floats), and rotate back with U†, whose
-    # coefficients are (conj alpha, conj betaᵀ)
+    # take the rows through T, apply the real map to the real and imaginary
+    # parts of every column in one real product (the complex array viewed as
+    # interleaved floats), and take them back through T^-1; the transposes
+    # are over the (AB, AB') axes
     d_a, ab, d_b, n = _axes(dims)
-    alpha, beta = _pair_coefficients(ab)
     x = rho.reshape(d_a, ab, d_b, d_a, ab, d_b).transpose(_VEC).reshape(ab, ab, -1)
-    y = _mix_pairs(x, alpha, beta).reshape(ab * ab, -1)
-    z = (m @ y.view(np.float64)).view(complex).reshape(ab, ab, -1)
-    out = _mix_pairs(z, alpha.conj(), beta.T.conj())
+    y = (0.5 - 0.5j) * x
+    y += (0.5 + 0.5j) * x.swapaxes(0, 1)
+    z = (m @ y.reshape(ab * ab, -1).view(np.float64)).view(complex).reshape(ab, ab, -1)
+    out = (0.5 + 0.5j) * z
+    out += (0.5 - 0.5j) * z.swapaxes(0, 1)
     return out.reshape(ab, ab, d_a, d_b, d_a, d_b).transpose(_VEC_INV).reshape(n, n)
 
 
@@ -350,15 +322,15 @@ def _map_pays(gen: LindbladGenerator, steps: int, uses: int) -> bool:
 
     Costs are complex multiply-adds: the build is charged bit_length +
     popcount + 1 real products of size d_AB^2 (two for T4, then binary
-    powering; the extra one stands for assembling S in the Hermitian basis),
-    at half a complex multiply-add each as measured (d_AB = 16, 32 or 64
-    steps: 7-9 ms real against 18-28 ms for the same products in complex); one
-    K-form integration is charged as the RK4 loop, 4 (2 + 2k) products per
-    step, each d_AB^3 times the spectator count plus KFORM_CALL_COST.  The
-    Horner evaluation in ``_integrate`` never applies the generator more
-    often than the loop, so the charge is an upper bound on its work.  A
-    repeated integration builds M by the time that charge has reached the
-    cost of the build.
+    powering; the extra one stands for assembling S and combining it into
+    Re S + (Im S) P), at half a complex multiply-add each as measured
+    (d_AB = 16, 32 or 64 steps: 7-9 ms real against 18-28 ms for the same
+    products in complex); one K-form integration is charged as the RK4 loop,
+    4 (2 + 2k) products per step, each d_AB^3 times the spectator count plus
+    KFORM_CALL_COST.  The Horner evaluation in ``_integrate`` never applies
+    the generator more often than the loop, so the charge is an upper bound
+    on its work.  A repeated integration builds M by the time that charge has
+    reached the cost of the build.
     """
     d_a, ab, d_b, _ = _axes(gen.dims)
     build = (steps.bit_length() + steps.bit_count() + 1) * ab**6 // 2
@@ -443,8 +415,7 @@ def evolve(gen: LindbladGenerator, rho0: DensityMatrix, t: float, steps: int = 1
         raise ShapeError("generator and state live on different spaces")
     if not 0 <= t < math.inf:
         raise ValueError(f"t must be finite and >= 0, got {t}")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    steps = _positive_int(steps, "steps")
     if t == 0:
         return rho0
     out = _integrate(gen, rho0.matrix, t, steps)
@@ -464,8 +435,11 @@ def convergence_order(gen: LindbladGenerator, rho0: DensityMatrix, t: float, ste
     """Empirical order from errors at ``steps`` and ``2*steps`` against a
     reference at ``16*steps``.  Returns None when the errors are too close to
     roundoff to resolve a slope."""
+    if gen.dims != rho0.dims:
+        raise ShapeError("generator and state live on different spaces")
     if not 0 < t < math.inf:
         raise ValueError(f"t must be finite and > 0, got {t}")
+    steps = _positive_int(steps, "steps")
     ref = _integrate(gen, rho0.matrix, t, 16 * steps)
     e1 = float(np.linalg.norm(_integrate(gen, rho0.matrix, t, steps) - ref))
     e2 = float(np.linalg.norm(_integrate(gen, rho0.matrix, t, 2 * steps) - ref))

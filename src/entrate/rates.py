@@ -486,6 +486,8 @@ def mutual_info_rate_analytic(
 def mutual_info_rate_fd(
     rho: DensityMatrix, gen: LindbladGenerator, delta_t: float, *, richardson: bool = True
 ) -> float:
+    if rho.dims != gen.dims:
+        raise ValueError("state and generator live on different spaces")
     if not 0 < delta_t < math.inf:
         raise ValueError(f"delta_t must be finite and > 0, got {delta_t}")
     i0 = mutual_information(rho)

@@ -281,9 +281,10 @@ def test_sweep_rates_rejects_bad_dims():
 
 
 def test_sweep_rates_rejects_bad_counts(capsys):
-    # a usage error before any row: with no trial there is no rate to report
+    # a usage error before any row: with no trial there is no rate to report,
+    # and a sweep runs at one finite-difference step, so a second is refused
     for flags in (["--trials", "0"], ["--trials", "-3"], ["--trials", "0", "--strict"],
-                  ["--lindblad-ops", "-1"]):
+                  ["--lindblad-ops", "-1"], ["--delta-t", "1e-3", "--delta-t", "1e-5"]):
         assert main(["sweep-rates", "--dims", "2", *flags]) == 2
         captured = capsys.readouterr()
         assert not captured.out and flags[0] in captured.err

@@ -106,7 +106,7 @@ def test_block_kernels_match_full_space_rk4(factors, uses_map):
     got = _integrate(gen, rho, 0.3, 48)  # 48 = 0b110000 also exercises the powering's multiply
     m = gen._map_cache[(0.3 / 48, 48)][1]
     assert (m is not None) == uses_map
-    assert m is None or m.dtype == np.float64  # kept in the Hermitian basis
+    assert m is None or m.dtype == np.float64  # kept in the coordinates Re X + Im X
     assert np.abs(got - _rk4_full(gen, rho, 0.3, 48)).max() <= 1e-13
     assert np.abs(apply_generator(gen, rho) - _full_space_apply(gen)(rho)).max() <= 1e-13
 
@@ -132,6 +132,29 @@ def test_new_step_count_rebuilds_the_map():
     assert np.abs(fine - _rk4_full(gen, rho, 0.5, 8)).max() <= 1e-13
     assert np.abs(coarse - fine).max() > 1e-8
     assert list(gen._map_cache) == [(0.5 / 8, 8)]
+
+
+@pytest.mark.parametrize("factors", [(1, 2, 2, 1), (1, 3, 3, 1), (2, 2, 3, 1)])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("steps", [1, 48])
+def test_step_map_is_kept_in_re_plus_im_coordinates(factors, k, steps, monkeypatch):
+    # oracle: S from np.kron, M = T4(hS)^steps by matrix_power, and the
+    # coordinates X -> Re X + Im X as T = ((1 - i) I + (1 + i) P)/2 on vec(X)
+    monkeypatch.setattr(dynamics, "_map_pays", lambda gen, steps, uses: True)
+    gen, _ = _random_generator(factors, k, seed=30 + k)
+    ab = gen.dims.d_A * gen.dims.d_B
+    eye = np.eye(ab)
+    s = -1j * np.kron(gen._k, eye) + 1j * np.kron(eye, gen._k.conj())
+    for l in gen.lindblad_ops:
+        s += np.kron(l, l.conj())
+    a = (0.3 / steps) * s
+    t4 = np.eye(ab * ab) + a + a @ a / 2 + a @ a @ a / 6 + a @ a @ a @ a / 24
+    p = np.eye(ab * ab)[np.arange(ab * ab).reshape(ab, ab).T.reshape(-1)]
+    t = ((1 - 1j) * np.eye(ab * ab) + (1 + 1j) * p) / 2
+    want = t @ np.linalg.matrix_power(t4, steps) @ np.linalg.inv(t)
+    got = gen._step_map(0.3 / steps, steps)
+    assert np.abs(want.imag).max() <= 1e-13
+    assert np.abs(got - want.real).max() <= 1e-13
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -273,8 +296,13 @@ def test_evolve_zero_time_is_identity():
     for t in (-1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="finite and >= 0"):
             evolve(gen, rho, t)
-    with pytest.raises(ValueError):
-        evolve(gen, rho, 1.0, steps=0)
+    # a step count is a positive int: not 0, -1 (which hung convergence_order),
+    # 2.5 or True
+    for steps in (0, -1, 2.5, True):
+        with pytest.raises(ValueError, match="positive integer"):
+            evolve(gen, rho, 1.0, steps=steps)
+        with pytest.raises(ValueError, match="positive integer"):
+            convergence_order(gen, rho, 1.0, steps)
 
 
 def test_evolve_dims_mismatch():
@@ -282,6 +310,12 @@ def test_evolve_dims_mismatch():
     rho = random_pure(DimensionSignature.cut(2, 3), 0).density()
     with pytest.raises(ShapeError):
         evolve(gen, rho, 0.1)
+    # same total dimension, different factors
+    gen = LindbladGenerator(DimensionSignature(1, 2, 2, 1), None, (np.diag([1.0, 0.0, 0.0, 0.0]),))
+    rho = random_pure(DimensionSignature(2, 2, 1, 1), 0).density()
+    for run in (evolve, convergence_order):
+        with pytest.raises(ShapeError, match="different spaces"):
+            run(gen, rho, 0.1, 8)
 
 
 def test_evolve_reports_drift_with_step_suggestion():

@@ -315,6 +315,11 @@ def test_mi_rate_fd_matches_analytic():
     for dt in (-1.0, np.inf, np.nan):
         with pytest.raises(ValueError, match="finite and > 0"):
             mutual_info_rate_fd(rho, gen, dt)
+    # same total dimension, different factors: no rate is defined
+    other = DensityMatrix(DimensionSignature(2, 2, 1, 1), random_density(4, seed=0))
+    for rate in (mutual_info_rate_analytic, lambda r, g: mutual_info_rate_fd(r, g, 1e-4)):
+        with pytest.raises(ValueError, match="different spaces"):
+            rate(other, gen)
 
 
 def test_mi_rate_analytic_smoothed_pure_states():
