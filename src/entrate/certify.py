@@ -16,23 +16,25 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .dynamics import IntegrationError, LindbladGenerator
-from .linalg import NumericalFailure, ShapeError, dag, hermitize
+from .linalg import NumericalFailure, dag, hermitize
 from .measures import OptimizerStall, entanglement_entropy, ree_bruteforce
 from .rates import (
     InequalityResult,
     InvalidPair,
     SamplerFailure,
+    _check_eta,
+    _check_eta_ref,
     commutator_trace_norm_check,
     dissipative_commutator_check,
     entangling_rate_fd,
     hamiltonian_commutator_check,
-    hamiltonian_term_bound_tight,
     marginal_split_check,
     mi_rate_bound,
     mutual_info_rate_analytic,
@@ -44,6 +46,7 @@ from .states import (
     DensityMatrix,
     DimensionSignature,
     PureState,
+    _finite_real,
     _positive_int,
     matrix_from_json,
     matrix_to_json,
@@ -68,18 +71,6 @@ __all__ = [
     "cells_for",
 ]
 
-FAMILIES = (
-    "prop1",
-    "h_term",
-    "l_term",
-    "mixing",
-    "kittaneh",
-    "theorem2",
-    "theorem3",
-    "bravyi_lemma1",
-    "axioms",
-)
-
 # tolerance on the primary check of each family; axioms folds per-check
 # slack into the margins themselves
 DEFAULT_TOLERANCES = {
@@ -93,6 +84,7 @@ DEFAULT_TOLERANCES = {
     "bravyi_lemma1": 1e-10,
     "axioms": 0.0,
 }
+FAMILIES = tuple(DEFAULT_TOLERANCES)
 
 ORDERING_TOL = 1e-7  # gamma_fd may exceed the surrogate rate by at most this
 
@@ -107,14 +99,6 @@ _BRUTEFORCE_AB_CAP = 6  # axioms only cross-check the see-saw on tiny cuts
 
 class FormatError(ValueError):
     """Malformed sweep config or counterexample file."""
-
-
-def _finite_real(v, name: str) -> float:
-    # a finite int or float (numpy ones too) as a float; bools, strings and
-    # NaN or infinities raise
-    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)) or not math.isfinite(v):
-        raise FormatError(f"{name} must be a finite number, got {v!r}")
-    return float(v)
 
 
 @dataclass(frozen=True)
@@ -133,20 +117,6 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "families", tuple(self.families))
-        try:
-            grid = tuple(_positive_int(d, "dims_grid entry") for d in self.dims_grid)
-            trials = _positive_int(self.trials, "trials")
-        except ShapeError as exc:
-            raise FormatError(str(exc)) from exc
-        object.__setattr__(self, "dims_grid", grid)
-        object.__setattr__(self, "trials", trials)
-        if isinstance(self.base_seed, bool) or not isinstance(self.base_seed, (int, np.integer)):
-            raise FormatError(f"base_seed must be an integer, got {self.base_seed!r}")
-        object.__setattr__(self, "base_seed", int(self.base_seed))
-        dts = tuple(_finite_real(t, "delta_ts entry") for t in self.delta_ts)
-        if any(t <= 0 for t in dts):
-            raise FormatError(f"delta_ts entries must be > 0, got {list(dts)}")
-        object.__setattr__(self, "delta_ts", dts)
         for fam in self.families:
             if fam not in FAMILIES:
                 raise FormatError(f"unknown family {fam!r}; known: {', '.join(FAMILIES)}")
@@ -155,23 +125,36 @@ class SweepConfig:
         for fam in self.tolerances:
             if fam not in FAMILIES:
                 raise FormatError(f"tolerance override for unknown family {fam!r}")
-        # a NaN would pass every margin; a negative tolerance demands slack
-        # and is kept, as it is how a sweep is made to dump counterexamples
-        tols = {fam: _finite_real(v, f"tolerance for {fam}") for fam, v in self.tolerances.items()}
+        if isinstance(self.base_seed, bool) or not isinstance(self.base_seed, (int, np.integer)):
+            raise FormatError(f"base_seed must be an integer, got {self.base_seed!r}")
+        try:
+            grid = tuple(_positive_int(d, "dims_grid entry") for d in self.dims_grid)
+            trials = _positive_int(self.trials, "trials")
+            dts = tuple(_finite_real(t, "delta_ts entry") for t in self.delta_ts)
+            # a NaN would pass every margin; a negative tolerance demands slack
+            # and is kept, as it is how a sweep is made to dump counterexamples
+            tols = {fam: _finite_real(v, f"tolerance for {fam}") for fam, v in self.tolerances.items()}
+            # the ranges entangling_rate_fd enforces, checked before any family runs
+            eta, eta_ref = _finite_real(self.eta, "eta"), _finite_real(self.eta_ref, "eta_ref")
+            _check_eta(eta)
+            _check_eta_ref(eta_ref)
+            fail_fraction = _finite_real(self.fail_fraction, "fail_fraction")
+        except ValueError as exc:
+            raise FormatError(str(exc)) from exc
+        object.__setattr__(self, "dims_grid", grid)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "base_seed", int(self.base_seed))
+        object.__setattr__(self, "delta_ts", dts)
         object.__setattr__(self, "tolerances", tols)
-        # the ranges entangling_rate_fd enforces, checked before any family runs
-        eta, eta_ref = _finite_real(self.eta, "eta"), _finite_real(self.eta_ref, "eta_ref")
-        if not 1e-10 <= eta <= 1e-4:
-            raise FormatError(f"eta must lie in [1e-10, 1e-4], got {eta}")
-        if not 0.0 < eta_ref <= 1e-6:
-            raise FormatError(f"eta_ref must lie in (0, 1e-6], got {eta_ref}")
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "eta_ref", eta_ref)
+        if any(t <= 0 for t in dts):
+            raise FormatError(f"delta_ts entries must be > 0, got {list(dts)}")
         if self.measure not in ("surrogate", "bruteforce"):
             raise FormatError(f"measure must be 'surrogate' or 'bruteforce', got {self.measure!r}")
-        if any(d < 2 for d in self.dims_grid):
+        if any(d < 2 for d in grid):
             raise FormatError("dims_grid entries must be >= 2")
-        if not 0.0 <= _finite_real(self.fail_fraction, "fail_fraction") < 1.0:
+        if not 0.0 <= fail_fraction < 1.0:
             raise FormatError("fail_fraction must lie in [0, 1)")
         # checked here, not when the first counterexample is written
         if self.out_dir is not None and not isinstance(self.out_dir, (str, os.PathLike)):
@@ -192,19 +175,7 @@ class SweepConfig:
             raise FormatError(str(exc)) from exc
 
     def to_json(self) -> dict:
-        return {
-            "families": list(self.families),
-            "trials": self.trials,
-            "base_seed": self.base_seed,
-            "measure": self.measure,
-            "dims_grid": list(self.dims_grid),
-            "delta_ts": list(self.delta_ts),
-            "eta": self.eta,
-            "eta_ref": self.eta_ref,
-            "tolerances": dict(self.tolerances),
-            "fail_fraction": self.fail_fraction,
-            "out_dir": self.out_dir,
-        }
+        return asdict(self)
 
     def tolerance(self, family: str) -> float:
         return float(self.tolerances.get(family, DEFAULT_TOLERANCES[family]))
@@ -338,7 +309,7 @@ def _eval(family: str, inputs: dict, tol: float) -> list[dict]:
     if family == "h_term":
         psi, h = inputs["psi"], inputs["H"]
         primary = hamiltonian_commutator_check(h, psi)
-        tight_rhs = hamiltonian_term_bound_tight(h, psi.dims.d)
+        tight_rhs = primary.witness["tight_bound"]
         tight = InequalityResult(
             "coherent-term-cap-tight", primary.lhs, tight_rhs, tight_rhs - primary.lhs
         )
@@ -465,8 +436,6 @@ def _pack_inputs(family: str, inputs: dict) -> dict:
 
 
 def _unpack_inputs(family: str, obj: dict) -> dict:
-    if family not in _SCHEMAS:
-        raise FormatError(f"unknown family {family!r}")
     schema = _SCHEMAS[family]
     missing = set(schema) - set(obj)
     if missing:
@@ -567,25 +536,20 @@ def _run_cell(config: SweepConfig, family: str, cell: dict) -> dict:
     return out
 
 
-def _run_cell_task(args) -> tuple[str, dict]:
-    config_json, family, cell = args
-    return family, _run_cell(SweepConfig.from_json(config_json), family, cell)
-
-
 def run_sweep(config: SweepConfig, workers: int = 1) -> Certificate:
     """Run every (family, cell, trial) in ``config`` and aggregate a
     certificate.  Counterexample files land in ``config.out_dir`` when set."""
     t0 = time.monotonic()
     tasks = [(family, cell) for family in config.families for cell in cells_for(family, config)]
+    args = (repeat(config), [f for f, _ in tasks], [c for _, c in tasks])
     if workers > 1:
-        cfg_json = config.to_json()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_cell_task, [(cfg_json, f, c) for f, c in tasks]))
+            results = list(pool.map(_run_cell, *args))
     else:
-        results = [(family, _run_cell(config, family, cell)) for family, cell in tasks]
+        results = list(map(_run_cell, *args))
 
     by_family: dict[str, list[dict]] = {f: [] for f in config.families}
-    for family, cell_out in results:
+    for (family, _), cell_out in zip(tasks, results):
         by_family[family].append(cell_out)
 
     families = {}

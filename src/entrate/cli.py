@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -187,19 +188,7 @@ def _cmd_rate(args) -> int:
         rep = entangling_rate_fd(
             psi, gen, dt, args.measure, eta=args.eta, eta_ref=args.eta_ref, seed=args.seed
         )
-        reports.append(
-            {
-                "delta_t": rep.delta_t,
-                "gamma_fd": rep.gamma_fd,
-                "gamma_surrogate_fd": rep.gamma_surrogate_fd,
-                "gamma_surrogate_analytic": rep.gamma_surrogate_analytic,
-                "theorem_bound": rep.theorem_bound,
-                "margin": rep.margin,
-                "dims": list(rep.dims.factors()),
-                "measure": rep.measure,
-                "seed": args.seed,
-            }
-        )
+        reports.append({**dataclasses.asdict(rep), "dims": list(rep.dims.factors())})
     text = json.dumps({"reports": reports}, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -224,10 +213,7 @@ def _cmd_certify(args) -> int:
         overrides["trials"] = args.trials
     if args.seed is not None:
         overrides["base_seed"] = args.seed
-    if overrides:
-        merged = config.to_json()
-        merged.update(overrides)
-        config = SweepConfig.from_json(merged)
+    config = dataclasses.replace(config, **overrides)
     cert = run_sweep(config, workers=args.workers)
     for fam in config.families:
         row = cert.families[fam]

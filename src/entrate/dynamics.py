@@ -71,6 +71,7 @@ from .states import (
     DensityMatrix,
     DimensionSignature,
     _eigvalsh,
+    _finite_real,
     _positive_int,
     _signature_from_json,
     matrix_from_json,
@@ -413,7 +414,7 @@ def evolve(gen: LindbladGenerator, rho0: DensityMatrix, t: float, steps: int = 1
     """
     if gen.dims != rho0.dims:
         raise ShapeError("generator and state live on different spaces")
-    if not 0 <= t < math.inf:
+    if _finite_real(t, "t", "finite and >= 0") < 0:
         raise ValueError(f"t must be finite and >= 0, got {t}")
     steps = _positive_int(steps, "steps")
     if t == 0:
@@ -437,7 +438,7 @@ def convergence_order(gen: LindbladGenerator, rho0: DensityMatrix, t: float, ste
     roundoff to resolve a slope."""
     if gen.dims != rho0.dims:
         raise ShapeError("generator and state live on different spaces")
-    if not 0 < t < math.inf:
+    if _finite_real(t, "t", "finite and > 0") <= 0:
         raise ValueError(f"t must be finite and > 0, got {t}")
     steps = _positive_int(steps, "steps")
     ref = _integrate(gen, rho0.matrix, t, 16 * steps)

@@ -38,7 +38,7 @@ import numpy as np
 # partial_trace is not called here, but perfbench's traced runs wrap
 # the name measures.partial_trace, so it stays importable from this module
 from .linalg import as_matrix, dag, hermitize, partial_trace
-from .states import DensityMatrix, DimensionSignature, PureState, _eigvalsh, _log_on_support, schmidt
+from .states import DensityMatrix, DimensionSignature, PureState, _eigvalsh, _log_on_support, random_density, schmidt
 
 __all__ = [
     "OptimizerStall",
@@ -412,12 +412,7 @@ def ree_bruteforce(
             fa = np.empty((m, na, na), dtype=complex)
             fb = np.empty((m, nb, nb), dtype=complex)
             for i in range(m):
-                ga = rng.standard_normal((na, na)) + 1j * rng.standard_normal((na, na))
-                gb = rng.standard_normal((nb, nb)) + 1j * rng.standard_normal((nb, nb))
-                fa[i] = ga @ dag(ga)
-                fa[i] /= np.real(fa[i].trace())
-                fb[i] = gb @ dag(gb)
-                fb[i] /= np.real(fb[i].trace())
+                fa[i], fb[i] = random_density(na, rng), random_density(nb, rng)
             # keep one maximally mixed member so sigma starts full rank
             fa[-1] = np.eye(na) / na
             fb[-1] = np.eye(nb) / nb

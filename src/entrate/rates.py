@@ -29,7 +29,6 @@ import numpy as np
 
 from .dynamics import IntegrationError, LindbladGenerator, apply_generator, _drift, _integrate
 from .linalg import (
-    LOG_FLOOR,
     as_matrix,
     dag,
     hermitize,
@@ -44,8 +43,12 @@ from .states import (
     DensityMatrix,
     DimensionSignature,
     PureState,
+    _finite_real,
+    _positive_int,
+    _smoothed,
     closest_separable_state,
     convex_split_witness,
+    random_density,
     schmidt,
     smooth,
 )
@@ -138,26 +141,37 @@ def binary_entropy(p: float) -> float:
     return float(-p * math.log(p) - (1.0 - p) * math.log(1.0 - p))
 
 
+# the ranges of the smoothing weights, for the probes below and for SweepConfig
+def _check_eta(eta) -> None:
+    if not 1e-10 <= eta <= 1e-4:
+        raise ValueError(f"eta must lie in [1e-10, 1e-4], got {eta}")
+
+
+def _check_eta_ref(eta_ref) -> None:
+    if not 0.0 < eta_ref <= 1e-6:
+        raise ValueError(f"eta_ref must lie in (0, 1e-6], got {eta_ref}")
+
+
 # ------------------------------------------------------ one-step quantities
 
-def hamiltonian_term(h, rho, sigma, *, floor: float = LOG_FLOOR) -> float:
+def hamiltonian_term(h, rho, sigma) -> float:
     """i Tr(H [rho, ln sigma]) — the coherent part of the surrogate rate."""
     h = as_matrix(h, name="hamiltonian")
     r = _mat(rho)
-    log_s = matrix_log_on_support(_mat(sigma), floor=floor)
+    log_s = matrix_log_on_support(_mat(sigma))
     return float(np.real(1j * np.trace(h @ (r @ log_s - log_s @ r))))
 
 
 def hamiltonian_term_bound(h, d: int) -> float:
     """Dimension-only cap 4 ln(d) ||H|| on the coherent term."""
-    if d < 2:
+    if _positive_int(d, "d") < 2:
         raise ValueError(f"need d >= 2, got {d}")
     return 4.0 * math.log(d) * operator_norm(as_matrix(h, name="hamiltonian"))
 
 
 def hamiltonian_term_bound_tight(h, d: int) -> float:
     """Sharper cap 2 h2(1/d) d ||H|| (h2 = binary entropy in nats)."""
-    if d < 2:
+    if _positive_int(d, "d") < 2:
         raise ValueError(f"need d >= 2, got {d}")
     p = 1.0 / d
     return 2.0 * binary_entropy(p) / p * operator_norm(as_matrix(h, name="hamiltonian"))
@@ -172,24 +186,19 @@ def hamiltonian_commutator_check(h, psi: PureState, *, eta: float = 1e-8) -> Ine
     smoothing preserves d*sigma0 >= rho."""
     if psi.dims.d < 2:
         raise DegenerateCut("d = 1 cut: the separable reference equals the state")
-    if not 1e-10 <= eta <= 1e-4:
-        raise ValueError(f"eta must lie in [1e-10, 1e-4], got {eta}")
+    _check_eta(eta)
     sigma0 = closest_separable_state(schmidt(psi))
-    total = psi.dims.total
-    eye = np.eye(total) / total
-    rho_eta = (1.0 - eta) * psi.projector() + eta * eye
-    sig_eta = (1.0 - eta) * sigma0.matrix + eta * eye
-    lhs = abs(hamiltonian_term(h, rho_eta, sig_eta))
+    lhs = abs(hamiltonian_term(h, _smoothed(psi.projector(), eta), _smoothed(sigma0.matrix, eta)))
     rhs = hamiltonian_term_bound(h, psi.dims.d)
     witness = {"tight_bound": hamiltonian_term_bound_tight(h, psi.dims.d)}
     return InequalityResult("coherent-term-cap", lhs, rhs, rhs - lhs, witness=witness)
 
 
-def dissipative_term(l, x, y, *, floor: float = LOG_FLOOR) -> complex:
+def dissipative_term(l, x, y) -> complex:
     """Tr(L† [L X, ln Y]) — one jump operator's contribution pattern."""
     l = as_matrix(l, name="jump operator")
     x = as_matrix(x, name="X")
-    log_y = matrix_log_on_support(as_matrix(y, name="Y"), floor=floor)
+    log_y = matrix_log_on_support(as_matrix(y, name="Y"))
     lx = l @ x
     return complex(np.trace(dag(l) @ (lx @ log_y - log_y @ lx)))
 
@@ -223,14 +232,14 @@ def dissipative_commutator_check(l, x, y, p: float) -> InequalityResult:
     return InequalityResult("dissipative-term-cap", lhs, rhs, rhs - lhs, witness={"p": p})
 
 
-def mixing_term(h, rho1, rho2, p: float, *, floor: float = LOG_FLOOR) -> float:
+def mixing_term(h, rho1, rho2, p: float) -> float:
     """i Tr(H [p rho1, ln(p rho1 + (1-p) rho2)])."""
     h = as_matrix(h, name="hamiltonian")
     r1 = _mat(rho1)
     r2 = _mat(rho2)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
-    mix = matrix_log_on_support(p * r1 + (1.0 - p) * r2, floor=floor)
+    mix = matrix_log_on_support(p * r1 + (1.0 - p) * r2)
     pr = p * r1
     return float(np.real(1j * np.trace(h @ (pr @ mix - mix @ pr))))
 
@@ -318,9 +327,7 @@ def random_xy_pair(dim: int, p: float, seed) -> tuple[np.ndarray, np.ndarray]:
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    y = g @ dag(g)
-    y /= np.real(y.trace())
+    y = random_density(dim, rng)
     gq, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     c = hermitize((gq * rng.uniform(0.0, 1.0, size=dim)) @ dag(gq))
     q = float(np.real(np.trace(y @ c)))
@@ -392,16 +399,13 @@ def surrogate_rate_analytic(psi: PureState, gen: LindbladGenerator, *, eta: floa
     mixture, with both logs smoothed by eta toward the maximally mixed state."""
     if psi.dims.d < 2:
         raise DegenerateCut("d = 1 cut: no entanglement is possible across it")
-    if not 1e-10 <= eta <= 1e-4:
-        raise ValueError(f"eta must lie in [1e-10, 1e-4], got {eta}")
+    _check_eta(eta)
     if psi.dims != gen.dims:
         raise ValueError("state and generator live on different spaces")
-    total = psi.dims.total
     rho = psi.projector()
     sigma0 = closest_separable_state(schmidt(psi)).matrix
-    eye = np.eye(total) / total
-    log_rho = matrix_log_on_support((1.0 - eta) * rho + eta * eye)
-    log_sig = matrix_log_on_support((1.0 - eta) * sigma0 + eta * eye)
+    log_rho = matrix_log_on_support(_smoothed(rho, eta))
+    log_sig = matrix_log_on_support(_smoothed(sigma0, eta))
     rhodot = apply_generator(gen, rho)
     return float(np.real(np.trace(rhodot @ (log_rho - log_sig))))
 
@@ -412,12 +416,11 @@ def _surrogate_step(
     # (E(psi), rho_dt, D(rho_dt || reference)) against the regularized Schmidt reference
     if psi.dims.d < 2:
         raise DegenerateCut("d = 1 cut: no entanglement is possible across it")
-    if not 0 < delta_t < math.inf:
+    if _finite_real(delta_t, "delta_t", "finite and > 0") <= 0:
         raise ValueError(f"delta_t must be finite and > 0, got {delta_t}")
     if psi.dims != gen.dims:
         raise ValueError("state and generator live on different spaces")
-    if not 0.0 < eta_ref <= 1e-6:
-        raise ValueError(f"eta_ref must lie in (0, 1e-6], got {eta_ref}")
+    _check_eta_ref(eta_ref)
     sd = schmidt(psi)
     reference = smooth(closest_separable_state(sd), eta_ref)
     rho_dt = _evolve_tight(gen, psi.density(), delta_t)
@@ -451,7 +454,6 @@ def mutual_info_rate_analytic(
     gen: LindbladGenerator,
     *,
     eta: float | None = None,
-    floor: float = LOG_FLOOR,
 ) -> float:
     """d/dt [S(aA) + S(Bb) - S(full)] at t = 0 in closed form.
 
@@ -464,16 +466,13 @@ def mutual_info_rate_analytic(
         rho = rho.density()
     if rho.dims != gen.dims:
         raise ValueError("state and generator live on different spaces")
-    if eta is not None and not 1e-10 <= eta <= 1e-4:
-        raise ValueError(f"eta must lie in [1e-10, 1e-4], got {eta}")
+    if eta is not None:
+        _check_eta(eta)
     factors = rho.dims.factors()
     rhodot = apply_generator(gen, rho.matrix)
 
     def logged(mat: np.ndarray) -> np.ndarray:
-        if eta is not None:
-            n = mat.shape[0]
-            mat = (1.0 - eta) * mat + (eta / n) * np.eye(n)
-        return matrix_log_on_support(mat, floor=floor)
+        return matrix_log_on_support(mat if eta is None else _smoothed(mat, eta))
 
     val = np.trace(rhodot @ logged(rho.matrix))
     for keep in ((0, 1), (2, 3)):
@@ -483,20 +482,19 @@ def mutual_info_rate_analytic(
     return float(np.real(val))
 
 
-def mutual_info_rate_fd(
-    rho: DensityMatrix, gen: LindbladGenerator, delta_t: float, *, richardson: bool = True
-) -> float:
+def mutual_info_rate_fd(rho: DensityMatrix, gen: LindbladGenerator, delta_t: float) -> float:
+    """Rate of the mutual information across aA | Bb at t = 0 by the
+    Richardson extrapolation 2 q(dt/2) - q(dt) of the forward quotients
+    q(h) = (I(rho_h) - I(rho)) / h, which cancels their step-linear error."""
     if rho.dims != gen.dims:
         raise ValueError("state and generator live on different spaces")
-    if not 0 < delta_t < math.inf:
+    if _finite_real(delta_t, "delta_t", "finite and > 0") <= 0:
         raise ValueError(f"delta_t must be finite and > 0, got {delta_t}")
     i0 = mutual_information(rho)
 
     def quot(h: float) -> float:
         return (mutual_information(_evolve_tight(gen, rho, h)) - i0) / h
 
-    if not richardson:
-        return quot(delta_t)
     return 2.0 * quot(delta_t / 2.0) - quot(delta_t)
 
 

@@ -8,6 +8,7 @@ it, smoothing toward the maximally mixed state, and seeded random samplers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,14 @@ def _positive_int(v, name: str) -> int:
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
         raise ShapeError(f"{name} must be a positive integer, got {v!r}")
     return int(v)
+
+
+def _finite_real(v, name: str, rule: str = "a finite number") -> float:
+    """``v`` as a float if it is a finite int or float (a numpy one too, a
+    bool not); anything else, "1e-3" or NaN too, raises "<name> must be <rule>"."""
+    if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)) or not math.isfinite(v):
+        raise ValueError(f"{name} must be {rule}, got {v!r}")
+    return float(v)
 
 
 @dataclass(frozen=True)
@@ -308,13 +317,18 @@ def convex_split_witness(rho: DensityMatrix, sigma: DensityMatrix, d: int):
     return mu, min_eig
 
 
+def _smoothed(m: np.ndarray, eta: float) -> np.ndarray:
+    """(1 - eta) m + (eta/n) I for an n x n matrix ``m``: a state mixed with
+    the maximally mixed state on its own space, which keeps it full rank."""
+    n = m.shape[0]
+    return (1.0 - eta) * m + (eta / n) * np.eye(n)
+
+
 def smooth(rho: DensityMatrix, eta: float) -> DensityMatrix:
     """Mix with the maximally mixed state: (1 - eta) rho + eta I/D."""
     if not (0.0 < eta < 1.0):
         raise ValueError(f"eta must be in (0, 1), got {eta}")
-    total = rho.dims.total
-    m = (1.0 - eta) * rho.matrix + (eta / total) * np.eye(total)
-    return DensityMatrix(rho.dims, m)
+    return DensityMatrix(rho.dims, _smoothed(rho.matrix, eta))
 
 
 # ---------------------------------------------------------------- samplers
@@ -369,7 +383,10 @@ def matrix_to_json(m: np.ndarray) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         raise ValueError("matrix object must have 're' and 'im' fields")
-    re, im = np.asarray(obj["re"], dtype=float), np.asarray(obj["im"], dtype=float)
+    re, im = np.asarray(obj["re"], dtype=object), np.asarray(obj["im"], dtype=object)
+    if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (*re.flat, *im.flat)):
+        raise ValueError("matrix entries must be numbers, not strings or booleans")
+    re, im = re.astype(float), im.astype(float)
     if re.shape != im.shape:
         raise ValueError(f"'re' has shape {re.shape} but 'im' has shape {im.shape}")
     return re + 1j * im

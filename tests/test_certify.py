@@ -214,6 +214,21 @@ def test_certificate_jsonl_shape(tmp_path):
     assert kinds[-1] == "summary"
     assert kinds.count("family-summary") == 1
     assert lines[-1]["status"] == "ok"
+    # every config field, with tuples written as lists
+    assert lines[0] == {
+        "kind": "sweep-config",
+        "families": ["prop1"],
+        "trials": 1,
+        "base_seed": 7,
+        "measure": "surrogate",
+        "dims_grid": [2],
+        "delta_ts": [1e-3],
+        "eta": 1e-8,
+        "eta_ref": 1e-13,
+        "tolerances": {},
+        "fail_fraction": 0.1,
+        "out_dir": None,
+    }
     assert lines[-1]["runtime_s"] >= 0.0
 
 
@@ -238,6 +253,15 @@ def test_replay_rejects_malformed_files(tmp_path):
     ragged = {"dims": [1, 2, 2, 1], "re": [0.5, 0.5, 0.5, 0.5], "im": [0.0]}
     bad.write_text(json.dumps({"family": "prop1", "cell": {}, "seed": 1, "inputs": {"psi": ragged}}))
     with pytest.raises(FormatError):  # re and im of different shapes
+        replay(bad)
+    strings = {"dims": [1, 2, 2, 1], "re": ["0.5", "0.5", "0.5", "0.5"], "im": [0, 0, 0, False]}
+    bad.write_text(json.dumps({"family": "prop1", "cell": {}, "seed": 1, "inputs": {"psi": strings}}))
+    with pytest.raises(FormatError):  # entries must be numbers, not strings or booleans
+        replay(bad)
+    psi = {"dims": [1, 2, 2, 1], "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0] * 4}
+    inputs = {"psi": psi, "H": {"re": [[True, 0, 0, 0]] + [[0] * 4] * 3, "im": [[0] * 4] * 4}}
+    bad.write_text(json.dumps({"family": "h_term", "cell": {}, "seed": 1, "inputs": inputs}))
+    with pytest.raises(FormatError):
         replay(bad)
 
 

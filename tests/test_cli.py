@@ -99,6 +99,13 @@ def test_simulate_rejects_bad_inputs(tmp_path, capsys):
     inst["state"] = {"dims": [1, 2, 2, 1], "re": [0.5, 0.5, 0.5, 0.5], "im": [0.0]}
     bad.write_text(json.dumps(inst))
     assert main(["simulate", "--instance", str(bad)]) == 2
+    # strings and booleans are not numbers, even where numpy would read them as such
+    inst["state"] = {"dims": [1, 2, 2, 1], "re": ["0.5", "0.5", "0.5", "0.5"], "im": [0, 0, 0, False]}
+    bad.write_text(json.dumps(inst))
+    assert main(["simulate", "--instance", str(bad)]) == 2
+    inst["state"] = {"dims": [1, 2, 2, 1], "re": [True, 0, 0, 0], "im": [0, 0, 0, 0]}
+    bad.write_text(json.dumps(inst))
+    assert main(["simulate", "--instance", str(bad)]) == 2
     capsys.readouterr()
     # a count flag out of range is rejected, not clamped to 0
     for flag, value in (("--lindblad-ops", "-1"), ("--samples", "1")):

@@ -228,7 +228,7 @@ def test_convergence_order_with_ancillas():
     rho0 = random_pure(gen.dims, 10).density()
     order = convergence_order(gen, rho0, 0.5, 8)
     assert order is not None and order >= 3.7
-    for t in (0.0, np.inf, np.nan):
+    for t in (0.0, np.inf, np.nan, True, "1e-3"):  # a bool or a string is not a time
         with pytest.raises(ValueError, match="finite and > 0"):
             convergence_order(gen, rho0, t, 8)
 
@@ -293,7 +293,7 @@ def test_evolve_zero_time_is_identity():
     rho = random_pure(dims, 5).density()
     gen = LindbladGenerator(dims)
     assert evolve(gen, rho, 0.0) is rho
-    for t in (-1.0, np.inf, np.nan):
+    for t in (-1.0, np.inf, np.nan, True, "1e-3"):  # True used to integrate to t = 1
         with pytest.raises(ValueError, match="finite and >= 0"):
             evolve(gen, rho, t)
     # a step count is a positive int: not 0, -1 (which hung convergence_order),

@@ -84,8 +84,11 @@ def test_hamiltonian_bounds_ordering():
         assert tight <= loose + 1e-12
     # equality exactly at d = 2
     assert hamiltonian_term_bound_tight(h, 2) == pytest.approx(hamiltonian_term_bound(h, 2), rel=1e-12)
-    with pytest.raises(ValueError):
-        hamiltonian_term_bound(h, 1)
+    for d in (1, 2.5):  # a cut size is an integer >= 2
+        with pytest.raises(ValueError):
+            hamiltonian_term_bound(h, d)
+        with pytest.raises(ValueError):
+            hamiltonian_term_bound_tight(h, d)
 
 
 @pytest.mark.parametrize("da,db", [(2, 2), (2, 4), (3, 3)])
@@ -279,7 +282,7 @@ def test_surrogate_rate_input_validation():
     dims = DimensionSignature.cut(2, 2)
     psi = random_pure(dims, seed=0)
     gen = _unitary_gen(dims, 0)
-    for dt in (0.0, np.inf, np.nan):
+    for dt in (0.0, np.inf, np.nan, True, "1e-3"):  # True used to step by 1
         with pytest.raises(ValueError, match="finite and > 0"):
             surrogate_rate_fd(psi, gen, dt)
     with pytest.raises(ValueError):
@@ -312,7 +315,7 @@ def test_mi_rate_fd_matches_analytic():
         fd = mutual_info_rate_fd(rho, gen, 1e-4)
         exact = mutual_info_rate_analytic(rho, gen)
         assert fd == pytest.approx(exact, abs=1e-4)
-    for dt in (-1.0, np.inf, np.nan):
+    for dt in (-1.0, np.inf, np.nan, True, "1e-3"):
         with pytest.raises(ValueError, match="finite and > 0"):
             mutual_info_rate_fd(rho, gen, dt)
     # same total dimension, different factors: no rate is defined

@@ -12,6 +12,7 @@ from entrate.states import (
     PureState,
     closest_separable_state,
     convex_split_witness,
+    matrix_from_json,
     random_density,
     random_gue_hamiltonian,
     random_ginibre_lindblad,
@@ -240,6 +241,14 @@ def test_state_json_roundtrip():
     for dims in ([1, 2.7, 2, 1], [1, "2", 2, 1], [1, True, 2, 1]):  # dims must be integers
         with pytest.raises(ValueError):
             state_from_json({"dims": dims, "re": [0.5, 0.5, 0.5, 0.5], "im": [0.0] * 4})
+    # entries must be JSON numbers: numpy would read "0.5" and booleans as numbers,
+    # also mixed into an otherwise numeric list, where the dtype alone looks fine
+    with pytest.raises(ValueError):
+        state_from_json({"dims": [1, 2, 2, 1], "re": ["0.5", "0.5", "0.5", "0.5"], "im": [0, 0, 0, False]})
+    for re in ([True, 2], [1.0, "2"], [[1.0], None]):
+        with pytest.raises(ValueError):
+            matrix_from_json({"re": re, "im": [0, 0]})
+    assert np.array_equal(matrix_from_json({"re": [1, 2.5], "im": [0, -1]}), [1, 2.5 - 1j])
 
 
 @settings(max_examples=25, deadline=None)
