@@ -363,20 +363,15 @@ def _eval(family: str, inputs: dict, tol: float) -> list[dict]:
         psi = inputs["psi"]
         u_a, u_b = inputs["U_a"], inputs["U_b"]
         dims = psi.dims
-        ent = entanglement_entropy(psi)
-        rotated = entanglement_entropy(_local_rotation(psi, u_a, u_b))
         sd = schmidt(psi)
-        product = PureState(dims, np.outer(sd.left[:, 0], sd.right[:, 0]).reshape(-1))
+        ent = sd.entropy()
+        rotated = entanglement_entropy(_local_rotation(psi, u_a, u_b))
+        product = entanglement_entropy(PureState(dims, np.outer(sd.left[:, 0], sd.right[:, 0]).reshape(-1)))
         maxent = entanglement_entropy(_local_rotation(_max_entangled(dims), u_a, u_b))
         checks = [
             InequalityResult("nonnegative", -ent, 1e-12, ent + 1e-12),
             InequalityResult("local-unitary-invariant", abs(rotated - ent), 1e-10, 1e-10 - abs(rotated - ent)),
-            InequalityResult(
-                "product-states-score-zero",
-                entanglement_entropy(product),
-                1e-12,
-                1e-12 - entanglement_entropy(product),
-            ),
+            InequalityResult("product-states-score-zero", product, 1e-12, 1e-12 - product),
             InequalityResult(
                 "max-entangled-normalization",
                 abs(maxent - math.log(dims.d)),

@@ -16,6 +16,12 @@ Rates are measured three ways and cross-checked against each other:
 * ``gamma_surrogate_analytic`` — the t = 0 derivative in closed form,
   with both logs smoothed by ``eta``.
 
+A pure state's projector and its dephased Schmidt mixture, both smoothed by
+eta, are diagonal in the Schmidt product basis v_n = l_n ⊗ r_n.  With
+f = eta/n their logs are ln f + a |psi><psi| and ln f + sum_n b_n |v_n><v_n|,
+where a = ln((1 - eta + f)/f) and b_n = ln(((1 - eta) p_n + f)/f).  The
+analytic rate and the coherent-term check use these: no log, no eigensolver.
+
 The closed-form bounds (``entangling_rate_bound`` and friends) are what the
 certification sweeps compare the measured rates against.
 """
@@ -29,6 +35,7 @@ import numpy as np
 
 from .dynamics import IntegrationError, LindbladGenerator, apply_generator, _drift, _integrate
 from .linalg import (
+    ShapeError,
     as_matrix,
     dag,
     hermitize,
@@ -43,6 +50,7 @@ from .states import (
     DensityMatrix,
     DimensionSignature,
     PureState,
+    SchmidtDecomposition,
     _finite_real,
     _positive_int,
     _smoothed,
@@ -162,19 +170,31 @@ def hamiltonian_term(h, rho, sigma) -> float:
     return float(np.real(1j * np.trace(h @ (r @ log_s - log_s @ r))))
 
 
-def hamiltonian_term_bound(h, d: int) -> float:
-    """Dimension-only cap 4 ln(d) ||H|| on the coherent term."""
+def _coherent_caps(h, d: int) -> tuple[float, float]:
+    # (4 ln(d) ||H||, 2 h2(1/d) d ||H||) from one operator norm of H
     if _positive_int(d, "d") < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    return 4.0 * math.log(d) * operator_norm(as_matrix(h, name="hamiltonian"))
+    h_norm, p = operator_norm(as_matrix(h, name="hamiltonian")), 1.0 / d
+    return 4.0 * math.log(d) * h_norm, 2.0 * binary_entropy(p) / p * h_norm
+
+
+def hamiltonian_term_bound(h, d: int) -> float:
+    """Dimension-only cap 4 ln(d) ||H|| on the coherent term."""
+    return _coherent_caps(h, d)[0]
 
 
 def hamiltonian_term_bound_tight(h, d: int) -> float:
     """Sharper cap 2 h2(1/d) d ||H|| (h2 = binary entropy in nats)."""
-    if _positive_int(d, "d") < 2:
-        raise ValueError(f"need d >= 2, got {d}")
-    p = 1.0 / d
-    return 2.0 * binary_entropy(p) / p * operator_norm(as_matrix(h, name="hamiltonian"))
+    return _coherent_caps(h, d)[1]
+
+
+def _schmidt_logs(sd: SchmidtDecomposition, eta: float) -> tuple[np.ndarray, float, np.ndarray]:
+    # (V, a, b): the product vectors v_n as the columns of V and the weights
+    # of ln rho_eta and ln sigma0_eta in the module docstring
+    n = sd.dims.total
+    f = eta / n
+    v = (sd.left[:, None, :] * sd.right[None, :, :]).reshape(n, -1)
+    return v, math.log((1.0 - eta + f) / f), np.log(((1.0 - eta) * sd.coefficients + f) / f)
 
 
 def hamiltonian_commutator_check(h, psi: PureState, *, eta: float = 1e-8) -> InequalityResult:
@@ -183,15 +203,23 @@ def hamiltonian_commutator_check(h, psi: PureState, *, eta: float = 1e-8) -> Ine
     Both the state and its dephased Schmidt mixture are smoothed by ``eta`` so
     the logarithm is taken at full rank.  The witness carries the sharper
     mixing-based cap, which holds for the smoothed pair as well because
-    smoothing preserves d*sigma0 >= rho."""
+    smoothing preserves d*sigma0 >= rho.  In the Schmidt product basis the
+    term is -2 (1 - eta) sum_n b_n Im(<psi|v_n><v_n|H psi>) (module docstring),
+    which needs H Hermitian: H must be n x n and Hermitian within 1e-12."""
     if psi.dims.d < 2:
         raise DegenerateCut("d = 1 cut: the separable reference equals the state")
     _check_eta(eta)
-    sigma0 = closest_separable_state(schmidt(psi))
-    lhs = abs(hamiltonian_term(h, _smoothed(psi.projector(), eta), _smoothed(sigma0.matrix, eta)))
-    rhs = hamiltonian_term_bound(h, psi.dims.d)
-    witness = {"tight_bound": hamiltonian_term_bound_tight(h, psi.dims.d)}
-    return InequalityResult("coherent-term-cap", lhs, rhs, rhs - lhs, witness=witness)
+    h = as_matrix(h, name="hamiltonian")
+    if h.shape[0] != psi.dims.total:
+        raise ShapeError(f"hamiltonian must be {psi.dims.total} x {psi.dims.total}, got shape {h.shape}")
+    herm = float(np.abs(h - dag(h)).max())
+    if herm > 1e-12:
+        raise ValueError(f"hamiltonian not Hermitian: max |H - H†| = {herm:.3e}")
+    v, _, b = _schmidt_logs(schmidt(psi), eta)
+    amp = psi.amplitudes
+    lhs = abs(-2.0 * (1.0 - eta) * float(b @ np.imag((amp.conj() @ v) * (h @ amp @ v.conj()))))
+    rhs, tight = _coherent_caps(h, psi.dims.d)
+    return InequalityResult("coherent-term-cap", lhs, rhs, rhs - lhs, witness={"tight_bound": tight})
 
 
 def dissipative_term(l, x, y) -> complex:
@@ -394,26 +422,30 @@ def _evolve_tight(gen: LindbladGenerator, rho: DensityMatrix, t: float) -> Densi
         steps *= 2
 
 
-def surrogate_rate_analytic(psi: PureState, gen: LindbladGenerator, *, eta: float = 1e-8) -> float:
+def surrogate_rate_analytic(
+    psi: PureState, gen: LindbladGenerator, *, eta: float = 1e-8, _sd: SchmidtDecomposition | None = None
+) -> float:
     """t = 0 derivative of the relative entropy to the dephased Schmidt
-    mixture, with both logs smoothed by eta toward the maximally mixed state."""
+    mixture, with both logs smoothed by eta toward the maximally mixed state.
+    Re Tr rhodot (ln rho_eta - ln sigma0_eta), rhodot the generator applied to
+    |psi><psi|, is a <psi|rhodot|psi> - sum_n b_n <v_n|rhodot|v_n> (module
+    docstring): the ln(eta/n) parts cancel.  ``_sd`` is schmidt(psi), if known."""
     if psi.dims.d < 2:
         raise DegenerateCut("d = 1 cut: no entanglement is possible across it")
     _check_eta(eta)
     if psi.dims != gen.dims:
         raise ValueError("state and generator live on different spaces")
-    rho = psi.projector()
-    sigma0 = closest_separable_state(schmidt(psi)).matrix
-    log_rho = matrix_log_on_support(_smoothed(rho, eta))
-    log_sig = matrix_log_on_support(_smoothed(sigma0, eta))
-    rhodot = apply_generator(gen, rho)
-    return float(np.real(np.trace(rhodot @ (log_rho - log_sig))))
+    v, a, b = _schmidt_logs(schmidt(psi) if _sd is None else _sd, eta)
+    amp = psi.amplitudes
+    rhodot = apply_generator(gen, psi.projector())
+    weights = np.real(np.einsum("in,in->n", v.conj(), rhodot @ v))
+    return float(a * np.vdot(amp, rhodot @ amp).real - b @ weights)
 
 
 def _surrogate_step(
     psi: PureState, gen: LindbladGenerator, delta_t: float, eta_ref: float
-) -> tuple[float, DensityMatrix, float]:
-    # (E(psi), rho_dt, D(rho_dt || reference)) against the regularized Schmidt reference
+) -> tuple[SchmidtDecomposition, DensityMatrix, float]:
+    # (schmidt(psi), rho_dt, D(rho_dt || reference)) against the regularized Schmidt reference
     if psi.dims.d < 2:
         raise DegenerateCut("d = 1 cut: no entanglement is possible across it")
     if _finite_real(delta_t, "delta_t", "finite and > 0") <= 0:
@@ -427,7 +459,7 @@ def _surrogate_step(
     # the reference has min eigenvalue >= eta_ref/total; put the support
     # threshold safely below that so the regularization is visible
     support_tol = min(1e-12, eta_ref / (4.0 * psi.dims.total))
-    return sd.entropy(), rho_dt, relative_entropy(rho_dt, reference, support_tol=support_tol)
+    return sd, rho_dt, relative_entropy(rho_dt, reference, support_tol=support_tol)
 
 
 def surrogate_rate_fd(
@@ -435,8 +467,8 @@ def surrogate_rate_fd(
 ) -> float:
     """(D(rho_dt || reference) - E(psi)) / dt against the fixed regularized
     separable reference; anchored at the exact Schmidt entropy at t = 0."""
-    e0, _, dist = _surrogate_step(psi, gen, delta_t, eta_ref)
-    return (dist - e0) / delta_t
+    sd, _, dist = _surrogate_step(psi, gen, delta_t, eta_ref)
+    return (dist - sd.entropy()) / delta_t
 
 
 def surrogate_rate_fd_richardson(
@@ -518,7 +550,8 @@ def entangling_rate_fd(
     """
     if measure not in ("surrogate", "bruteforce"):
         raise ValueError(f"measure must be 'surrogate' or 'bruteforce', got {measure!r}")
-    e0, rho_dt, surr_dt = _surrogate_step(psi, gen, delta_t, eta_ref)
+    sd, rho_dt, surr_dt = _surrogate_step(psi, gen, delta_t, eta_ref)
+    e0 = sd.entropy()
     gamma_surrogate = (surr_dt - e0) / delta_t
     if measure == "bruteforce":
         kwargs = dict(ree_kwargs or {})
@@ -531,7 +564,7 @@ def entangling_rate_fd(
     return RateReport(
         gamma_fd=gamma,
         gamma_surrogate_fd=gamma_surrogate,
-        gamma_surrogate_analytic=surrogate_rate_analytic(psi, gen, eta=eta),
+        gamma_surrogate_analytic=surrogate_rate_analytic(psi, gen, eta=eta, _sd=sd),
         delta_t=delta_t,
         theorem_bound=bound,
         margin=bound - gamma_surrogate,

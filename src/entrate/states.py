@@ -253,11 +253,16 @@ class SchmidtDecomposition:
 
 def _tie_break_order(p: np.ndarray, left: np.ndarray) -> list[int]:
     # descending by coefficient; near-degenerate coefficients ordered by the
-    # lexicographic (re, im) entries of the phase-fixed left vectors
+    # lexicographic (re, im) entries of the phase-fixed left vectors, whose
+    # keys are built only when two coefficients round to the same value
+    rounded = [-round(float(x), 12) for x in p]
+    if len(set(rounded)) == len(rounded):
+        return sorted(range(p.size), key=rounded.__getitem__)
+
     def key(n: int):
         col = left[:, n]
         lex = tuple(x for entry in col for x in (round(float(entry.real), 10), round(float(entry.imag), 10)))
-        return (-round(float(p[n]), 12), lex)
+        return (rounded[n], lex)
 
     return sorted(range(p.size), key=key)
 
@@ -274,13 +279,13 @@ def schmidt(psi: PureState) -> SchmidtDecomposition:
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     p = s**2
     mask = p > SCHMIDT_CUTOFF
-    u, p = u[:, mask].copy(), p[mask].copy()
+    u, p = u[:, mask], p[mask]
     right = vh[mask, :].T.copy()  # columns are Bob-side vectors
-    for n in range(u.shape[1]):
-        k = int(np.argmax(np.abs(u[:, n]) > 1e-12))
-        ph = u[k, n] / abs(u[k, n])
-        u[:, n] /= ph
-        right[:, n] *= ph
+    lead = u[np.argmax(np.abs(u) > 1e-12, axis=0), np.arange(p.size)]
+    # the scalar abs, which the np.abs ufunc can differ from in the last bit
+    ph = lead / np.array([abs(x) for x in lead])
+    u /= ph
+    right *= ph
     order = _tie_break_order(p, u)
     return SchmidtDecomposition(dims, p[order], u[:, order], right[:, order])
 

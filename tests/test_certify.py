@@ -6,6 +6,8 @@ import pathlib
 import numpy as np
 import pytest
 
+import entrate.certify
+import entrate.measures
 from entrate.certify import (
     DEFAULT_TOLERANCES,
     FAMILIES,
@@ -16,7 +18,7 @@ from entrate.certify import (
     replay,
     run_sweep,
 )
-from entrate.certify import _trial_seed
+from entrate.certify import _build, _eval, _trial_seed
 
 
 def test_config_defaults_cover_every_family():
@@ -179,6 +181,43 @@ def test_axioms_sweep_includes_seesaw_crosscheck():
     cert = run_sweep(cfg)
     assert cert.status == "ok"
     assert cert.families["axioms"]["worst_margin"] >= 0.0
+
+
+def test_axioms_trial_takes_four_schmidt_decompositions(monkeypatch):
+    # one for psi (entropy and product factors), one each for the rotated,
+    # product and rotated maximally entangled states; 3x3 runs no see-saw
+    calls = []
+    for owner in (entrate.certify, entrate.measures):
+        fn = owner.schmidt
+        monkeypatch.setattr(owner, "schmidt", lambda psi, fn=fn: calls.append(psi) or fn(psi))
+    cell = {"d_A": 3, "d_B": 3}
+    cfg = SweepConfig(families=("axioms",), trials=1)
+    _eval("axioms", _build("axioms", cell, _trial_seed(2024, "axioms", cell, 0), cfg), 0.0)
+    assert len(calls) == 4
+
+
+# each family's worst margin in the default sweep at one trial per cell, so a
+# change that claims to leave the certificate alone is held to it
+DEFAULT_WORST_MARGINS = {
+    "prop1": -9.658940314238862e-15,
+    "h_term": 2.448514600986704,
+    "l_term": 29.7711570360732,
+    "mixing": 0.7920584734903607,
+    "kittaneh": 0.9526718551700897,
+    "theorem2": 0.0,
+    "theorem3": 11.088999523957538,
+    "bravyi_lemma1": 0.20175513255823616,
+    "axioms": 9.993338661852249e-13,
+}
+
+
+def test_default_certificate_is_pinned():
+    cert = run_sweep(SweepConfig(trials=1, base_seed=2024))
+    assert cert.status == "ok"
+    for fam, want in DEFAULT_WORST_MARGINS.items():
+        row = cert.families[fam]
+        assert (row["status"], row["trials"], row["violations"]) == ("ok", len(cells_for(fam, cert.config)), 0)
+        assert row["worst_margin"] == pytest.approx(want, rel=1e-9, abs=0.0), fam
 
 
 def test_forced_violation_dumps_and_replays(tmp_path):

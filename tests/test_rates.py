@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entrate.dynamics import LindbladGenerator
+import entrate.rates
+from entrate.dynamics import LindbladGenerator, apply_generator
+from entrate.linalg import ShapeError, matrix_log_on_support
 from entrate.rates import (
     InvalidPair,
     binary_entropy,
@@ -38,10 +40,14 @@ from entrate.states import (
     DensityMatrix,
     DimensionSignature,
     PureState,
+    _smoothed,
+    closest_separable_state,
     random_density,
     random_gue_hamiltonian,
     random_ginibre_lindblad,
     random_pure,
+    random_unitary,
+    schmidt,
 )
 
 
@@ -101,6 +107,44 @@ def test_hamiltonian_commutator_check_holds(da, db):
         assert res.margin >= 0.0
         # the sharper cap must hold as well
         assert abs(res.lhs) <= hamiltonian_term_bound_tight(h, dims.d) + 1e-9
+
+
+def _probe_states(dims, seed):
+    # a random state, a product state and a Schmidt-rank-2 state
+    rng = np.random.default_rng(seed)
+    ua, ub = random_unitary(dims.alice, rng), random_unitary(dims.bob, rng)
+    return [
+        random_pure(dims, rng),
+        PureState(dims, np.outer(ua[:, 0], ub[:, 0]).reshape(-1)),
+        PureState(dims, (ua[:, :2] @ np.diag([0.8, 0.6]) @ ub[:, :2].T).reshape(-1)),
+    ]
+
+
+def _smoothed_pair(psi, eta=1e-8):
+    # the smoothed projector and dephased Schmidt mixture, as matrices
+    sigma0 = closest_separable_state(schmidt(psi)).matrix
+    return _smoothed(psi.projector(), eta), _smoothed(sigma0, eta)
+
+
+@pytest.mark.parametrize("factors", [(1, 2, 2, 1), (1, 2, 4, 1), (1, 3, 3, 1), (2, 2, 2, 2)])
+def test_hamiltonian_commutator_check_matches_the_log_formula(factors):
+    dims = DimensionSignature(*factors)
+    for s in range(3):
+        h = random_gue_hamiltonian(dims.total, seed=500 + s)
+        for psi in _probe_states(dims, s):
+            res = hamiltonian_commutator_check(h, psi)
+            assert res.lhs == pytest.approx(abs(hamiltonian_term(h, *_smoothed_pair(psi))), rel=0, abs=1e-12)
+            assert res.rhs == hamiltonian_term_bound(h, dims.d)
+            assert res.witness["tight_bound"] == hamiltonian_term_bound_tight(h, dims.d)
+
+
+def test_hamiltonian_commutator_check_validates_h():
+    psi = random_pure(DimensionSignature.cut(3, 3), seed=0)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hamiltonian_commutator_check(np.ones((9, 9)) + 1j * np.eye(9), psi)
+    for h in (random_gue_hamiltonian(4, seed=0), np.ones((9, 3))):
+        with pytest.raises(ShapeError):
+            hamiltonian_commutator_check(h, psi)
 
 
 def test_dissipative_term_diagonal_oracle():
@@ -305,6 +349,40 @@ def test_unitary_richardson_matches_analytic(da, db):
         fd = surrogate_rate_fd_richardson(psi, gen, 1e-4)
         exact = surrogate_rate_analytic(psi, gen)
         assert fd == pytest.approx(exact, abs=1e-5)
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 2, 2), (1, 2, 3, 1), (2, 3, 2, 1), (1, 4, 4, 1)])
+def test_surrogate_rate_analytic_matches_the_log_formula(factors):
+    # the closed form against Re Tr rhodot (ln rho_eta - ln sigma0_eta) with both logs taken numerically
+    dims = DimensionSignature(*factors)
+    for k in range(4):
+        gen = _open_gen(dims, seed=40 + k, n_lindblad=k)
+        for psi in _probe_states(dims, k):
+            rho_eta, sigma_eta = _smoothed_pair(psi)
+            rhodot = apply_generator(gen, psi.projector())
+            old = np.real(np.trace(rhodot @ (matrix_log_on_support(rho_eta) - matrix_log_on_support(sigma_eta))))
+            assert abs(surrogate_rate_analytic(psi, gen) - old) <= 1e-6 * max(1.0, abs(old))
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_entangling_rate_fd_takes_one_schmidt_decomposition_and_no_log(monkeypatch):
+    dims = DimensionSignature.cut(3, 3)
+    psi, gen = random_pure(dims, seed=3), _open_gen(dims, seed=3)
+    schmidts = _counting(monkeypatch, entrate.rates, "schmidt")
+    logs = _counting(monkeypatch, entrate.rates, "matrix_log_on_support")
+    entangling_rate_fd(psi, gen, 1e-4)
+    assert (len(schmidts), len(logs)) == (1, 0)
 
 
 def test_mi_rate_fd_matches_analytic():

@@ -145,6 +145,51 @@ def test_schmidt_orthonormal_vectors():
     assert np.allclose(sd.right.conj().T @ sd.right, np.eye(k), atol=1e-12)
 
 
+def _schmidt_oracle(psi):
+    # the per-column phase loop and the tie-break with its keys always built
+    dims = psi.dims
+    u, s, vh = np.linalg.svd(psi.amplitudes.reshape(dims.alice, dims.bob), full_matrices=False)
+    p = s**2
+    mask = p > 1e-12
+    u, p = u[:, mask].copy(), p[mask].copy()
+    right = vh[mask, :].T.copy()
+    for n in range(u.shape[1]):
+        k = int(np.argmax(np.abs(u[:, n]) > 1e-12))
+        ph = u[k, n] / abs(u[k, n])
+        u[:, n] /= ph
+        right[:, n] *= ph
+
+    def key(n):
+        lex = tuple(x for e in u[:, n] for x in (round(float(e.real), 10), round(float(e.imag), 10)))
+        return (-round(float(p[n]), 12), lex)
+
+    order = sorted(range(p.size), key=key)
+    return p[order], u[:, order], right[:, order]
+
+
+@pytest.mark.parametrize("factors", [(1, 2, 2, 1), (1, 2, 3, 1), (1, 3, 3, 1), (1, 4, 4, 1), (2, 2, 2, 2)])
+def test_schmidt_matches_the_per_column_oracle_bit_for_bit(factors):
+    dims = DimensionSignature(*factors)
+    na, nb = dims.alice, dims.bob
+    r = min(na, nb)
+    states = []
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        states.append(random_pure(dims, rng).amplitudes.reshape(na, nb))
+        # maximally entangled across the full rank, rotated: every coefficient ties
+        ua, ub = random_unitary(na, rng), random_unitary(nb, rng)
+        states.append(ua[:, :r] @ ub[:, :r].T / np.sqrt(r))
+        # rank 2 and product
+        states.append(ua[:, :2] @ np.diag([0.8, 0.6]) @ ub[:, :2].T)
+        states.append(np.outer(ua[:, 0], ub[:, 0]))
+    for amp in states:
+        psi = PureState(dims, amp.reshape(-1) / np.linalg.norm(amp))
+        sd = schmidt(psi)
+        p, left, right = _schmidt_oracle(psi)
+        for got, want in ((sd.coefficients, p), (sd.left, left), (sd.right, right)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_closest_separable_state_diagonal_in_schmidt_basis():
     psi = random_pure(DimensionSignature.cut(3, 3), 2)
     sd = schmidt(psi)
