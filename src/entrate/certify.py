@@ -120,6 +120,9 @@ class SweepConfig:
         for fam in self.families:
             if fam not in FAMILIES:
                 raise FormatError(f"unknown family {fam!r}; known: {', '.join(FAMILIES)}")
+        # an empty list certifies nothing, and a repeated family counts twice
+        if not self.families or len(set(self.families)) < len(self.families):
+            raise FormatError(f"families must be non-empty and distinct, got {list(self.families)}")
         if not isinstance(self.tolerances, dict):
             raise FormatError("tolerances must map family names to numbers")
         for fam in self.tolerances:
@@ -148,12 +151,12 @@ class SweepConfig:
         object.__setattr__(self, "tolerances", tols)
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "eta_ref", eta_ref)
-        if any(t <= 0 for t in dts):
-            raise FormatError(f"delta_ts entries must be > 0, got {list(dts)}")
+        if not dts or any(t <= 0 for t in dts):
+            raise FormatError(f"delta_ts must be non-empty with entries > 0, got {list(dts)}")
         if self.measure not in ("surrogate", "bruteforce"):
             raise FormatError(f"measure must be 'surrogate' or 'bruteforce', got {self.measure!r}")
-        if any(d < 2 for d in grid):
-            raise FormatError("dims_grid entries must be >= 2")
+        if not grid or any(d < 2 for d in grid):
+            raise FormatError(f"dims_grid must be non-empty with entries >= 2, got {list(grid)}")
         if not 0.0 <= fail_fraction < 1.0:
             raise FormatError("fail_fraction must lie in [0, 1)")
         # checked here, not when the first counterexample is written

@@ -43,19 +43,14 @@ probes, takes at most eight applications (about five on average) instead
 of 256.  Both paths compute the same polynomial; they differ by roundoff
 only.
 
-Each generator caches its last (h, steps): the step map once built, or how
-many integrations in a row ran in K-form.  ``_map_pays`` picks the path by a
-rent-or-buy rule on estimated multiply-add counts, with the K-form charged
-at the RK4 loop's four applications per step, an upper bound on the Horner
-path: M is built once it costs no more than the K-form integrations made
-with this (h, steps) so far, the current one included.  Measured with one
-BLAS thread on a 2.0 GHz Xeon, a one-off 64-step integration takes the map
-up to d_AB = 9 (build 0.4-0.5 ms against 3-6 ms of the RK4 loop) and stays
-in K-form at d_AB = 16 without ancillas (build 7-9 ms against 4-9 ms of
-the loop, 0.1-0.4 ms in Horner form at t <= 1e-3), where a repeated one
-builds M on its second use; the 2 ⊗ (4 ⊗ 4) ⊗ 2 time series of ``entrate
-simulate`` builds M on its first segment (7-9 ms against 18-26 ms of the
-loop) and reuses it for the rest.
+The caller picks the path.  ``evolve``, the one time-series entry point,
+asks the generator for the step map of its (h, steps), which is built on the
+first request and kept until another (h, steps) replaces it: the 49 equal
+segments of an ``entrate simulate`` series share one build.  ``_integrate``
+applies the kept map when the generator holds one for its (h, steps) and
+otherwise runs in K-form, so the one-off integrations of the rate probes and
+``convergence_order`` build none; a theorem2 probe takes about five
+generator applications, less than a build costs.
 """
 
 from __future__ import annotations
@@ -92,11 +87,6 @@ __all__ = [
 # post-integration sanity thresholds on trace and positivity drift
 DRIFT_TOL = 1e-8
 
-# fixed cost of one small K-form product in multiply-add units (about 6 µs
-# of numpy call overhead at ~0.2 ns per complex multiply-add, one BLAS
-# thread, 2.0 GHz Xeon); it sets the crossover of ``_map_pays``
-KFORM_CALL_COST = 30_000
-
 # the K-form path drops the terms of T4(hS)^steps whose summed norm is at
 # most this, relative to the norm of rho's block
 HORNER_TAIL = 1e-18
@@ -131,8 +121,8 @@ class LindbladGenerator:
 
     ``hamiltonian`` may be None for purely dissipative dynamics, and an empty
     ``lindblad_ops`` tuple gives closed (unitary) dynamics.  The effective
-    operator K = H - (i/2) sum L† L is formed once at construction; the last
-    RK4 step map built for this generator is cached on it.
+    operator K = H - (i/2) sum L† L is formed once at construction; the RK4
+    step map that ``evolve`` asked for last is kept on it.
     """
 
     dims: DimensionSignature
@@ -158,22 +148,16 @@ class LindbladGenerator:
         object.__setattr__(self, "_k", k)
         object.__setattr__(self, "_map_cache", {})
 
-    def _step_map(self, h: float, steps: int) -> np.ndarray | None:
-        """T4(hS)^steps, real in the coordinates Re X + Im X, once building
-        it pays (see ``_map_pays``), else None.
+    def _step_map(self, h: float, steps: int) -> np.ndarray:
+        """T4(hS)^steps, real in the coordinates Re X + Im X.
 
-        Only the last (h, steps) is kept, with the number of consecutive
-        integrations that used it; any other step size or count replaces it.
+        Built on the first request and kept; a request for any other step
+        size or count replaces it.  Only ``evolve`` asks (module docstring).
         """
-        key = (h, steps)
-        uses, m = self._map_cache.get(key, (0, None))
-        if m is None:
-            uses += 1
-            if _map_pays(self, steps, uses):
-                m = _build_step_map(self._k, self.lindblad_ops, h, steps)
+        if (h, steps) not in self._map_cache:
             self._map_cache.clear()
-            self._map_cache[key] = (uses, m)
-        return m
+            self._map_cache[h, steps] = _build_step_map(self._k, self.lindblad_ops, h, steps)
+        return self._map_cache[h, steps]
 
     @cached_property
     def _norm_bound(self) -> float:
@@ -318,37 +302,17 @@ def _apply_step_map(m: np.ndarray, rho: np.ndarray, dims: DimensionSignature) ->
 
 # ------------------------------------------------------------- integration
 
-def _map_pays(gen: LindbladGenerator, steps: int, uses: int) -> bool:
-    """Build M once the K-form work spent on this (h, steps) would match it.
-
-    Costs are complex multiply-adds: the build is charged bit_length +
-    popcount + 1 real products of size d_AB^2 (two for T4, then binary
-    powering; the extra one stands for assembling S and combining it into
-    Re S + (Im S) P), at half a complex multiply-add each as measured
-    (d_AB = 16, 32 or 64 steps: 7-9 ms real against 18-28 ms for the same
-    products in complex); one K-form integration is charged as the RK4 loop,
-    4 (2 + 2k) products per step, each d_AB^3 times the spectator count plus
-    KFORM_CALL_COST.  The Horner evaluation in ``_integrate`` never applies
-    the generator more often than the loop, so the charge is an upper bound
-    on its work.  A repeated integration builds M by the time that charge has
-    reached the cost of the build.
-    """
-    d_a, ab, d_b, _ = _axes(gen.dims)
-    build = (steps.bit_length() + steps.bit_count() + 1) * ab**6 // 2
-    kform = steps * 4 * (2 + 2 * len(gen.lindblad_ops)) * (ab**3 * (d_a * d_b) ** 2 + KFORM_CALL_COST)
-    return build <= uses * kform
-
-
 def _integrate(gen: LindbladGenerator, rho: np.ndarray, t: float, steps: int) -> np.ndarray:
     """rho after ``steps`` RK4 steps of size t/steps, i.e. T4(hS)^steps rho.
 
-    With the step map (see ``_map_pays``) this is one product.  In K-form the
-    steps go in chunks of m with m h beta <= 1 (beta = ``_norm_bound``), and
-    each chunk is Horner's rule on the coefficients c_0..c_J of T4(x)^m, J
-    generator applications with J <= 4m; a chunk of one step is one RK4 step.
+    With the step map that ``evolve`` keeps on the generator for this (h,
+    steps) this is one product.  Otherwise, in K-form, the steps go in chunks
+    of m with m h beta <= 1 (beta = ``_norm_bound``), and each chunk is
+    Horner's rule on the coefficients c_0..c_J of T4(x)^m, J generator
+    applications with J <= 4m; a chunk of one step is one RK4 step.
     """
     h = t / steps
-    step_map = gen._step_map(h, steps)
+    step_map = gen._map_cache.get((h, steps))
     if step_map is not None:
         return _apply_step_map(step_map, rho, gen.dims)
     apply = _kform(gen._k, gen.lindblad_ops)
@@ -405,7 +369,8 @@ def _drift(m: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def evolve(gen: LindbladGenerator, rho0: DensityMatrix, t: float, steps: int = 1000) -> DensityMatrix:
-    """Integrate for time ``t`` with fixed-step RK4.
+    """Integrate for time ``t`` with fixed-step RK4.  The generator keeps the
+    step map of (t/steps, steps), so each later equal segment is one product.
 
     Raises IntegrationError (with a suggested step count scaled by the
     fourth root of the overshoot) if trace or positivity drift exceeds 1e-8,
@@ -419,6 +384,7 @@ def evolve(gen: LindbladGenerator, rho0: DensityMatrix, t: float, steps: int = 1
     steps = _positive_int(steps, "steps")
     if t == 0:
         return rho0
+    gen._step_map(t / steps, steps)  # for _integrate and the next equal segment
     out = _integrate(gen, rho0.matrix, t, steps)
     drift, lam = _drift(out)
     if drift > DRIFT_TOL:

@@ -162,11 +162,19 @@ def _check_eta_ref(eta_ref) -> None:
 
 # ------------------------------------------------------ one-step quantities
 
+def _same_size(**ops: np.ndarray) -> None:
+    # numpy would broadcast a mis-sized square operand into a wrong value
+    (first, a), *rest = ops.items()
+    for name, b in rest:
+        if b.shape != a.shape:
+            raise ShapeError(f"{first} is {len(a)} x {len(a)} but {name} is {len(b)} x {len(b)}")
+
+
 def hamiltonian_term(h, rho, sigma) -> float:
     """i Tr(H [rho, ln sigma]) — the coherent part of the surrogate rate."""
-    h = as_matrix(h, name="hamiltonian")
-    r = _mat(rho)
-    log_s = matrix_log_on_support(_mat(sigma))
+    h, r, s = as_matrix(h, name="hamiltonian"), _mat(rho), _mat(sigma)
+    _same_size(hamiltonian=h, rho=r, sigma=s)
+    log_s = matrix_log_on_support(s)
     return float(np.real(1j * np.trace(h @ (r @ log_s - log_s @ r))))
 
 
@@ -226,7 +234,9 @@ def dissipative_term(l, x, y) -> complex:
     """Tr(L† [L X, ln Y]) — one jump operator's contribution pattern."""
     l = as_matrix(l, name="jump operator")
     x = as_matrix(x, name="X")
-    log_y = matrix_log_on_support(as_matrix(y, name="Y"))
+    y = as_matrix(y, name="Y")
+    _same_size(L=l, X=x, Y=y)
+    log_y = matrix_log_on_support(y)
     lx = l @ x
     return complex(np.trace(dag(l) @ (lx @ log_y - log_y @ lx)))
 
@@ -242,6 +252,7 @@ def dissipative_term_bound(l, p: float) -> float:
 def _validate_xy(x, y, p: float, tol: float = 1e-8):
     x = as_matrix(x, name="X")
     y = as_matrix(y, name="Y")
+    _same_size(X=x, Y=y)
     if float(np.linalg.eigvalsh(hermitize(x)).min()) < -tol:
         raise InvalidPair("X is not positive semidefinite")
     if float(np.linalg.eigvalsh(hermitize(y - x)).min()) < -tol:
@@ -263,8 +274,8 @@ def dissipative_commutator_check(l, x, y, p: float) -> InequalityResult:
 def mixing_term(h, rho1, rho2, p: float) -> float:
     """i Tr(H [p rho1, ln(p rho1 + (1-p) rho2)])."""
     h = as_matrix(h, name="hamiltonian")
-    r1 = _mat(rho1)
-    r2 = _mat(rho2)
+    r1, r2 = _mat(rho1), _mat(rho2)
+    _same_size(hamiltonian=h, rho1=r1, rho2=r2)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     mix = matrix_log_on_support(p * r1 + (1.0 - p) * r2)
@@ -289,6 +300,7 @@ def commutator_trace_norm_check(a, x) -> InequalityResult:
     """||[A, X]||_1 <= ||A|| ||X||_1 for positive semidefinite A."""
     a = as_matrix(a, name="A")
     x = as_matrix(x, name="X")
+    _same_size(A=a, X=x)
     if float(np.abs(a - dag(a)).max()) > 1e-10 or float(np.linalg.eigvalsh(hermitize(a)).min()) < -1e-10:
         raise InvalidPair("A must be Hermitian positive semidefinite")
     lhs = trace_norm(a @ x - x @ a)

@@ -9,7 +9,6 @@ from entrate.dynamics import (
     LindbladGenerator,
     _horner_degree,
     _integrate,
-    _map_pays,
     _t4_power_coefficients,
     apply_generator,
     convergence_order,
@@ -19,6 +18,7 @@ from entrate.dynamics import (
     generator_to_json,
 )
 from entrate.linalg import ShapeError, tensor
+from entrate.rates import _evolve_tight, mutual_info_rate_fd
 from entrate.states import (
     DensityMatrix,
     DimensionSignature,
@@ -97,36 +97,47 @@ def _random_generator(factors, k, seed):
 
 
 @pytest.mark.parametrize(
-    "factors, uses_map",
-    [((2, 2, 3, 2), True), ((1, 3, 3, 1), True), ((2, 4, 4, 2), True), ((1, 4, 4, 1), False)],
+    "factors",
+    [(2, 2, 3, 2), (1, 3, 3, 1), (2, 4, 4, 2), (1, 4, 4, 1)],
     ids=["ancillas-map", "no-ancilla-map", "d16-ancillas-map", "kform-fallback"],
 )
-def test_block_kernels_match_full_space_rk4(factors, uses_map):
+def test_block_kernels_match_full_space_rk4(factors, monkeypatch):
+    # both paths on every shape: K-form on a fresh generator, then the step
+    # map once one is kept for this (h, steps)
     gen, rho = _random_generator(factors, 2, seed=sum(factors))
-    got = _integrate(gen, rho, 0.3, 48)  # 48 = 0b110000 also exercises the powering's multiply
-    m = gen._map_cache[(0.3 / 48, 48)][1]
-    assert (m is not None) == uses_map
-    assert m is None or m.dtype == np.float64  # kept in the coordinates Re X + Im X
-    assert np.abs(got - _rk4_full(gen, rho, 0.3, 48)).max() <= 1e-13
+    want = _rk4_full(gen, rho, 0.3, 48)
+    kform = _integrate(gen, rho, 0.3, 48)
+    assert not gen._map_cache
+    m = gen._step_map(0.3 / 48, 48)  # 48 = 0b110000 also exercises the powering's multiply
+    assert m.dtype == np.float64  # kept in the coordinates Re X + Im X
+    monkeypatch.setattr(dynamics, "_kform", None)  # the kept map is applied, not the K-form
+    mapped = _integrate(gen, rho, 0.3, 48)
+    monkeypatch.undo()
+    assert list(gen._map_cache) == [(0.3 / 48, 48)]
+    assert np.abs(kform - want).max() <= 1e-13
+    assert np.abs(mapped - want).max() <= 1e-13
     assert np.abs(apply_generator(gen, rho) - _full_space_apply(gen)(rho)).max() <= 1e-13
 
 
 def test_repeated_segments_switch_to_the_step_map():
-    # one K-form integration does not pay for the map at d_AB = 16 without
-    # ancillas; the second with the same (h, steps) does, and the result is
-    # the same RK4 polynomial either way
+    # the first segment of a time series builds the map and every equal
+    # segment after it applies the same object; the result is the same RK4
+    # polynomial either way
     gen, rho = _random_generator((1, 4, 4, 1), 3, seed=11)
     want = _rk4_full(gen, rho, 0.2, 64)
+    state = DensityMatrix(gen.dims, rho)
     seen = []
     for _ in range(3):
-        assert np.abs(_integrate(gen, rho, 0.2, 64) - want).max() <= 1e-13
-        seen.append(gen._map_cache[(0.2 / 64, 64)][1] is not None)
-    assert seen == [False, True, True]
+        assert np.abs(evolve(gen, state, 0.2, 64).matrix - want).max() <= 1e-13
+        seen.append(gen._map_cache[(0.2 / 64, 64)])
+    assert len(gen._map_cache) == 1 and seen[0] is seen[1] is seen[2]
 
 
 def test_new_step_count_rebuilds_the_map():
     gen, rho = _random_generator((2, 2, 2, 1), 1, seed=5)
+    gen._step_map(0.5 / 4, 4)
     coarse = _integrate(gen, rho, 0.5, 4)
+    gen._step_map(0.5 / 8, 8)
     fine = _integrate(gen, rho, 0.5, 8)
     assert np.abs(coarse - _rk4_full(gen, rho, 0.5, 4)).max() <= 1e-13
     assert np.abs(fine - _rk4_full(gen, rho, 0.5, 8)).max() <= 1e-13
@@ -137,10 +148,9 @@ def test_new_step_count_rebuilds_the_map():
 @pytest.mark.parametrize("factors", [(1, 2, 2, 1), (1, 3, 3, 1), (2, 2, 3, 1)])
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 @pytest.mark.parametrize("steps", [1, 48])
-def test_step_map_is_kept_in_re_plus_im_coordinates(factors, k, steps, monkeypatch):
+def test_step_map_is_kept_in_re_plus_im_coordinates(factors, k, steps):
     # oracle: S from np.kron, M = T4(hS)^steps by matrix_power, and the
     # coordinates X -> Re X + Im X as T = ((1 - i) I + (1 + i) P)/2 on vec(X)
-    monkeypatch.setattr(dynamics, "_map_pays", lambda gen, steps, uses: True)
     gen, _ = _random_generator(factors, k, seed=30 + k)
     ab = gen.dims.d_A * gen.dims.d_B
     eye = np.eye(ab)
@@ -166,26 +176,26 @@ def test_kform_horner_matches_full_space_rk4(k, t, steps):
     # chunks at t = 0.3; both are the RK4 polynomial T4(hS)^steps
     gen, rho = _random_generator((1, 4, 4, 1), k, seed=20 + k)
     got = _integrate(gen, rho, t, steps)
-    assert gen._map_cache[(t / steps, steps)][1] is None  # ran in K-form
+    assert not gen._map_cache  # ran in K-form
     assert (t * gen._norm_bound <= 1.0) == (t < 0.3)
     assert np.abs(got - _rk4_full(gen, rho, t, steps)).max() <= 1e-13
 
 
-def test_kform_horner_long_horizons_stay_chunked(monkeypatch):
+def test_kform_horner_long_horizons_stay_chunked():
     # t beta of 50-100: one chunk would sum terms as large as e^(t beta) and
     # lose digits to cancellation; chunks of m h beta <= 1 do not
-    monkeypatch.setattr(dynamics, "_map_pays", lambda gen, steps, uses: False)
     for factors, k, t, steps in [((1, 2, 2, 1), 1, 20.0, 400), ((2, 2, 2, 1), 2, 10.0, 256)]:
         gen, rho = _random_generator(factors, k, seed=40 + k)
         assert t * gen._norm_bound > 50
         assert np.abs(_integrate(gen, rho, t, steps) - _rk4_full(gen, rho, t, steps)).max() <= 1e-13
+        assert not gen._map_cache
 
 
 def test_kform_without_generator_returns_rho():
     gen = LindbladGenerator(DimensionSignature(1, 4, 4, 1))  # S = 0, beta = 0
     rho = random_density(16, 4)
     got = _integrate(gen, rho, 0.5, 64)
-    assert gen._norm_bound == 0.0 and gen._map_cache[(0.5 / 64, 64)][1] is None
+    assert gen._norm_bound == 0.0 and not gen._map_cache
     assert np.array_equal(got, rho)
 
 
@@ -204,22 +214,34 @@ def test_t4_power_coefficients_match_exact_expansion():
 
 
 def test_simulate_shape_builds_the_map_and_one_offs_stay_in_kform():
-    # the time series of ``entrate simulate`` builds the map on its first
-    # segment; a 64-step one-off at d_AB = 16 runs in K-form for any k
-    gen, rho = _random_generator((2, 4, 4, 2), 3, seed=1)
-    _integrate(gen, rho, 0.02, 32)
-    assert gen._map_cache[(0.02 / 32, 32)][1] is not None
-    for k in range(4):
-        gen, rho = _random_generator((1, 4, 4, 1), k, seed=2)
-        _integrate(gen, rho, 1e-3, 64)
-        assert gen._map_cache[(1e-3 / 64, 64)][1] is None, k
+    # evolve keeps exactly one map, for its (h, steps), and the next equal
+    # segment reuses it; the one-off integrations of the rate probes and of
+    # convergence_order keep none.  d_AB = 4, 9 and 16, the last with the
+    # ancillas of the ``entrate simulate`` time series
+    for factors in ((1, 2, 2, 1), (1, 3, 3, 1), (2, 4, 4, 2)):
+        gen, rho = _random_generator(factors, 3, seed=1)
+        first = evolve(gen, DensityMatrix(gen.dims, rho), 0.02, 32)
+        ((key, m),) = gen._map_cache.items()
+        assert key == (0.02 / 32, 32) and m.dtype == np.float64
+        second = evolve(gen, first, 0.02, 32)
+        assert list(gen._map_cache) == [key] and gen._map_cache[key] is m
+        assert np.abs(second.matrix - _rk4_full(gen, first.matrix, 0.02, 32)).max() <= 1e-13, factors
+    for factors in ((1, 2, 2, 1), (1, 3, 3, 1), (1, 4, 4, 1)):
+        for k in range(4):
+            gen, rho = _random_generator(factors, k, seed=2)
+            state = DensityMatrix(gen.dims, rho)
+            _integrate(gen, rho, 1e-3, 64)
+            _evolve_tight(gen, state, 1e-3)
+            convergence_order(gen, state, 0.5, 8)
+            mutual_info_rate_fd(state, gen, 1e-4)
+            assert not gen._map_cache, (factors, k)
 
 
 def test_convergence_order_in_kform():
     gen, _ = _random_generator((1, 4, 4, 1), 1, seed=12)
     rho0 = random_pure(gen.dims, 13).density()
-    assert not any(_map_pays(gen, s, 1) for s in (8, 16, 128))  # every integration in K-form
     order = convergence_order(gen, rho0, 0.5, 8)
+    assert not gen._map_cache  # every integration ran in K-form
     assert order is not None and order >= 3.7
 
 

@@ -243,6 +243,28 @@ def test_mixing_bound_formula_and_check():
         assert res.witness == {"p": 0.25}
 
 
+def test_operands_of_one_identity_must_share_their_size():
+    # a mis-sized operand used to broadcast into a wrong value (mixing_term
+    # with rho2 = [[1.0]]) or the wrong InvalidPair reason (Y - X), or to
+    # fail inside numpy's matmul
+    h4, h2 = random_gue_hamiltonian(4, 0), random_gue_hamiltonian(2, 0)
+    r4, one = random_density(4, seed=1), [[1.0]]
+    x, y = random_xy_pair(2, 0.1, seed=0)
+    cases = [
+        (lambda: mixing_term(h4, r4, one, 0.5), "hamiltonian is 4 x 4 but rho2 is 1 x 1"),
+        (lambda: small_incremental_mixing_check(h4, r4, one, 0.5), "but rho2 is 1 x 1"),
+        (lambda: mixing_term(h2, r4, r4, 0.5), "hamiltonian is 2 x 2 but rho1 is 4 x 4"),
+        (lambda: hamiltonian_term(h2, r4, r4), "hamiltonian is 2 x 2 but rho is 4 x 4"),
+        (lambda: hamiltonian_term(h4, r4, one), "but sigma is 1 x 1"),
+        (lambda: dissipative_commutator_check(np.eye(2), x, one, 0.1), "X is 2 x 2 but Y is 1 x 1"),
+        (lambda: dissipative_term(np.eye(3), x, y), "L is 3 x 3 but X is 2 x 2"),
+        (lambda: commutator_trace_norm_check(np.eye(3), np.eye(2)), "A is 3 x 3 but X is 2 x 2"),
+    ]
+    for run, message in cases:
+        with pytest.raises(ShapeError, match=message):
+            run()
+
+
 def test_commutator_trace_norm_margin_and_domain():
     for s in range(30):
         rng = np.random.default_rng(s)

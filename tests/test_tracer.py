@@ -7,13 +7,21 @@ from pathlib import Path
 
 import numpy as np
 
+import entrate.certify
+import entrate.cli
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_tracer_installs_on_the_library_and_restores_it():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_installs_on_the_library_and_restores_it():
+    tracer = _load_tracer()
     eigh = np.linalg.eigh
     t = tracer.Tracer()
     try:
@@ -22,3 +30,21 @@ def test_tracer_installs_on_the_library_and_restores_it():
     finally:
         t.uninstall()
     assert np.linalg.eigh is eigh
+
+
+def test_tracer_counts_every_integration(tmp_path):
+    # evolve and the rate probes integrate through the names the tracer
+    # wraps: 2 simulate segments of 32 steps and 6 theorem2 probes of 64
+    t = _load_tracer().Tracer()
+    argv = ["simulate", "--dims", "2", "4", "4", "2", "--lindblad-ops", "3", "--t-max", "0.04"]
+    try:
+        t.install()
+        assert entrate.cli.main([*argv, "--samples", "3", "--seed", "0", "--out", str(tmp_path / "sim.csv")]) == 0
+        entrate.certify.run_sweep(entrate.certify.SweepConfig(trials=1, families=("theorem2",), dims_grid=(2, 3)))
+    finally:
+        t.uninstall()
+    got = t.layer_metrics()
+    assert got["dynamics.integrate.calls"] == 8
+    assert got["dynamics.rk4_steps"] == 448
+    assert got["dynamics.evolve.calls"] == 2
+    assert got["rates.integrate_attempts_per_probe"] == 1.0
