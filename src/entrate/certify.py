@@ -151,12 +151,13 @@ class SweepConfig:
         object.__setattr__(self, "tolerances", tols)
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "eta_ref", eta_ref)
-        if not dts or any(t <= 0 for t in dts):
-            raise FormatError(f"delta_ts must be non-empty with entries > 0, got {list(dts)}")
+        # a repeated entry runs its cells twice, as a repeated family would
+        if not dts or any(t <= 0 for t in dts) or len(set(dts)) < len(dts):
+            raise FormatError(f"delta_ts must be non-empty and distinct with entries > 0, got {list(dts)}")
         if self.measure not in ("surrogate", "bruteforce"):
             raise FormatError(f"measure must be 'surrogate' or 'bruteforce', got {self.measure!r}")
-        if not grid or any(d < 2 for d in grid):
-            raise FormatError(f"dims_grid must be non-empty with entries >= 2, got {list(grid)}")
+        if not grid or any(d < 2 for d in grid) or len(set(grid)) < len(grid):
+            raise FormatError(f"dims_grid must be non-empty and distinct with entries >= 2, got {list(grid)}")
         if not 0.0 <= fail_fraction < 1.0:
             raise FormatError("fail_fraction must lie in [0, 1)")
         # checked here, not when the first counterexample is written

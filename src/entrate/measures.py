@@ -18,7 +18,20 @@ weights @ prods, with the stack prods of the products A_i ⊗ B_i built once
 per factor change.  Candidates are scored in batches, each batch from one
 stacked eigh (``_ree_scores``), and the eigendecomposition of the accepted
 candidate is reused for the next gradient, so each sigma is diagonalized
-once.
+once.  The gradient G = D ln(sigma)[rho] takes rho through its support
+factor R (rho = R R†), which keeps it accurate where sigma's eigenvalues are
+tiny.
+
+The see-saw may stop before its first iteration.  D(rho || sigma) is convex
+in sigma with gradient -G, so D(rho || sigma) - E_R(rho) is at most
+min(lambda_max(G), lambda_max(G^{T_B})) - Tr G sigma (``_gap``, two
+eigvalsh); a start within tol by that bound is returned as it is.  Restart 0
+pads the Schmidt mixture of rho's top eigenvector with a maximally mixed
+member of weight eps = 10 * SUPPORT_TOL * n, the least that keeps sigma's
+eigenvalues ten times above the support tolerance.  For a pure state that
+start lies within eps (1 - r/n) of E_R (r the Schmidt rank), and the bound
+certifies it at tol = 1e-9; mixed states and random starts read bounds far
+above tol and iterate as before.
 
 The relative-entropy-of-entanglement routines come in two flavors: an exact
 closed form for pure states (Schmidt entropy, with the dephased Schmidt
@@ -38,7 +51,17 @@ import numpy as np
 # partial_trace is not called here, but perfbench's traced runs wrap
 # the name measures.partial_trace, so it stays importable from this module
 from .linalg import as_matrix, dag, hermitize, partial_trace
-from .states import DensityMatrix, DimensionSignature, PureState, _eigvalsh, _log_on_support, random_density, schmidt
+from .states import (
+    DensityMatrix,
+    DimensionSignature,
+    PureState,
+    _eigvalsh,
+    _finite_real,
+    _log_on_support,
+    _positive_int,
+    random_density,
+    schmidt,
+)
 
 __all__ = [
     "OptimizerStall",
@@ -175,6 +198,12 @@ class SeparableEnsemble:
 
 @dataclass(frozen=True)
 class ReeEstimate:
+    """Result of ``ree_bruteforce``: the best restart's value, ensemble and
+    iteration count.  ``converged`` means the plateau rule stopped that
+    restart's see-saw, or its start was certified within ``tol`` by the
+    duality-gap bound (then ``iterations`` is 0); ``stalled`` means some
+    restart hit the iteration cap."""
+
     value: float
     ensemble: SeparableEnsemble
     iterations: int
@@ -197,17 +226,32 @@ def _ree_scores(rho: DensityMatrix, neg_entropy: float, sigmas: np.ndarray):
     return np.maximum(neg_entropy - _log_overlap(rho, lam, vec, SUPPORT_TOL), 0.0), lam, vec
 
 
-def _log_gradient(r_m: np.ndarray, s_lam: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _log_gradient(r_f: np.ndarray, s_lam: np.ndarray, v: np.ndarray) -> np.ndarray:
     # G = d Tr[rho ln sigma] / d sigma via the divided-difference (Loewner)
-    # matrix of ln on the spectrum (s_lam, v) of sigma; dD/dsigma = -G
+    # matrix of ln on the spectrum (s_lam, v) of sigma; dD/dsigma = -G.
+    # rho enters through its support factor R (rho = R R†): <v_i|rho|v_j> is
+    # taken as (V†R)(V†R)†, whose entries off rho's support are products of
+    # two roundoff-sized numbers, where V† rho V carries ~1e-16 per entry that
+    # the divided differences ~1/lambda amplify at sigma's small eigenvalues
     s_lam = np.clip(s_lam, 1e-300, None)
     log_lam = np.log(s_lam)
     diff = s_lam[:, None] - s_lam[None, :]
     close = np.abs(diff) < 1e-14 * s_lam.max()
     safe = np.where(close, 1.0, diff)
     f = np.where(close, 1.0 / (0.5 * (s_lam[:, None] + s_lam[None, :])), (log_lam[:, None] - log_lam[None, :]) / safe)
-    rt = dag(v) @ r_m @ v
-    return hermitize(v @ (rt * f) @ dag(v))
+    vr = dag(v) @ r_f
+    return hermitize(v @ ((vr @ dag(vr)) * f) @ dag(v))
+
+
+def _gap(g: np.ndarray, sigma: np.ndarray, na: int, nb: int) -> float:
+    # an upper bound on D(rho || sigma) - E_R(rho) from the log gradient G at
+    # sigma: D is convex in sigma with gradient -G, so the excess is at most
+    # max_{a,b} <ab|G|ab> - Tr G sigma (the Frank-Wolfe gap), and
+    # <ab|G|ab> = <a b̄|G^{T_B}|a b̄> is at most both lambda_max(G) and
+    # lambda_max(G^{T_B}); no product oracle is needed
+    g_tb = g.reshape(na, nb, na, nb).transpose(0, 3, 2, 1).reshape(na * nb, na * nb)
+    top = min(np.linalg.eigvalsh(g)[-1], np.linalg.eigvalsh(g_tb)[-1])
+    return float(top - np.vdot(sigma, g).real)
 
 
 def _project_density(m: np.ndarray) -> np.ndarray:
@@ -260,7 +304,11 @@ def _in_chunks(steps: np.ndarray, sizes: tuple[int, ...], evaluate):
 
 
 def _seesaw(rho: DensityMatrix, w, fa, fb, max_iters, tol):
-    r_m = rho.matrix
+    # returns (value, w, fa, fb, iterations, converged); a start that _gap
+    # certifies within tol returns at iteration 0, converged
+    r_lam, r_vec = rho.eigh()
+    live = r_lam > SUPPORT_TOL
+    r_f = r_vec[:, live] * np.sqrt(r_lam[live])
     neg_entropy = -_entropy(rho)
     na, nb = fa.shape[1], fb.shape[1]
     n = na * nb
@@ -270,8 +318,12 @@ def _seesaw(rho: DensityMatrix, w, fa, fb, max_iters, tol):
         return _ree_scores(rho, neg_entropy, sigmas.reshape(-1, n, n))
 
     prods = _products(fa, fb)
-    vals, lam, vec = score(w @ prods)
+    sigma = w @ prods
+    vals, lam, vec = score(sigma)
     value, eig = vals[0], (lam[0], vec[0])
+    g_log = _log_gradient(r_f, *eig)
+    if _gap(g_log, sigma.reshape(n, n), na, nb) <= tol:
+        return value, w, fa, fb, 0, True
     iters = 0
     cap = len(w) + 16  # room for exchange-step members
     for iters in range(1, max_iters + 1):
@@ -279,7 +331,6 @@ def _seesaw(rho: DensityMatrix, w, fa, fb, max_iters, tol):
         # exchange step: mix in the product state the gradient likes best, so
         # the ensemble can escape a conic hull that misses the optimum; score
         # a geometric grid of mixing fractions as one stack and keep the best
-        g_log = _log_gradient(r_m, *eig)
         av, bv = _top_product_vector(g_log, na, nb)
         pa, pb = np.outer(av, av.conj()), np.outer(bv, bv.conj())
         wk, keep = w, np.ones(len(w), dtype=bool)
@@ -302,7 +353,7 @@ def _seesaw(rho: DensityMatrix, w, fa, fb, max_iters, tol):
         # scored in chunks and scanned in order, accepting what a
         # one-at-a-time search would
         for _ in range(60):
-            g_log = _log_gradient(r_m, *eig)
+            g_log = _log_gradient(r_f, *eig)
             slopes = np.clip(np.real(prods @ g_log.T.reshape(-1)), 1e-12, None)
 
             def weight_steps(etas, w=w, slopes=slopes):
@@ -333,7 +384,7 @@ def _seesaw(rho: DensityMatrix, w, fa, fb, max_iters, tol):
                 break
         # projected-gradient step on all factors at a shared backtracked step,
         # the step sizes projected and scored in chunks
-        g_log = _log_gradient(r_m, *eig)
+        g_log = _log_gradient(r_f, *eig)
         grad_a, grad_b = _factor_grads(g_log, w, fa, fb)
         scale = max(np.abs(grad_a).max(), np.abs(grad_b).max(), 1e-300)
 
@@ -352,6 +403,7 @@ def _seesaw(rho: DensityMatrix, w, fa, fb, max_iters, tol):
                 break
         if start - value < tol:
             return value, w, fa, fb, iters, True
+        g_log = _log_gradient(r_f, *eig)  # for the next exchange step
     return value, w, fa, fb, iters, False
 
 
@@ -367,11 +419,21 @@ def ree_bruteforce(
     """See-saw minimization of D(rho || sigma) over explicit separable mixtures.
 
     Restart 0 is deterministic: product projectors from the Schmidt vectors of
-    the dominant eigenvector of rho, plus one maximally mixed member so the
+    the dominant eigenvector of rho, weighted by its Schmidt coefficients,
+    plus one maximally mixed member of weight 10 * SUPPORT_TOL * n so the
     candidate stays full rank.  Later restarts are random.  The best value
     across restarts wins (ties to the earliest restart); if a restart hits the
     iteration cap an OptimizerStall warning is emitted and the best value so
     far is still returned.
+
+    Each restart first bounds its start's distance to the optimum by the
+    Frank-Wolfe duality gap, min(lambda_max(G), lambda_max(G^{T_B})) -
+    Tr G sigma with G the log gradient, and returns the start at 0 iterations
+    when that is at most ``tol``; a pure state's restart 0 always does.
+    Otherwise it iterates until one outer iteration improves by less than
+    ``tol``.  ``converged`` means either stop.  ``restarts``, ``max_iters``
+    and ``ensemble_size`` are integers >= 1 (>= 2 for ``ensemble_size``)
+    and ``tol`` a finite number > 0; anything else raises ValueError.
 
     Each step scores its candidates in batches: the exchange step's 12 mixing
     fractions in one stack, the weight and factor line searches in chunks
@@ -382,11 +444,13 @@ def ree_bruteforce(
     """
     if rho.dims.total > BRUTEFORCE_DIM_CAP:
         raise ValueError(f"brute-force REE limited to total dimension <= {BRUTEFORCE_DIM_CAP}")
-    if restarts < 1:
-        raise ValueError("need at least one restart")
+    restarts = _positive_int(restarts, "restarts")
+    max_iters = _positive_int(max_iters, "max_iters")
+    if _finite_real(tol, "tol", "finite and > 0") <= 0:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     dims = rho.dims
     na, nb = dims.alice, dims.bob
-    m = ensemble_size if ensemble_size is not None else (na * nb) ** 2
+    m = _positive_int(ensemble_size, "ensemble_size") if ensemble_size is not None else (na * nb) ** 2
     if m < 2:
         raise ValueError("ensemble_size must be at least 2")
     rng = np.random.default_rng(seed)
@@ -405,7 +469,10 @@ def ree_bruteforce(
                 fb[n] = np.outer(sd.right[:, n], np.conjugate(sd.right[:, n]))
             fa[k] = np.eye(na) / na
             fb[k] = np.eye(nb) / nb
-            w = np.append(sd.coefficients * (1.0 - 1e-6), 1e-6)
+            # the least padding that keeps sigma's eigenvalues ten times above
+            # the support tolerance (a pure state then starts certified)
+            eps = 10.0 * SUPPORT_TOL * dims.total
+            w = np.append(sd.coefficients * (1.0 - eps), eps)
             w /= w.sum()
         else:
             w = rng.dirichlet(np.ones(m))

@@ -41,8 +41,17 @@ def test_config_rejects_bad_values():
         SweepConfig(dims_grid=(1, 2))
     with pytest.raises(FormatError):
         SweepConfig(delta_ts=(0.0,))
-    # nothing to certify, or a family counted twice, is not an ok certificate
-    for bad in ({"families": ()}, {"dims_grid": ()}, {"delta_ts": ()}, {"families": ("prop1", "prop1")}):
+    # nothing to certify, or a family or cell counted twice, is not an ok certificate
+    for bad in (
+        {"families": ()},
+        {"dims_grid": ()},
+        {"delta_ts": ()},
+        {"families": ("prop1", "prop1")},
+        {"dims_grid": (2, 2)},
+        {"dims_grid": (2, 3, np.int64(2))},
+        {"delta_ts": (1e-3, 1e-3)},
+        {"delta_ts": (1e-3, 1e-4, 0.001)},
+    ):
         with pytest.raises(FormatError):
             SweepConfig(**bad)
     for bad in (float("nan"), float("inf"), "nan", True):  # non-finite or not a number

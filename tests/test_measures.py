@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -148,6 +150,29 @@ def test_bruteforce_validates_inputs():
         ree_bruteforce(small, restarts=0)
     with pytest.raises(ValueError):
         ree_bruteforce(small, ensemble_size=1)
+    # counts are exact integers >= 1 and tol a finite number > 0, checked
+    # before any see-saw runs
+    bad = [
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"tol": -1.0},
+        {"tol": 0.0},
+        {"tol": True},
+        {"tol": "1e-9"},
+        {"max_iters": 0},
+        {"max_iters": True},
+        {"max_iters": 2.5},
+        {"restarts": 1.5},
+        {"restarts": True},
+        {"ensemble_size": 2.5},
+        {"ensemble_size": True},
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValueError):
+            ree_bruteforce(small, **kwargs)
+    pure = random_pure(DimensionSignature.cut(2, 2), 0).density()
+    est = ree_bruteforce(pure, restarts=np.int64(1), max_iters=np.int64(2), ensemble_size=np.int64(3), tol=np.float64(1e-9))
+    assert est.iterations == 0 and est.converged  # numpy integers and floats are taken
 
 
 def test_bruteforce_deterministic_per_seed():
@@ -239,12 +264,14 @@ def test_mutual_information_marginals_are_partial_traces(monkeypatch, factors):
 
 # (d_A, d_B, state seed, restarts, ree seed) -> iterations of each restart and
 # the best value, as recorded before the see-saw scored its candidates in
-# batches; values may move by roundoff, pinned to the see-saw's own tol 1e-9
+# batches; values may move by roundoff, pinned to the see-saw's own tol 1e-9.
+# Restart 0 of a pure state starts certified within tol, so it takes 0
+# iterations
 SEESAW_PINS = [
-    ((2, 2, 11, 1, 0), [2], 0.6231618602054644),
-    ((2, 3, 12, 1, 0), [2], 0.4865414770295764),
-    ((3, 2, 13, 1, 0), [2], 0.33739125479907844),
-    ((2, 2, 43, 2, 3), [2, 68], 0.454903452157855),  # restart 1 is random
+    ((2, 2, 11, 1, 0), [0], 0.6231618602054644),
+    ((2, 3, 12, 1, 0), [0], 0.4865414770295764),
+    ((3, 2, 13, 1, 0), [0], 0.33739125479907844),
+    ((2, 2, 43, 2, 3), [0, 68], 0.454903452157855),  # restart 1 is random
 ]
 
 
@@ -264,6 +291,150 @@ def test_bruteforce_regression_pins(monkeypatch, case, iterations, value):
     est = ree_bruteforce(psi.density(), restarts=restarts, seed=seed)
     assert seen == iterations
     assert est.value == pytest.approx(value, abs=1e-9)
+
+
+def _pure_corpus():
+    # random, product and maximally entangled pure states on 2⊗2, 2⊗3, 3⊗3
+    for da, db in ((2, 2), (2, 3), (3, 3)):
+        dims = DimensionSignature.cut(da, db)
+        for seed in range(4):
+            yield random_pure(dims, (da, db, seed))
+        rng = np.random.default_rng((da, db))
+        va = rng.normal(size=da) + 1j * rng.normal(size=da)
+        vb = rng.normal(size=db) + 1j * rng.normal(size=db)
+        yield PureState(dims, np.kron(va / np.linalg.norm(va), vb / np.linalg.norm(vb)))
+        k = min(da, db)
+        yield PureState(dims, np.eye(da, db).reshape(-1) / np.sqrt(k))
+
+
+def _support_factor(rho):
+    lam, vec = rho.eigh()
+    live = lam > measures.SUPPORT_TOL
+    return vec[:, live] * np.sqrt(lam[live])
+
+
+def _restart0_start(monkeypatch, psi):
+    # the separable state restart 0 of ree_bruteforce starts the see-saw from
+    starts = []
+    seesaw = measures._seesaw
+
+    def recording(rho, w, fa, fb, *args):
+        starts.append(measures.SeparableEnsemble(rho.dims, w, fa, fb).assemble().matrix)
+        return seesaw(rho, w, fa, fb, *args)
+
+    monkeypatch.setattr(measures, "_seesaw", recording)
+    ree_bruteforce(psi.density(), restarts=1)
+    monkeypatch.undo()
+    return starts[0]
+
+
+def test_gap_bounds_the_excess_over_the_schmidt_entropy(monkeypatch):
+    # D(rho||sigma) - E_R(rho) <= _gap at every separable sigma, here the
+    # padded Schmidt mixture mixed with random product ensembles; at the
+    # padded start itself the bound certifies within the see-saw's tol
+    for psi in _pure_corpus():
+        rho = psi.density()
+        dims = psi.dims
+        na, nb = dims.alice, dims.bob
+        exact = schmidt(psi).entropy()
+        r_f = _support_factor(rho)
+        start = _restart0_start(monkeypatch, psi)
+        rng = np.random.default_rng(dims.total)
+        for t in (0.0, 1e-9, 1e-6, 1e-3, 0.1, 0.5):
+            m = 4
+            w = rng.dirichlet(np.ones(m))
+            fa = np.stack([random_density(na, rng) for _ in range(m)])
+            fb = np.stack([random_density(nb, rng) for _ in range(m)])
+            other = measures.SeparableEnsemble(dims, w, fa, fb).assemble().matrix
+            sigma = (1.0 - t) * start + t * other
+            lam, vec = np.linalg.eigh(sigma)
+            gap = measures._gap(measures._log_gradient(r_f, lam, vec), sigma, na, nb)
+            assert relative_entropy(rho, sigma) - exact <= gap + 1e-12
+            if t == 0.0:
+                assert gap <= 1e-9
+
+
+def test_log_gradient_matches_the_closed_form_at_the_padded_start(monkeypatch):
+    # at the padded Schmidt mixture sigma and rho = |psi><psi| are both
+    # diagonal in the Schmidt product basis v_k = l_k ⊗ r_k, so
+    # G = sum_kl sqrt(p_k p_l) f(s_k, s_l) |v_k><v_l| with s_k = <v_k|sigma|v_k>
+    # and f the divided difference of ln; V† rho V instead of the support
+    # factor misses this by about 4e-6 in the largest entry
+    for psi in _pure_corpus():
+        rho = psi.density()
+        start = _restart0_start(monkeypatch, psi)
+        sd = schmidt(psi)
+        p = sd.coefficients
+        v = np.einsum("ik,jk->ijk", sd.left, sd.right).reshape(psi.dims.total, p.size)
+        s = np.real(np.einsum("ik,ij,jk->k", v.conj(), start, v))
+        x, y = s[:, None], s[None, :]
+        rel = (x - y) / y
+        f = np.where(rel == 0.0, 1.0 / y, np.log1p(rel) / np.where(rel == 0.0, 1.0, x - y))
+        want = (v * np.sqrt(p)) @ f @ (v * np.sqrt(p)).conj().T
+        lam, vec = np.linalg.eigh(start)
+        got = measures._log_gradient(_support_factor(rho), lam, vec)
+        assert np.abs(got - want).max() <= 1e-10
+
+
+def _isotropic(d, fid):
+    phi = np.eye(d).reshape(-1) / np.sqrt(d)
+    proj = np.outer(phi, phi)
+    return fid * proj + (1.0 - fid) * (np.eye(d * d) - proj) / (d * d - 1)
+
+
+def _isotropic_ree(d, fid):
+    # Rains; Vollbrecht & Werner: the relative entropy of entanglement of the
+    # isotropic state of fidelity F >= 1/d
+    return math.log(d) + fid * math.log(fid) + (1.0 - fid) * math.log((1.0 - fid) / (d - 1))
+
+
+def _mub_ensemble(d):
+    # the product states |e><e| ⊗ |ē><ē| over a complete set of mutually
+    # unbiased bases of C^d (d = 2 or an odd prime), equally weighted: a
+    # 2-design, so the mixture is the isotropic state at F = 1/d, the closest
+    # separable state to every isotropic state with F >= 1/d
+    if d == 2:
+        bases = [np.eye(2), np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.array([[1, 1], [1j, -1j]]) / np.sqrt(2)]
+    else:
+        j = np.arange(d)
+        omega = np.exp(2j * np.pi / d)
+        bases = [np.eye(d)] + [omega ** (b * j[:, None] ** 2 + j[:, None] * j[None, :]) / np.sqrt(d) for b in range(d)]
+    kets = np.concatenate([np.asarray(b, dtype=complex).T for b in bases])
+    fa = np.einsum("ki,kj->kij", kets, kets.conj())
+    fb = fa.conj()
+    return np.full(len(kets), 1.0 / len(kets)), fa, fb
+
+
+def test_certified_isotropic_values_meet_the_closed_form(monkeypatch):
+    # whenever the see-saw stops at iteration 0 on an isotropic state, its
+    # value is within tol of the exact E_R; started at the exact minimizer it
+    # does stop there, and from ree_bruteforce's restart 0 (the padded Schmidt
+    # mixture of rho's top eigenvector) its value never undercuts E_R
+    tol = 1e-9
+    runs = []
+    seesaw = measures._seesaw
+
+    def recording(*args):
+        out = seesaw(*args)
+        runs.append(out)
+        return out
+
+    monkeypatch.setattr(measures, "_seesaw", recording)
+    for d in (2, 3):
+        dims = DimensionSignature.cut(d, d)
+        w, fa, fb = _mub_ensemble(d)
+        assert np.abs(measures.SeparableEnsemble(dims, w, fa, fb).assemble().matrix - _isotropic(d, 1.0 / d)).max() <= 1e-12
+        for fid in (0.5, 0.6, 0.8):
+            rho = DensityMatrix(dims, _isotropic(d, fid))
+            exact = _isotropic_ree(d, fid)
+            runs.clear()
+            measures._seesaw(rho, w, fa, fb, 300, tol)
+            ree_bruteforce(rho, restarts=1)
+            assert runs[0][4] == 0 and runs[0][5]
+            for value, *_, iters, _ in runs:
+                assert value >= exact - tol
+                if iters == 0:
+                    assert abs(value - exact) <= tol
 
 
 @settings(max_examples=25, deadline=None)

@@ -48,3 +48,18 @@ def test_tracer_counts_every_integration(tmp_path):
     assert got["dynamics.rk4_steps"] == 448
     assert got["dynamics.evolve.calls"] == 2
     assert got["rates.integrate_attempts_per_probe"] == 1.0
+
+
+def test_tracer_counts_no_seesaw_iterations_under_axioms():
+    # axioms cross-checks the see-saw on pure states only, where restart 0
+    # starts certified within tol: one see-saw per cell with d_A d_B <= 6
+    # (2⊗2, 2⊗3, 3⊗2), none of which iterates
+    t = _load_tracer().Tracer()
+    try:
+        t.install()
+        entrate.certify.run_sweep(entrate.certify.SweepConfig(families=("axioms",), trials=1, dims_grid=(2, 3)))
+    finally:
+        t.uninstall()
+    got = t.layer_metrics()
+    assert got["measures.ree_bruteforce.calls"] == 3
+    assert got["measures.seesaw_iterations"] == 0
