@@ -48,7 +48,7 @@ for k in range(11):
     min_eig = float(np.linalg.eigvalsh(m).min())
     purity = float(np.real(np.trace(m @ m)))
     mi = mutual_information(state)
-    dist = relative_entropy(state, reference, support_tol=1e-15)
+    dist = relative_entropy(state, reference)
     print(f"{t:6.2f} {trace_err:10.1e} {min_eig:10.2e} {purity:8.4f} {mi:12.6f} {dist:12.6f}")
 
 print()

@@ -44,13 +44,15 @@ of 256.  Both paths compute the same polynomial; they differ by roundoff
 only.
 
 The caller picks the path.  ``evolve``, the one time-series entry point,
-asks the generator for the step map of its (h, steps), which is built on the
-first request and kept until another (h, steps) replaces it: the 49 equal
-segments of an ``entrate simulate`` series share one build.  ``_integrate``
-applies the kept map when the generator holds one for its (h, steps) and
-otherwise runs in K-form, so the one-off integrations of the rate probes and
-``convergence_order`` build none; a theorem2 probe takes about five
-generator applications, less than a build costs.
+asks the generator for the step map of its (h, steps) when d_AB <= 16
+(``STEP_MAP_MAX_AB``), which is built on the first request and kept until
+another (h, steps) replaces it: the 49 equal segments of an ``entrate
+simulate`` series share one build.  Above that the build costs more than
+the K-form segments it would replace, so ``evolve`` runs in K-form too.
+``_integrate`` applies the kept map when the generator holds one for its
+(h, steps) and otherwise runs in K-form, so the one-off integrations of the
+rate probes and ``convergence_order`` build none; a theorem2 probe takes
+about five generator applications, less than a build costs.
 """
 
 from __future__ import annotations
@@ -86,6 +88,13 @@ __all__ = [
 
 # post-integration sanity thresholds on trace and positivity drift
 DRIFT_TOL = 1e-8
+
+# evolve builds the step map only up to this d_AB.  The build grows as d_AB^6
+# and a K-form segment as d_AB^3: a 49-segment series of 32 steps with three
+# jump operators (one BLAS thread) took 0.015 s with the map and 0.135 s in
+# K-form at d_AB = 16 (dims 2 4 4 2), but 0.374 s against 0.078 s at d_AB = 32
+# (dims 1 4 8 1); at 64 the map is estimated at about 20 s and several hundred MB
+STEP_MAP_MAX_AB = 16
 
 # the K-form path drops the terms of T4(hS)^steps whose summed norm is at
 # most this, relative to the norm of rho's block
@@ -369,8 +378,9 @@ def _drift(m: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def evolve(gen: LindbladGenerator, rho0: DensityMatrix, t: float, steps: int = 1000) -> DensityMatrix:
-    """Integrate for time ``t`` with fixed-step RK4.  The generator keeps the
-    step map of (t/steps, steps), so each later equal segment is one product.
+    """Integrate for time ``t`` with fixed-step RK4.  Up to d_AB = 16 the
+    generator keeps the step map of (t/steps, steps), so each later equal
+    segment is one product; larger blocks run in K-form.
 
     Raises IntegrationError (with a suggested step count scaled by the
     fourth root of the overshoot) if trace or positivity drift exceeds 1e-8,
@@ -384,7 +394,8 @@ def evolve(gen: LindbladGenerator, rho0: DensityMatrix, t: float, steps: int = 1
     steps = _positive_int(steps, "steps")
     if t == 0:
         return rho0
-    gen._step_map(t / steps, steps)  # for _integrate and the next equal segment
+    if gen.dims.d_A * gen.dims.d_B <= STEP_MAP_MAX_AB:
+        gen._step_map(t / steps, steps)  # for _integrate and the next equal segment
     out = _integrate(gen, rho0.matrix, t, steps)
     drift, lam = _drift(out)
     if drift > DRIFT_TOL:

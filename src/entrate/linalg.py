@@ -103,20 +103,18 @@ def eigh(m) -> EigenDecomposition:
     return EigenDecomposition(vals[::-1].copy(), vecs[:, ::-1].copy())
 
 
-def matrix_log_on_support(m, floor: float = LOG_FLOOR) -> np.ndarray:
-    """Hermitian log with the spectrum clamped at ``floor``.
+def matrix_log_on_support(m) -> np.ndarray:
+    """Hermitian log with the spectrum clamped at ``LOG_FLOOR``.
 
-    Eigenvalues below the floor are treated as ``floor`` before taking logs,
-    which keeps the result finite on (numerically) rank-deficient inputs.
-    Raises NotPositive if the spectrum dips below -1e-10.
+    Eigenvalues below the floor are treated as ``LOG_FLOOR`` before taking
+    logs, which keeps the result finite on (numerically) rank-deficient
+    inputs.  Raises NotPositive if the spectrum dips below -1e-10.
     """
-    if floor <= 0.0:
-        raise ValueError(f"floor must be positive, got {floor}")
     dec = eigh(m)
     lo = float(dec.eigenvalues.min()) if dec.eigenvalues.size else 0.0
     if lo < -1e-10:
         raise NotPositive(f"matrix has eigenvalue {lo:.3e} < -1e-10")
-    logs = np.log(np.maximum(dec.eigenvalues, floor))
+    logs = np.log(np.maximum(dec.eigenvalues, LOG_FLOOR))
     u = dec.eigenvectors
     return (u * logs) @ np.conjugate(u).T
 

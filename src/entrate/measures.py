@@ -1,15 +1,16 @@
 """Entropies, relative entropy, and entanglement measures across aA | Bb.
 
 D(rho || sigma) = -S(rho) - Tr rho ln sigma.  ``relative_entropy`` takes
-Tr rho ln sigma as one Frobenius contraction Re<L_sigma, rho> with
-L_sigma = ln sigma on its support; a DensityMatrix sigma keeps L_sigma
-(built once from the eigendecomposition it keeps), so against a fixed
-reference each call costs O(n^2) beyond the spectrum of rho, which a
-DensityMatrix rho keeps too.  Raw arrays are diagonalized on the spot.  The
-see-saw scores a stack of candidates, each once, so ``_log_overlap`` takes
-the overlap there from each candidate's eigenvector weights instead.  Both
-share the +inf leak rule of ``_leaks``.  ``mutual_information`` takes both
-marginals as traces of rho's matrix, also O(n^2).
+Tr rho ln sigma as one Frobenius contraction Re<L_sigma, rho> with L_sigma =
+ln sigma on its support, the eigenvalues above ``states.SUPPORT_TOL``; a
+DensityMatrix sigma keeps L_sigma (built once from its eigendecomposition),
+so against a fixed reference each call costs O(n^2) beyond the spectrum of
+rho, which a DensityMatrix rho keeps too.  Raw arrays are diagonalized on
+the spot.  The see-saw scores a stack of candidates, each once, so
+``_log_overlap`` takes the overlap there from each candidate's eigenvector
+weights instead.  Both share the +inf leak rule of ``_leaks``, at the same
+threshold.  ``mutual_information`` takes both marginals as traces of rho's
+matrix, also O(n^2).
 
 The see-saw holds rho fixed, so rho is diagonalized once per call (its kept
 spectrum gives -S(rho), its kept eigenvectors the support a candidate must
@@ -31,7 +32,8 @@ member of weight eps = 10 * SUPPORT_TOL * n, the least that keeps sigma's
 eigenvalues ten times above the support tolerance.  For a pure state that
 start lies within eps (1 - r/n) of E_R (r the Schmidt rank), and the bound
 certifies it at tol = 1e-9; mixed states and random starts read bounds far
-above tol and iterate as before.
+above tol and iterate as before.  No restart follows a certified one: every
+separable sigma scores at least E_R, so it could gain at most tol.
 
 The relative-entropy-of-entanglement routines come in two flavors: an exact
 closed form for pure states (Schmidt entropy, with the dephased Schmidt
@@ -52,6 +54,7 @@ import numpy as np
 # the name measures.partial_trace, so it stays importable from this module
 from .linalg import as_matrix, dag, hermitize, partial_trace
 from .states import (
+    SUPPORT_TOL,
     DensityMatrix,
     DimensionSignature,
     PureState,
@@ -74,7 +77,6 @@ __all__ = [
     "ree_bruteforce",
 ]
 
-SUPPORT_TOL = 1e-12
 BRUTEFORCE_DIM_CAP = 16
 
 
@@ -116,39 +118,39 @@ def von_neumann_entropy(rho) -> float:
     return _entropy(_operand(rho))
 
 
-def _leaks(r, s_lam: np.ndarray, s_vec: np.ndarray, support_tol: float):
+def _leaks(r, s_lam: np.ndarray, s_vec: np.ndarray):
     # whether rho leaks out of the support of sigma, as relative_entropy
     # documents, for sigma given by its eigendecomposition: a bool, or one
     # per sigma of a stack; rho is diagonalized only if some sigma is rank
     # deficient
-    null = s_lam <= support_tol
+    null = s_lam <= SUPPORT_TOL
     if not null.any():
         return False
     r_lam, r_vec = _eigh(r)
-    live = r_vec[:, r_lam > support_tol]
+    live = r_vec[:, r_lam > SUPPORT_TOL]
     if not live.size:
         return False
     leak = np.abs(np.conjugate(s_vec).swapaxes(-1, -2) @ live) ** 2
-    return (leak * null[..., None]).sum(axis=-2).max(axis=-1) > support_tol
+    return (leak * null[..., None]).sum(axis=-2).max(axis=-1) > SUPPORT_TOL
 
 
-def _log_overlap(r, s_lam: np.ndarray, s_vec: np.ndarray, support_tol: float) -> np.ndarray:
+def _log_overlap(r, s_lam: np.ndarray, s_vec: np.ndarray) -> np.ndarray:
     # Tr rho ln sigma on the support of each sigma of a stack given by its
     # eigendecomposition, from the eigenvector weights <v_j|rho|v_j>, or -inf
     # on a leak
-    null = s_lam <= support_tol
+    null = s_lam <= SUPPORT_TOL
     weights = np.real(np.einsum("...ij,...ij->...j", np.conjugate(s_vec), _raw(r) @ s_vec))
     out = np.where(null, 0.0, np.log(np.where(null, 1.0, s_lam)) * weights).sum(axis=-1)
     if null.any():
-        out = np.where(_leaks(r, s_lam, s_vec, support_tol), -np.inf, out)
+        out = np.where(_leaks(r, s_lam, s_vec), -np.inf, out)
     return out
 
 
-def relative_entropy(rho, sigma, *, support_tol: float = SUPPORT_TOL) -> float:
+def relative_entropy(rho, sigma) -> float:
     """Umegaki relative entropy Tr rho (ln rho - ln sigma).
 
     Returns +inf exactly when some eigenvector of rho with eigenvalue above
-    ``support_tol`` has squared overlap above ``support_tol`` with the null
+    ``SUPPORT_TOL`` has squared overlap above ``SUPPORT_TOL`` with the null
     space of sigma; otherwise both logs are taken on their joint support.
     The result is clamped at zero.
     """
@@ -156,12 +158,9 @@ def relative_entropy(rho, sigma, *, support_tol: float = SUPPORT_TOL) -> float:
     if _raw(r).shape != _raw(s).shape:
         raise ValueError(f"shape mismatch {_raw(r).shape} vs {_raw(s).shape}")
     lam, vec = _eigh(s)
-    if _leaks(r, lam, vec, support_tol):
+    if _leaks(r, lam, vec):
         return math.inf
-    if isinstance(s, DensityMatrix):
-        log_s = s.log_on_support(support_tol)
-    else:
-        log_s = _log_on_support(lam, vec, support_tol)
+    log_s = s.log_on_support() if isinstance(s, DensityMatrix) else _log_on_support(lam, vec)
     return max(-_entropy(r) - float(np.vdot(log_s, _raw(r)).real), 0.0)
 
 
@@ -201,8 +200,8 @@ class ReeEstimate:
     """Result of ``ree_bruteforce``: the best restart's value, ensemble and
     iteration count.  ``converged`` means the plateau rule stopped that
     restart's see-saw, or its start was certified within ``tol`` by the
-    duality-gap bound (then ``iterations`` is 0); ``stalled`` means some
-    restart hit the iteration cap."""
+    duality-gap bound (then ``iterations`` is 0, and no later restart was
+    run); ``stalled`` means some restart hit the iteration cap."""
 
     value: float
     ensemble: SeparableEnsemble
@@ -223,7 +222,7 @@ def _ree_scores(rho: DensityMatrix, neg_entropy: float, sigmas: np.ndarray):
     # stack, +inf on a leak, from one stacked eigh; that eigh is returned too,
     # so the gradient at an accepted candidate does not diagonalize it again
     lam, vec = np.linalg.eigh(hermitize(sigmas))
-    return np.maximum(neg_entropy - _log_overlap(rho, lam, vec, SUPPORT_TOL), 0.0), lam, vec
+    return np.maximum(neg_entropy - _log_overlap(rho, lam, vec), 0.0), lam, vec
 
 
 def _log_gradient(r_f: np.ndarray, s_lam: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -430,10 +429,13 @@ def ree_bruteforce(
     Frank-Wolfe duality gap, min(lambda_max(G), lambda_max(G^{T_B})) -
     Tr G sigma with G the log gradient, and returns the start at 0 iterations
     when that is at most ``tol``; a pure state's restart 0 always does.
-    Otherwise it iterates until one outer iteration improves by less than
-    ``tol``.  ``converged`` means either stop.  ``restarts``, ``max_iters``
-    and ``ensemble_size`` are integers >= 1 (>= 2 for ``ensemble_size``)
-    and ``tol`` a finite number > 0; anything else raises ValueError.
+    Every separable sigma scores at least E_R, so a later restart could lower
+    a certified value by at most ``tol``: no further restart is run after one
+    that is certified.  Otherwise a restart iterates until one outer
+    iteration improves by less than ``tol``.  ``converged`` means either
+    stop.  ``restarts``, ``max_iters`` and ``ensemble_size`` are integers
+    >= 1 (>= 2 for ``ensemble_size``) and ``tol`` a finite number > 0;
+    anything else raises ValueError.
 
     Each step scores its candidates in batches: the exchange step's 12 mixing
     fractions in one stack, the weight and factor line searches in chunks
@@ -492,6 +494,8 @@ def ree_bruteforce(
             )
         if best is None or value < best[0]:
             best = (value, SeparableEnsemble(dims, w, fa, fb), iters, converged)
+        if iters == 0:
+            break  # a certified start: no later restart can gain more than tol
     value, ensemble, iterations, converged = best
     return ReeEstimate(
         value=max(float(value), 0.0),

@@ -20,7 +20,8 @@ A pure state's projector and its dephased Schmidt mixture, both smoothed by
 eta, are diagonal in the Schmidt product basis v_n = l_n ⊗ r_n.  With
 f = eta/n their logs are ln f + a |psi><psi| and ln f + sum_n b_n |v_n><v_n|,
 where a = ln((1 - eta + f)/f) and b_n = ln(((1 - eta) p_n + f)/f).  The
-analytic rate and the coherent-term check use these: no log, no eigensolver.
+analytic rate, the coherent-term check and the finite-difference probes (at
+eta = eta_ref) use these: no reference matrix, no log, no eigensolver.
 
 The closed-form bounds (``entangling_rate_bound`` and friends) are what the
 certification sweeps compare the measured rates against.
@@ -44,7 +45,7 @@ from .linalg import (
     partial_trace,
     trace_norm,
 )
-from .measures import _mat, mutual_information, relative_entropy, ree_bruteforce
+from .measures import _mat, mutual_information, relative_entropy, ree_bruteforce, von_neumann_entropy
 from .states import (
     DegenerateCut,
     DensityMatrix,
@@ -58,7 +59,6 @@ from .states import (
     convex_split_witness,
     random_density,
     schmidt,
-    smooth,
 )
 
 __all__ = [
@@ -457,7 +457,7 @@ def surrogate_rate_analytic(
 def _surrogate_step(
     psi: PureState, gen: LindbladGenerator, delta_t: float, eta_ref: float
 ) -> tuple[SchmidtDecomposition, DensityMatrix, float]:
-    # (schmidt(psi), rho_dt, D(rho_dt || reference)) against the regularized Schmidt reference
+    # (schmidt(psi), rho_dt, D(rho_dt || reference)), ln reference in closed form (module docstring)
     if psi.dims.d < 2:
         raise DegenerateCut("d = 1 cut: no entanglement is possible across it")
     if _finite_real(delta_t, "delta_t", "finite and > 0") <= 0:
@@ -466,12 +466,11 @@ def _surrogate_step(
         raise ValueError("state and generator live on different spaces")
     _check_eta_ref(eta_ref)
     sd = schmidt(psi)
-    reference = smooth(closest_separable_state(sd), eta_ref)
     rho_dt = _evolve_tight(gen, psi.density(), delta_t)
-    # the reference has min eigenvalue >= eta_ref/total; put the support
-    # threshold safely below that so the regularization is visible
-    support_tol = min(1e-12, eta_ref / (4.0 * psi.dims.total))
-    return sd, rho_dt, relative_entropy(rho_dt, reference, support_tol=support_tol)
+    v, _, b = _schmidt_logs(sd, eta_ref)
+    weights = np.real(np.einsum("in,in->n", v.conj(), rho_dt.matrix @ v))
+    overlap = math.log(eta_ref / psi.dims.total) * float(rho_dt.matrix.trace().real) + float(b @ weights)
+    return sd, rho_dt, max(-von_neumann_entropy(rho_dt) - overlap, 0.0)
 
 
 def surrogate_rate_fd(

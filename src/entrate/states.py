@@ -3,7 +3,8 @@
 The bipartition of interest is always aA | Bb: Alice holds the first two
 factors, Bob the last two.  Ancilla-free systems just use d_a = d_b = 1.
 Includes the Schmidt decomposition, the closest separable state built from
-it, smoothing toward the maximally mixed state, and seeded random samplers.
+it, smoothing toward the maximally mixed state, seeded random samplers, and
+``SUPPORT_TOL``, the one threshold of every support log and relative entropy.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ TOTAL_DIM_CAP = 64
 
 # Schmidt coefficients (squared amplitudes) below this are dropped
 SCHMIDT_CUTOFF = 1e-12
+SUPPORT_TOL = 1e-12  # eigenvalues at or below this are off a state's support
 
 
 class DegenerateCut(ValueError):
@@ -138,10 +140,10 @@ def _eigvalsh(m: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(hermitize(m))
 
 
-def _log_on_support(lam: np.ndarray, vec: np.ndarray, support_tol: float) -> np.ndarray:
+def _log_on_support(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """V diag(ln lambda) V† from an eigendecomposition (lam, V), with ln taken
-    on the eigenvalues above ``support_tol`` and 0 in place of it elsewhere."""
-    return (vec * np.log(np.where(lam > support_tol, lam, 1.0))) @ dag(vec)
+    on the eigenvalues above ``SUPPORT_TOL`` and 0 in place of it elsewhere."""
+    return (vec * np.log(np.where(lam > SUPPORT_TOL, lam, 1.0))) @ dag(vec)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -159,9 +161,9 @@ class DensityMatrix:
     The state diagonalizes itself at most once.  Validation computes the
     spectrum (ascending eigenvalues of the Hermitian part) and keeps it as
     ``spectrum``; ``eigh()`` computes the full decomposition of the Hermitian
-    part on first request and keeps it too, and ``log_on_support`` builds
-    ln of the state on its support from that decomposition and keeps it for
-    the last support tolerance asked for, so a fixed reference state costs
+    part on first request and keeps it too, and ``log_on_support()`` builds
+    ln of the state on its support (eigenvalues above ``SUPPORT_TOL``) from
+    that decomposition and keeps it, so a fixed reference state costs
     one O(n^3) log however often its relative entropy is taken.  The matrix
     (a copy, when the caller passed in an array it still holds) and all
     three results are read-only, so what the state keeps cannot go stale.
@@ -173,7 +175,7 @@ class DensityMatrix:
     psd_tol: float = field(default=1e-10, repr=False, compare=False)
     _spectrum: np.ndarray = field(init=False, repr=False)
     _eigh: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
-    _log: tuple[float, np.ndarray] | None = field(default=None, init=False, repr=False)
+    _log: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         m = as_matrix(self.matrix, name="density matrix")
@@ -218,14 +220,12 @@ class DensityMatrix:
             object.__setattr__(self, "_eigh", (_read_only(lam), _read_only(vec)))
         return self._eigh
 
-    def log_on_support(self, support_tol: float) -> np.ndarray:
+    def log_on_support(self) -> np.ndarray:
         """ln of the state on the eigenvalues of ``eigh()`` above
-        ``support_tol`` (0 off them), computed once per tolerance: the last
-        one asked for is kept."""
-        if self._log is None or self._log[0] != support_tol:
-            log = _read_only(_log_on_support(*self.eigh(), support_tol))
-            object.__setattr__(self, "_log", (support_tol, log))
-        return self._log[1]
+        ``SUPPORT_TOL`` (0 off them), computed once."""
+        if self._log is None:
+            object.__setattr__(self, "_log", _read_only(_log_on_support(*self.eigh())))
+        return self._log
 
     def purity(self) -> float:
         """Tr rho^2 as the squared Frobenius norm, rho being Hermitian."""

@@ -217,7 +217,8 @@ def test_simulate_shape_builds_the_map_and_one_offs_stay_in_kform():
     # evolve keeps exactly one map, for its (h, steps), and the next equal
     # segment reuses it; the one-off integrations of the rate probes and of
     # convergence_order keep none.  d_AB = 4, 9 and 16, the last with the
-    # ancillas of the ``entrate simulate`` time series
+    # ancillas of the ``entrate simulate`` time series; at d_AB = 32 evolve
+    # keeps none either
     for factors in ((1, 2, 2, 1), (1, 3, 3, 1), (2, 4, 4, 2)):
         gen, rho = _random_generator(factors, 3, seed=1)
         first = evolve(gen, DensityMatrix(gen.dims, rho), 0.02, 32)
@@ -226,6 +227,11 @@ def test_simulate_shape_builds_the_map_and_one_offs_stay_in_kform():
         second = evolve(gen, first, 0.02, 32)
         assert list(gen._map_cache) == [key] and gen._map_cache[key] is m
         assert np.abs(second.matrix - _rk4_full(gen, first.matrix, 0.02, 32)).max() <= 1e-13, factors
+    # above d_AB = 16 the build costs more than the segments it replaces
+    gen, rho = _random_generator((1, 4, 8, 1), 3, seed=1)
+    out = evolve(gen, DensityMatrix(gen.dims, rho), 0.02, 32)
+    assert not gen._map_cache
+    assert np.abs(out.matrix - _rk4_full(gen, rho, 0.02, 32)).max() <= 1e-13
     for factors in ((1, 2, 2, 1), (1, 3, 3, 1), (1, 4, 4, 1)):
         for k in range(4):
             gen, rho = _random_generator(factors, k, seed=2)

@@ -76,8 +76,6 @@ def test_matrix_log_floors_null_directions():
 def test_matrix_log_rejects_negative():
     with pytest.raises(NotPositive):
         matrix_log_on_support(np.diag([1.0, -0.5]).astype(complex))
-    with pytest.raises(ValueError):
-        matrix_log_on_support(np.eye(2), floor=0.0)
 
 
 def test_singular_values_known_matrix():

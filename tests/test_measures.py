@@ -236,8 +236,8 @@ def test_relative_entropy_reads_the_kept_log():
         weights = np.real(np.einsum("ij,ij->j", vec.conj(), rho.matrix @ vec))
         want = -von_neumann_entropy(rho) - float((np.log(lam[live]) * weights[live]).sum())
         assert abs(got - max(want, 0.0)) <= 1e-12
-        log_s = sigma.log_on_support(measures.SUPPORT_TOL)
-        assert sigma.log_on_support(measures.SUPPORT_TOL) is log_s  # computed once
+        log_s = sigma.log_on_support()
+        assert sigma.log_on_support() is log_s  # computed once
         assert relative_entropy(rho, sigma) == got
         with pytest.raises(ValueError):
             log_s[0, 0] = 0.0
@@ -262,22 +262,25 @@ def test_mutual_information_marginals_are_partial_traces(monkeypatch, factors):
     assert full is rho
 
 
-# (d_A, d_B, state seed, restarts, ree seed) -> iterations of each restart and
-# the best value, as recorded before the see-saw scored its candidates in
-# batches; values may move by roundoff, pinned to the see-saw's own tol 1e-9.
-# Restart 0 of a pure state starts certified within tol, so it takes 0
-# iterations
+# (state kind, d_A, d_B, state seed, restarts, ree seed) -> iterations of each
+# restart and the best value, as recorded before the see-saw scored its
+# candidates in batches; values may move by roundoff, pinned to the see-saw's
+# own tol 1e-9.  Restart 0 of a pure state starts certified within tol, so it
+# takes 0 iterations and no restart follows it, however many are asked for;
+# the mixed state's restart 0 is not certified, so its random restart 1 runs
+# and stays pinned
 SEESAW_PINS = [
-    ((2, 2, 11, 1, 0), [0], 0.6231618602054644),
-    ((2, 3, 12, 1, 0), [0], 0.4865414770295764),
-    ((3, 2, 13, 1, 0), [0], 0.33739125479907844),
-    ((2, 2, 43, 2, 3), [0, 68], 0.454903452157855),  # restart 1 is random
+    (("pure", 2, 2, 11, 1, 0), [0], 0.6231618602054644),
+    (("pure", 2, 3, 12, 1, 0), [0], 0.4865414770295764),
+    (("pure", 3, 2, 13, 1, 0), [0], 0.33739125479907844),
+    (("pure", 2, 2, 43, 3, 3), [0], 0.45490345217785555),
+    (("mixed", 2, 2, 44, 2, 3), [55, 101], 0.03566145176751023),
 ]
 
 
 @pytest.mark.parametrize("case,iterations,value", SEESAW_PINS)
 def test_bruteforce_regression_pins(monkeypatch, case, iterations, value):
-    da, db, state_seed, restarts, seed = case
+    kind, da, db, state_seed, restarts, seed = case
     seen = []
     seesaw = measures._seesaw
 
@@ -287,8 +290,12 @@ def test_bruteforce_regression_pins(monkeypatch, case, iterations, value):
         return out
 
     monkeypatch.setattr(measures, "_seesaw", recording)
-    psi = random_pure(DimensionSignature.cut(da, db), state_seed)
-    est = ree_bruteforce(psi.density(), restarts=restarts, seed=seed)
+    dims = DimensionSignature.cut(da, db)
+    if kind == "pure":
+        rho = random_pure(dims, state_seed).density()
+    else:
+        rho = DensityMatrix(dims, random_density(dims.total, state_seed))
+    est = ree_bruteforce(rho, restarts=restarts, seed=seed)
     assert seen == iterations
     assert est.value == pytest.approx(value, abs=1e-9)
 

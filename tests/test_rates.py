@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import entrate.rates
 from entrate.dynamics import LindbladGenerator, apply_generator
 from entrate.linalg import ShapeError, matrix_log_on_support
+from entrate.measures import von_neumann_entropy
 from entrate.rates import (
     InvalidPair,
     binary_entropy,
@@ -399,12 +400,38 @@ def _counting(monkeypatch, owner, name):
 
 
 def test_entangling_rate_fd_takes_one_schmidt_decomposition_and_no_log(monkeypatch):
+    # the reference's log is read from the Schmidt frame, so no relative
+    # entropy against a reference matrix is taken either
     dims = DimensionSignature.cut(3, 3)
     psi, gen = random_pure(dims, seed=3), _open_gen(dims, seed=3)
     schmidts = _counting(monkeypatch, entrate.rates, "schmidt")
     logs = _counting(monkeypatch, entrate.rates, "matrix_log_on_support")
+    dists = _counting(monkeypatch, entrate.rates, "relative_entropy")
     entangling_rate_fd(psi, gen, 1e-4)
-    assert (len(schmidts), len(logs)) == (1, 0)
+    assert (len(schmidts), len(logs), len(dists)) == (1, 0, 0)
+
+
+@pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 3), (4, 4)])
+def test_surrogate_rate_fd_matches_the_exact_spectrum_oracle(da, db):
+    # the reference (1 - eta) sigma0 + eta I/n is diagonal in the Schmidt
+    # product vectors v_n completed to an orthonormal basis q_j, with
+    # eigenvalues (1 - eta) p_n + eta/n on v_n and eta/n on the complement,
+    # so Tr rho ln ref = sum_j ln mu_j <q_j|rho|q_j> needs no eigensolver
+    dims, eta, dt = DimensionSignature.cut(da, db), 1e-13, 1e-5
+    n = dims.total
+    for k in range(1, 4):
+        psi, gen = random_pure(dims, seed=50 + k), _open_gen(dims, seed=50 + k, n_lindblad=k)
+        sd = schmidt(psi)
+        v = np.einsum("in,jn->ijn", sd.left, sd.right).reshape(n, -1)
+        q = np.concatenate([v, np.linalg.svd(v)[0][:, v.shape[1]:]], axis=1)
+        mu = np.full(n, eta / n)
+        mu[: v.shape[1]] += (1.0 - eta) * sd.coefficients
+        rho_dt = entrate.rates._evolve_tight(gen, psi.density(), dt)
+        overlap = float(np.log(mu) @ np.real(np.einsum("ij,ij->j", q.conj(), rho_dt.matrix @ q)))
+        dist = max(-von_neumann_entropy(rho_dt) - overlap, 0.0)
+        oracle = (dist - sd.entropy()) / dt
+        got = surrogate_rate_fd(psi, gen, dt, eta_ref=eta)
+        assert abs(got - oracle) <= 1e-7 * max(1.0, abs(oracle)), (k, got, oracle)
 
 
 def test_mi_rate_fd_matches_analytic():
