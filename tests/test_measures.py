@@ -273,7 +273,7 @@ SEESAW_PINS = [
     (("pure", 2, 2, 11, 1, 0), [0], 0.6231618602054644),
     (("pure", 2, 3, 12, 1, 0), [0], 0.4865414770295764),
     (("pure", 3, 2, 13, 1, 0), [0], 0.33739125479907844),
-    (("pure", 2, 2, 43, 3, 3), [0], 0.45490345217785555),
+    (("pure", 2, 2, 43, 2, 3), [0], 0.454903452157855),
     (("mixed", 2, 2, 44, 2, 3), [55, 101], 0.03566145176751023),
 ]
 
