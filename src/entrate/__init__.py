@@ -22,6 +22,7 @@ from .dynamics import (
     convergence_order,
     embed_ab,
     evolve,
+    evolve_series,
     generator_from_json,
     generator_to_json,
 )

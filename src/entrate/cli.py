@@ -11,6 +11,13 @@ Exit codes: 0 clean; 1 violations found under --strict; 2 usage or file
 format problems (including non-pure input where purity is required); 3
 numerical failure (integration drift that survives retries).
 
+``simulate`` takes its states from ``dynamics.evolve_series`` a chunk at a
+time and measures each chunk with the stacked kernels of ``measures``: the
+relative entropy to a fixed separable reference whose log is formed once
+(in closed form in the Schmidt product basis for a pure start), the mutual
+information and the purity, from the spectra the drift check computed.
+Both CSV writers print every number as a plain float repr.
+
 Instance files are JSON:
 
     {"state": {"dims": [da, dA, dB, db], "re": ..., "im": ...},
@@ -36,15 +43,18 @@ from pathlib import Path
 import numpy as np
 
 from .certify import FormatError, SweepConfig, _trial_seed, run_sweep
-from .dynamics import IntegrationError, LindbladGenerator, evolve, generator_from_json
-from .linalg import NumericalFailure, hermitize, partial_trace
-from .measures import mutual_information, relative_entropy
-from .rates import entangling_rate_fd, entangling_rate_bound, surrogate_rate_fd
+# evolve, relative_entropy and mutual_information are not called here, but
+# perfbench's traced runs wrap these names, so they stay importable from cli
+from .dynamics import IntegrationError, LindbladGenerator, _trace_error, evolve, evolve_series, generator_from_json
+from .linalg import NumericalFailure, dag, hermitize, partial_trace
+from .measures import _mutual_informations, _relative_entropies, mutual_information, relative_entropy
+from .rates import _schmidt_logs, entangling_rate_fd, entangling_rate_bound, surrogate_rate_fd
 from .states import (
+    SUPPORT_TOL,
     DensityMatrix,
     DimensionSignature,
     PureState,
-    closest_separable_state,
+    _purities,
     random_gue_hamiltonian,
     random_ginibre_lindblad,
     random_pure,
@@ -65,6 +75,9 @@ CSV_COLUMNS = (
 SWEEP_COLUMNS = ("d", "max_gamma_surrogate_fd", "bound")
 
 PURITY_TOL = 1e-8
+
+# smoothing of simulate's separable reference toward the maximally mixed state
+REFERENCE_ETA = 1e-9
 
 
 def _dims_from_flag(values: list[int]) -> DimensionSignature:
@@ -127,23 +140,45 @@ def _open_out(path):
 
 # ------------------------------------------------------------- subcommands
 
-def _cmd_simulate(args) -> int:
-    state, gen = _instance_from_args(args)
-    if not 0 < args.t_max < math.inf:
-        raise FormatError("--t-max must be finite and > 0")
-    rho = state.density() if isinstance(state, PureState) else state
-    # fixed separable reference: dephased Schmidt mixture for a pure start,
-    # product of the initial marginals otherwise; smoothing keeps its
-    # spectrum above the support threshold of the relative entropy
+def _reference_log(state, rho: DensityMatrix) -> np.ndarray:
+    """ln of the series' fixed separable reference, smoothed by
+    ``REFERENCE_ETA``: the dephased Schmidt mixture of a pure start, in closed
+    form, or the product of a mixed start's marginals.  No eigenvalue of the
+    reference is at or below ``SUPPORT_TOL``, so no state leaks out of its
+    support and no row needs the relative entropy's leak check."""
+    n = rho.dims.total
     if isinstance(state, PureState):
-        reference = smooth(closest_separable_state(schmidt(state)), 1e-9)
+        # ln f I + sum_n b_n |v_n><v_n| with f = eta/n (rates module
+        # docstring); every eigenvalue of the reference is at least f
+        v, _, b = _schmidt_logs(schmidt(state), REFERENCE_ETA)
+        log_s = (v * b) @ dag(v)
+        log_s.flat[:: n + 1] += math.log(REFERENCE_ETA / n)
+        floor = REFERENCE_ETA / n
     else:
         factors = rho.dims.factors()
         prod = np.kron(
             partial_trace(rho.matrix, factors, keep=(0, 1)),
             partial_trace(rho.matrix, factors, keep=(2, 3)),
         )
-        reference = smooth(DensityMatrix(rho.dims, hermitize(prod)), 1e-9)
+        reference = smooth(DensityMatrix(rho.dims, hermitize(prod)), REFERENCE_ETA)
+        log_s = reference.log_on_support()
+        floor = float(reference.spectrum.min())
+    if floor <= SUPPORT_TOL:
+        raise NumericalFailure(f"separable reference has eigenvalue {floor:.3e} <= {SUPPORT_TOL}")
+    return log_s
+
+
+def _numbers(*values) -> list[str]:
+    # CSV cells of library numbers, NumPy scalars included, as plain float reprs
+    return [repr(float(v)) for v in values]
+
+
+def _cmd_simulate(args) -> int:
+    state, gen = _instance_from_args(args)
+    if not 0 < args.t_max < math.inf:
+        raise FormatError("--t-max must be finite and > 0")
+    rho = state.density() if isinstance(state, PureState) else state
+    log_s = _reference_log(state, rho)
     times = np.linspace(0.0, args.t_max, args.samples)
     seg = times[1] - times[0]
     seg_steps = max(32, int(math.ceil(seg / 1e-3)))
@@ -151,28 +186,19 @@ def _cmd_simulate(args) -> int:
     try:
         writer = csv.writer(handle)
         writer.writerow(CSV_COLUMNS)
-        current = rho
-        for idx, t in enumerate(times):
-            if idx > 0:
-                for attempt in range(4):
-                    try:
-                        current = evolve(gen, current, seg, steps=seg_steps)
-                        break
-                    except IntegrationError as exc:
-                        if attempt == 3:
-                            raise
-                        seg_steps = exc.suggested_steps
-            tr = current.matrix.trace()
-            writer.writerow(
-                [
-                    f"{t:.10g}",
-                    repr(abs(float(np.real(tr)) - 1.0) + abs(float(np.imag(tr)))),
-                    repr(float(current.spectrum.min())),
-                    repr(relative_entropy(current, reference)),
-                    repr(mutual_information(current)),
-                    repr(current.purity()),
-                ]
+        row = 0
+        # each chunk of the series is measured with the stacked kernels
+        for mats, lam in evolve_series(gen, rho, seg, args.samples - 1, seg_steps):
+            columns = (
+                _trace_error(mats),
+                lam.min(axis=-1),
+                _relative_entropies(mats, lam, log_s),
+                _mutual_informations(rho.dims, mats, lam),
+                _purities(mats),
             )
+            for values in zip(*columns):
+                writer.writerow([f"{times[row]:.10g}", *_numbers(*values)])
+                row += 1
     finally:
         if handle is not sys.stdout:
             handle.close()
@@ -258,7 +284,7 @@ def _cmd_sweep_rates(args) -> int:
         writer = csv.writer(handle)
         writer.writerow(SWEEP_COLUMNS)
         for d, best, bound in rows:
-            writer.writerow([d, repr(best), repr(bound)])
+            writer.writerow([d, *_numbers(best, bound)])
     finally:
         if handle is not sys.stdout:
             handle.close()

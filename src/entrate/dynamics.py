@@ -22,9 +22,11 @@ coherence-vector form of Gorini, Kossakowski & Sudarshan, J. Math. Phys. 17,
 821 (1976).  The coordinates used here are X -> Re X + Im X, which map the
 Hermitian operators onto the real matrices and keep the Frobenius norm; in
 them S is Re S + (Im S) P, with P the vec transpose.  M is built and kept in
-these coordinates in float64, half the bytes of the complex map, and is
-applied to the real and imaginary parts of the mixed columns in one real
-product.  The build forms sum_k L_k ⊗ L̄_k as one batched product over the
+these coordinates in float64, half the bytes of the complex map.  The same
+coordinates taken over the whole space turn a Hermitian rho into one real
+(d_AB^2, (d_a d_b)^2) matrix, so a segment is one real product with half the
+columns of the complex block, and the state it returns is exactly
+Hermitian.  The build forms sum_k L_k ⊗ L̄_k as one batched product over the
 jump operators, T4(A) = (I + A) + A^2 (I/2 + A/6 + A^2/24) in two products
 of size d_AB^2, and the power by binary powering.
 
@@ -43,16 +45,23 @@ probes, takes at most eight applications (about five on average) instead
 of 256.  Both paths compute the same polynomial; they differ by roundoff
 only.
 
-The caller picks the path.  ``evolve``, the one time-series entry point,
-asks the generator for the step map of its (h, steps) when d_AB <= 16
-(``STEP_MAP_MAX_AB``), which is built on the first request and kept until
-another (h, steps) replaces it: the 49 equal segments of an ``entrate
-simulate`` series share one build.  Above that the build costs more than
-the K-form segments it would replace, so ``evolve`` runs in K-form too.
-``_integrate`` applies the kept map when the generator holds one for its
-(h, steps) and otherwise runs in K-form, so the one-off integrations of the
-rate probes and ``convergence_order`` build none; a theorem2 probe takes
-about five generator applications, less than a build costs.
+The caller picks the path.  ``evolve`` and ``evolve_series``, the
+time-series entry points, ask the generator for the step map of their (h,
+steps) when d_AB <= 16 (``STEP_MAP_MAX_AB``), which is built on the first
+request and kept until another (h, steps) replaces it: the 49 equal
+segments of an ``entrate simulate`` series share one build.  Above that the
+build costs more than the K-form segments it would replace, so they run in
+K-form too.  ``_integrate`` applies the kept map when the generator holds
+one for its (h, steps) and otherwise runs in K-form, so the one-off
+integrations of the rate probes and ``convergence_order`` build none; a
+theorem2 probe takes about five generator applications, less than a build
+costs.
+
+``evolve_series`` integrates its segments one after another, as ``evolve``
+would, and checks the states in chunks: one stacked eigensolve gives the
+drift of every state of a chunk and the spectra the caller measures with,
+so what a state costs beyond its product and its eigensolve is a share of a
+few stacked calls, not a chain of per-state ones.
 """
 
 from __future__ import annotations
@@ -65,10 +74,12 @@ import numpy as np
 
 from .linalg import ShapeError, as_matrix, dag, tensor
 from .states import (
+    HERMITIAN_TOL,
     DensityMatrix,
     DimensionSignature,
     _eigvalsh,
     _finite_real,
+    _hermiticity_error,
     _positive_int,
     _signature_from_json,
     matrix_from_json,
@@ -81,6 +92,7 @@ __all__ = [
     "embed_ab",
     "apply_generator",
     "evolve",
+    "evolve_series",
     "convergence_order",
     "generator_to_json",
     "generator_from_json",
@@ -99,6 +111,15 @@ STEP_MAP_MAX_AB = 16
 # the K-form path drops the terms of T4(hS)^steps whose summed norm is at
 # most this, relative to the norm of rho's block
 HORNER_TAIL = 1e-18
+
+# evolve_series checks and hands out its states in chunks of at most this
+# many bytes of complex matrices, 8 states at n = 64.  A chunk saves
+# per-state call overhead, and past a few states the saving no longer grows
+# while the chunk's memory does, so the budget is in bytes, not states
+SERIES_CHUNK_BYTES = 512 * 1024
+
+# evolve_series integrates a drifting segment again at most this many times
+SERIES_RETRIES = 3
 
 
 class IntegrationError(RuntimeError):
@@ -185,6 +206,7 @@ class LindbladGenerator:
 _ROWS = (1, 0, 2, 3, 5, 4)  # self-inverse
 _VEC = (1, 4, 0, 2, 3, 5)
 _VEC_INV = (2, 0, 3, 4, 1, 5)
+_T_AB_PAIR = (0, 1, 4, 5, 2, 3)  # on the _VEC layout: (a, b) <-> (a', b')
 
 
 def _axes(dims: DimensionSignature) -> tuple[int, int, int, int]:
@@ -295,18 +317,26 @@ def _power(base: np.ndarray, steps: int, spare: np.ndarray) -> np.ndarray:
 
 
 def _apply_step_map(m: np.ndarray, rho: np.ndarray, dims: DimensionSignature) -> np.ndarray:
-    # take the rows through T, apply the real map to the real and imaginary
-    # parts of every column in one real product (the complex array viewed as
-    # interleaved floats), and take them back through T^-1; the transposes
-    # are over the (AB, AB') axes
+    # rho Hermitian, laid out as x (AB, AB', ab, a'b'), goes through the
+    # coordinates Re X + Im X of the whole space as one real matrix
+    # Y = (Re x)^{T_AB} + Im x, half the columns of the complex block.  With
+    # Z = M Y, rho' = (Z^{T_AB} + Z^{T_ab})/2 + (i/2)(Z - Z^{T_AB T_ab}): S
+    # commutes with the transpose up to conjugation (S_r P = P S_r,
+    # S_i P = -P S_i) and x^{T_ab} = conj(x)^{T_AB}, which take the pair back
+    # to Re and Im of S x.  Each entry of rho' and its mirror are the same
+    # two numbers summed, so rho' is exactly Hermitian.
+    # The halving goes on Y, where it is exact and half the size.
     d_a, ab, d_b, n = _axes(dims)
-    x = rho.reshape(d_a, ab, d_b, d_a, ab, d_b).transpose(_VEC).reshape(ab, ab, -1)
-    y = (0.5 - 0.5j) * x
-    y += (0.5 + 0.5j) * x.swapaxes(0, 1)
-    z = (m @ y.reshape(ab * ab, -1).view(np.float64)).view(complex).reshape(ab, ab, -1)
-    out = (0.5 + 0.5j) * z
-    out += (0.5 - 0.5j) * z.swapaxes(0, 1)
-    return out.reshape(ab, ab, d_a, d_b, d_a, d_b).transpose(_VEC_INV).reshape(n, n)
+    x = rho.reshape(d_a, ab, d_b, d_a, ab, d_b).transpose(_VEC)
+    y = np.empty(x.shape)
+    np.add(x.real.swapaxes(0, 1), x.imag, out=y)
+    y *= 0.5
+    z = (m @ y.reshape(ab * ab, -1)).reshape(x.shape)
+    z_t = z.swapaxes(0, 1)
+    out = np.empty(x.shape, dtype=complex)
+    np.add(z_t, z.transpose(_T_AB_PAIR), out=out.real)
+    np.subtract(z, z_t.transpose(_T_AB_PAIR), out=out.imag)
+    return out.transpose(_VEC_INV).reshape(n, n)
 
 
 # ------------------------------------------------------------- integration
@@ -369,12 +399,37 @@ def _t4_power_coefficients(m: int, degree: int) -> np.ndarray:
     return out
 
 
-def _drift(m: np.ndarray) -> tuple[float, np.ndarray]:
+def _trace_error(m: np.ndarray):
+    """|Re tr - 1| + |Im tr| of ``m`` (of each matrix, for a stack)."""
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    return np.abs(tr.real - 1.0) + np.abs(tr.imag)
+
+
+def _drift(m: np.ndarray, lam: np.ndarray | None = None):
     """Trace and positivity drift max(|Re tr - 1| + |Im tr|, -lambda_min, 0),
-    with the spectrum it read, for the DensityMatrix that adopts ``m``."""
-    lam = _eigvalsh(m)
-    tr = m.trace()
-    return max(abs(float(np.real(tr)) - 1.0) + abs(float(np.imag(tr))), -float(lam.min()), 0.0), lam
+    with the spectrum it read, of ``m`` or of each matrix of a stack: one
+    stacked eigensolve (unless the caller passes ``lam``, the spectrum of the
+    Hermitian part), whose spectra the adopted states keep."""
+    if lam is None:
+        lam = _eigvalsh(m)
+    return np.maximum(np.maximum(_trace_error(m), -lam.min(axis=-1)), 0.0), lam
+
+
+def _drift_error(drift: float, steps: int) -> IntegrationError:
+    # the suggested step count scales by the fourth root of the overshoot
+    grow = (drift / DRIFT_TOL) ** 0.25
+    return IntegrationError(
+        f"drift {drift:.3e} exceeds {DRIFT_TOL}; retry with more steps",
+        drift=float(drift),
+        suggested_steps=max(2 * steps, int(math.ceil(steps * grow))),
+    )
+
+
+def _keep_step_map(gen: LindbladGenerator, t: float, steps: int) -> None:
+    # up to d_AB = 16 the generator keeps the step map of (t/steps, steps),
+    # for _integrate and every later equal segment
+    if gen.dims.d_A * gen.dims.d_B <= STEP_MAP_MAX_AB:
+        gen._step_map(t / steps, steps)
 
 
 def evolve(gen: LindbladGenerator, rho0: DensityMatrix, t: float, steps: int = 1000) -> DensityMatrix:
@@ -394,19 +449,71 @@ def evolve(gen: LindbladGenerator, rho0: DensityMatrix, t: float, steps: int = 1
     steps = _positive_int(steps, "steps")
     if t == 0:
         return rho0
-    if gen.dims.d_A * gen.dims.d_B <= STEP_MAP_MAX_AB:
-        gen._step_map(t / steps, steps)  # for _integrate and the next equal segment
+    _keep_step_map(gen, t, steps)
     out = _integrate(gen, rho0.matrix, t, steps)
     drift, lam = _drift(out)
     if drift > DRIFT_TOL:
-        grow = (drift / DRIFT_TOL) ** 0.25
-        suggested = max(2 * steps, int(math.ceil(steps * grow)))
-        raise IntegrationError(
-            f"drift {drift:.3e} exceeds {DRIFT_TOL}; retry with more steps",
-            drift=drift,
-            suggested_steps=suggested,
-        )
+        raise _drift_error(drift, steps)
     return DensityMatrix._adopt(rho0.dims, out, lam, trace_tol=DRIFT_TOL, psd_tol=DRIFT_TOL)
+
+
+def evolve_series(
+    gen: LindbladGenerator, rho0: DensityMatrix, t: float, count: int, steps: int
+):
+    """The states at times 0, t, 2t, ..., ``count`` t from ``rho0``, in
+    chunks ``(mats, spectra)``: a stack of matrices and their ascending
+    eigenvalues, in time order.  The first chunk is ``rho0`` alone.
+
+    Each segment is ``evolve``'s integration of ``steps`` steps (the step map
+    is built once and kept), run one after another.  A chunk holds at most
+    ``SERIES_CHUNK_BYTES`` of complex matrices and is checked as a stack:
+    one stacked eigensolve for the trace and positivity drift, then the
+    Hermiticity and finiteness of the rows before the first that drifts.
+    The rows before a failure are yielded first.  A segment that drifts is
+    integrated again from the last good state with the suggested step count,
+    which the later segments keep; its ``SERIES_RETRIES + 1``-th drift
+    raises IntegrationError, and a row that is not Hermitian within
+    ``HERMITIAN_TOL`` (or not finite) raises ValueError.
+    """
+    if gen.dims != rho0.dims:
+        raise ShapeError("generator and state live on different spaces")
+    if _finite_real(t, "t", "finite and > 0") <= 0:
+        raise ValueError(f"t must be finite and > 0, got {t}")
+    count = _positive_int(count, "count")
+    steps = _positive_int(steps, "steps")
+    n = rho0.dims.total
+    rows = max(1, SERIES_CHUNK_BYTES // (16 * n * n))
+    start = rho0.matrix
+    yield start[None], rho0.spectrum[None]
+    done = failures = 0  # failures: of the segment after the last good one
+    while done < count:
+        _keep_step_map(gen, t, steps)
+        mats = np.empty((min(rows, count - done), n, n), dtype=complex)
+        m = start
+        for i in range(len(mats)):
+            m = mats[i] = _integrate(gen, m, t, steps)
+        herm = _hermiticity_error(mats)
+        # the step map's states are exactly Hermitian, their own Hermitian part
+        drift, lam = _drift(mats, None if herm.any() else np.linalg.eigvalsh(mats))
+        good = _first(drift > DRIFT_TOL, len(mats))
+        ok = _first(~(herm[:good] <= HERMITIAN_TOL), good)  # a non-finite state fails too
+        if ok:
+            yield mats[:ok], lam[:ok]
+            start, done, failures = mats[ok - 1], done + ok, 0
+        if ok < good:
+            raise ValueError(f"segment {done + 1} not Hermitian: max |M - M†| = {herm[ok]:.3e}")
+        if good < len(mats):
+            failures += 1
+            err = _drift_error(drift[good], steps)
+            if failures > SERIES_RETRIES:
+                raise err
+            steps = err.suggested_steps
+
+
+def _first(mask: np.ndarray, default: int) -> int:
+    # index of the first True in ``mask``, or ``default`` if there is none
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else default
 
 
 def convergence_order(gen: LindbladGenerator, rho0: DensityMatrix, t: float, steps: int) -> float | None:

@@ -10,7 +10,18 @@ the spot.  The see-saw scores a stack of candidates, each once, so
 ``_log_overlap`` takes the overlap there from each candidate's eigenvector
 weights instead.  Both share the +inf leak rule of ``_leaks``, at the same
 threshold.  ``mutual_information`` takes both marginals as traces of rho's
-matrix, also O(n^2).
+matrix, also O(n^2), and diagonalizes them in one stack when they are the
+same size.
+
+The entropy, the relative entropy against a fixed L_sigma and the mutual
+information are stacked kernels (``_entropies``, ``_relative_entropies``,
+``_mutual_informations``): they take a state, or a stack of states, as its
+matrix and ascending spectrum, and ``von_neumann_entropy``,
+``relative_entropy`` and ``mutual_information`` are their one-state case.
+``entrate simulate`` measures a whole chunk of its series with one call of
+each.  The entropy sums the positive eigenvalues with a masked sum, which
+adds them exactly as summing that suffix of the spectrum alone would, so a
+state reads the same in a stack as on its own.
 
 The see-saw holds rho fixed, so rho is diagonalized once per call (its kept
 spectrum gives -S(rho), its kept eigenvectors the support a candidate must
@@ -107,10 +118,44 @@ def _eigh(x) -> tuple[np.ndarray, np.ndarray]:
     return x.eigh() if isinstance(x, DensityMatrix) else np.linalg.eigh(hermitize(x))
 
 
+def _spectrum(x) -> np.ndarray:
+    return x.spectrum if isinstance(x, DensityMatrix) else _eigvalsh(x)
+
+
+# The stacked kernels take a state, or a stack of states, as its matrix and
+# ascending spectrum (..., n, n), (..., n); the one-state functions call them
+# with one.
+
+def _entropies(lam: np.ndarray):
+    # -sum lambda ln lambda over the positive eigenvalues of each spectrum; the
+    # masked sum adds them as the sum of that suffix alone would
+    live = lam > 0.0
+    terms = np.log(lam, where=live, out=np.zeros(lam.shape))
+    terms *= lam
+    return -terms.sum(axis=-1, where=live)
+
+
+def _relative_entropies(mats: np.ndarray, lam: np.ndarray, log_s: np.ndarray):
+    # max(-S(rho) - Re<L_sigma, rho>, 0) against L_sigma = ln sigma on its support
+    overlap = np.vecdot(log_s.reshape(-1), mats.reshape(*mats.shape[:-2], -1)).real
+    return np.maximum(-_entropies(lam) - overlap, 0.0)
+
+
+def _mutual_informations(dims: DimensionSignature, mats: np.ndarray, lam: np.ndarray):
+    # S(Alice) + S(Bob) - S(full), the marginals as traces of the matrices
+    na, nb = dims.alice, dims.bob
+    m = mats.reshape(*mats.shape[:-2], na, nb, na, nb)
+    left = np.trace(m, axis1=-3, axis2=-1)
+    right = np.trace(m, axis1=-4, axis2=-2)
+    if na == nb:  # both marginals in one stacked eigensolve
+        s_left, s_right = _entropies(_eigvalsh(np.stack((left, right))))
+    else:
+        s_left, s_right = _entropies(_eigvalsh(left)), _entropies(_eigvalsh(right))
+    return s_left + s_right - _entropies(lam)
+
+
 def _entropy(x) -> float:
-    lam = np.clip(x.spectrum if isinstance(x, DensityMatrix) else _eigvalsh(x), 0.0, None)
-    pos = lam[lam > 0]
-    return float(-(pos * np.log(pos)).sum())
+    return float(_entropies(_spectrum(x)))
 
 
 def von_neumann_entropy(rho) -> float:
@@ -161,7 +206,7 @@ def relative_entropy(rho, sigma) -> float:
     if _leaks(r, lam, vec):
         return math.inf
     log_s = s.log_on_support() if isinstance(s, DensityMatrix) else _log_on_support(lam, vec)
-    return max(-_entropy(r) - float(np.vdot(log_s, _raw(r)).real), 0.0)
+    return float(_relative_entropies(_raw(r), _spectrum(r), log_s))
 
 
 def entanglement_entropy(psi: PureState) -> float:
@@ -171,11 +216,7 @@ def entanglement_entropy(psi: PureState) -> float:
 
 def mutual_information(rho: DensityMatrix) -> float:
     """S(Alice) + S(Bob) - S(full) across the aA | Bb cut."""
-    na, nb = rho.dims.alice, rho.dims.bob
-    m = rho.matrix.reshape(na, nb, na, nb)
-    left = np.trace(m, axis1=1, axis2=3)
-    right = np.trace(m, axis1=0, axis2=2)
-    return _entropy(left) + _entropy(right) - _entropy(rho)
+    return float(_mutual_informations(rho.dims, rho.matrix, rho.spectrum))
 
 
 # ------------------------------------------------- brute-force minimization

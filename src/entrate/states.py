@@ -43,6 +43,7 @@ TOTAL_DIM_CAP = 64
 # Schmidt coefficients (squared amplitudes) below this are dropped
 SCHMIDT_CUTOFF = 1e-12
 SUPPORT_TOL = 1e-12  # eigenvalues at or below this are off a state's support
+HERMITIAN_TOL = 1e-10  # the largest |M - M†| a state's matrix may show
 
 
 class DegenerateCut(ValueError):
@@ -136,8 +137,29 @@ class PureState:
 
 
 def _eigvalsh(m: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of the Hermitian part of ``m``."""
+    """Ascending eigenvalues of the Hermitian part of ``m`` (of each matrix,
+    for a stack)."""
     return np.linalg.eigvalsh(hermitize(m))
+
+
+def _hermiticity_error(m: np.ndarray):
+    """max |M - M†| of ``m`` (of each matrix, for a stack), itself not finite
+    if M is not.  Taken from the real and imaginary parts, with no conjugate
+    copy."""
+    t = m.swapaxes(-1, -2)
+    sq = m.real - t.real
+    sq *= sq
+    im = m.imag + t.imag
+    im *= im
+    sq += im
+    return np.sqrt(sq.max(axis=(-2, -1)))
+
+
+def _purities(m: np.ndarray):
+    """Tr M² of a Hermitian ``m`` (of each matrix, for a stack) as the squared
+    Frobenius norm."""
+    flat = m.reshape(*m.shape[:-2], -1)
+    return np.vecdot(flat, flat).real
 
 
 def _log_on_support(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -181,8 +203,8 @@ class DensityMatrix:
         m = as_matrix(self.matrix, name="density matrix")
         if m.shape[0] != self.dims.total:
             raise ShapeError(f"matrix dim {m.shape[0]} does not match dims total {self.dims.total}")
-        herm_err = float(np.abs(m - np.conjugate(m).T).max())
-        if herm_err > 1e-10:
+        herm_err = float(_hermiticity_error(m))
+        if herm_err > HERMITIAN_TOL:
             raise ValueError(f"not Hermitian: max |M - M†| = {herm_err:.3e}")
         tr = m.trace()
         if abs(tr - 1.0) > self.trace_tol:
@@ -229,7 +251,7 @@ class DensityMatrix:
 
     def purity(self) -> float:
         """Tr rho^2 as the squared Frobenius norm, rho being Hermitian."""
-        return float(np.vdot(self.matrix, self.matrix).real)
+        return float(_purities(self.matrix))
 
 
 @dataclass(frozen=True, eq=False)

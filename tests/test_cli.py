@@ -8,17 +8,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entrate import cli
+from entrate import cli, dynamics
 from entrate.cli import CSV_COLUMNS, SWEEP_COLUMNS, main
 from entrate.dynamics import LindbladGenerator, generator_to_json
 from entrate.states import (
     DensityMatrix,
     DimensionSignature,
+    closest_separable_state,
     matrix_to_json,
     random_density,
     random_ginibre_lindblad,
     random_gue_hamiltonian,
     random_pure,
+    schmidt,
+    smooth,
     state_to_json,
 )
 
@@ -138,49 +141,141 @@ def _entropy(m):
     return float(-(pos * np.log(pos)).sum())
 
 
+def _rk4_plain(h, ls, rho, t, steps):
+    # fixed-step RK4 of the GKSL equation with full-space operators
+    def apply(r):
+        out = -1j * (h @ r - r @ h)
+        for l in ls:
+            ldl = l.conj().T @ l
+            out += l @ r @ l.conj().T - 0.5 * (ldl @ r + r @ ldl)
+        return out
+
+    dt = t / steps
+    for _ in range(steps):
+        k1 = apply(rho)
+        k2 = apply(rho + 0.5 * dt * k1)
+        k3 = apply(rho + 0.5 * dt * k2)
+        k4 = apply(rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rho
+
+
 @pytest.mark.parametrize("pure", [True, False])
-def test_simulate_columns_match_plain_numpy(tmp_path, monkeypatch, pure):
-    # every CSV value, recomputed from the row's state and the reference with
-    # plain numpy, must equal what simulate wrote from the kept spectra
-    dims = DimensionSignature(2, 2, 2, 1)
-    state = state_to_json(random_pure(dims, 7) if pure else DensityMatrix(dims, random_density(8, 7)))
-    gen = LindbladGenerator(dims, random_gue_hamiltonian(4, 8), (0.5 * random_ginibre_lindblad(4, 9),))
-    path = tmp_path / "inst.json"
-    path.write_text(json.dumps({"state": state, "generator": generator_to_json(gen)}))
-    seen = []
-    relative_entropy = cli.relative_entropy
+def test_simulate_columns_match_plain_numpy(tmp_path, pure):
+    # every CSV row, recomputed with plain numpy from an independent RK4 and
+    # the reference built as a matrix and diagonalized: the step-map shape
+    # 2 2 2 1 and the K-form shape 1 4 8 1
+    for factors in ((2, 2, 2, 1), (1, 4, 8, 1)):
+        dims = DimensionSignature(*factors)
+        ab = dims.d_A * dims.d_B
+        psi = random_pure(dims, 7)
+        rho = psi.density() if pure else DensityMatrix(dims, random_density(dims.total, 7))
+        gen = LindbladGenerator(dims, random_gue_hamiltonian(ab, 8), (0.5 * random_ginibre_lindblad(ab, 9),))
+        path = tmp_path / "inst.json"
+        state = state_to_json(psi if pure else rho)
+        path.write_text(json.dumps({"state": state, "generator": generator_to_json(gen)}))
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--instance", str(path), "--t-max", "0.2",
+                     "--samples", "4", "--out", str(out)]) == 0
+        rows = _read_csv(out)[1:]
+        assert len(rows) == 4
 
-    def recording(rho, sigma, **kwargs):
-        seen.append((rho.matrix.copy(), sigma.matrix.copy()))
-        return relative_entropy(rho, sigma, **kwargs)
+        na, nb = dims.alice, dims.bob
+        if pure:
+            sigma = smooth(closest_separable_state(schmidt(psi)), 1e-9).matrix
+        else:
+            m4 = rho.matrix.reshape(na, nb, na, nb)
+            prod = np.kron(np.trace(m4, axis1=1, axis2=3), np.trace(m4, axis1=0, axis2=2))
+            sigma = 0.999999999 * prod + 1e-9 / dims.total * np.eye(dims.total)
+        s_lam, s_vec = np.linalg.eigh((sigma + sigma.conj().T) / 2)
+        assert s_lam.min() > 1e-12  # full rank: no row leaks out of its support
+        log_s = (s_vec * np.log(s_lam)) @ s_vec.conj().T
+        eye_a, eye_b = np.eye(dims.d_a), np.eye(dims.d_b)
+        h_full = np.kron(np.kron(eye_a, gen.hamiltonian), eye_b)
+        ls_full = [np.kron(np.kron(eye_a, l), eye_b) for l in gen.lindblad_ops]
+        times = np.linspace(0.0, 0.2, 4)
+        seg = times[1] - times[0]
+        m = rho.matrix
+        for i, (t, row) in enumerate(zip(times, rows)):
+            if i:
+                m = _rk4_plain(h_full, ls_full, m, seg, 67)  # max(32, ceil(seg / 1e-3)) steps
+            tr = m.trace()
+            m4 = m.reshape(na, nb, na, nb)
+            want = [
+                abs(float(np.real(tr)) - 1.0) + abs(float(np.imag(tr))),
+                float(np.linalg.eigvalsh((m + m.conj().T) / 2).min()),
+                -_entropy(m) - float(np.real(np.trace(m @ log_s))),
+                _entropy(np.trace(m4, axis1=1, axis2=3)) + _entropy(np.trace(m4, axis1=0, axis2=2)) - _entropy(m),
+                float(np.real(np.trace(m @ m))),
+            ]
+            got = [float(x) for x in row[1:]]
+            assert row[0] == f"{t:.10g}"
+            assert abs(got[2] - want[2]) <= 1e-6 * abs(want[2]), (factors, i)
+            for j in (0, 1, 3, 4):
+                assert abs(got[j] - want[j]) <= 1e-12, (factors, i, CSV_COLUMNS[j + 1])
 
-    monkeypatch.setattr(cli, "relative_entropy", recording)
+
+def _retry_instance(tmp_path):
+    # a strong coherent term: the first segment of 500 steps drifts
+    dims = DimensionSignature(1, 2, 2, 1)
+    gen = LindbladGenerator(dims, 50 * random_gue_hamiltonian(4, 5), ())
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps({"state": state_to_json(random_pure(dims, 3)), "generator": generator_to_json(gen)}))
+    return ["simulate", "--instance", str(path), "--t-max", "1.0", "--samples", "3"]
+
+
+def test_simulate_retries_drifting_segments(tmp_path, monkeypatch, capsys):
+    # a drifting segment is integrated again with the suggested step count,
+    # which the next segment keeps; a segment that still drifts after three
+    # retries is a numerical failure (exit 3)
+    built = []
+    build = dynamics._build_step_map
+
+    def recording(k, ls, h, steps):
+        built.append(steps)
+        return build(k, ls, h, steps)
+
+    monkeypatch.setattr(dynamics, "_build_step_map", recording)
+    argv = _retry_instance(tmp_path)
     out = tmp_path / "out.csv"
-    assert main(["simulate", "--instance", str(path), "--t-max", "0.2",
-                 "--samples", "4", "--out", str(out)]) == 0
-    monkeypatch.undo()
+    assert main([*argv, "--out", str(out)]) == 0
+    assert built == [500, 1507, 3014]
     rows = _read_csv(out)[1:]
-    assert len(rows) == len(seen) == 4
-    for t, row, (m, s) in zip(np.linspace(0.0, 0.2, 4), rows, seen):
-        tr = m.trace()
-        s_lam, s_vec = np.linalg.eigh((s + s.conj().T) / 2)
-        # Tr m ln s as <ln s, m> with ln s = V diag(ln lambda) V† (s is full rank)
-        overlap = float(np.vdot((s_vec * np.log(s_lam)) @ s_vec.conj().T, m).real)
-        left = np.trace(m.reshape(4, 2, 4, 2), axis1=1, axis2=3)  # keep aA, trace out Bb
-        right = np.trace(m.reshape(4, 2, 4, 2), axis1=0, axis2=2)  # keep Bb
-        expected = [
-            f"{t:.10g}",
-            repr(abs(float(np.real(tr)) - 1.0) + abs(float(np.imag(tr)))),
-            repr(float(np.linalg.eigvalsh((m + m.conj().T) / 2).min())),
-            repr(max(-_entropy(m) - overlap, 0.0)),
-            repr(_entropy(left) + _entropy(right) - _entropy(m)),
-            repr(float(np.vdot(m, m).real)),
-        ]
-        assert row == expected
-        # the same values by the eigenvector-weight and Tr(m @ m) formulas
-        weights = np.real(np.einsum("ij,ij->j", s_vec.conj(), m @ s_vec))
-        assert abs(float((np.log(s_lam) * weights).sum()) - overlap) <= 1e-12
-        assert abs(float(np.real(np.trace(m @ m))) - float(row[5])) <= 1e-12
+    assert [r[0] for r in rows] == ["0", "0.5", "1"]
+    assert all(abs(float(r[1])) <= 1e-8 and float(r[2]) >= -1e-8 for r in rows)
+    monkeypatch.setattr(dynamics, "DRIFT_TOL", 1e-30)
+    built.clear()
+    assert main([*argv, "--out", str(out)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert len(built) == 4
+
+
+def test_simulate_csv_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
+    # one state per chunk writes the same bytes as the default budget, which
+    # takes 8 states at n = 64 and the whole series at n = 4 (with retries)
+    runs = [["simulate", "--dims", "2", "4", "4", "2", "--lindblad-ops", "3", "--t-max", "0.2",
+             "--samples", "12"], _retry_instance(tmp_path)]
+    for argv, n in zip(runs, (64, 4)):
+        want, got = tmp_path / "default.csv", tmp_path / "one.csv"
+        assert main([*argv, "--out", str(want)]) == 0
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "SERIES_CHUNK_BYTES", 16 * n * n)
+            assert main([*argv, "--out", str(got)]) == 0
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_csv_writers_print_numpy_scalars_as_numbers(tmp_path, monkeypatch):
+    # NumPy scalars reach both CSV writers (simulate's columns come out of
+    # stacked kernels as arrays); every cell is a plain number
+    monkeypatch.setattr(cli, "surrogate_rate_fd", lambda *args, **kwargs: np.float64(0.25))
+    monkeypatch.setattr(cli, "entangling_rate_bound", lambda gen: np.float64(2.5))
+    out = tmp_path / "rates.csv"
+    assert main(["sweep-rates", "--dims", "2", "--trials", "1", "--out", str(out)]) == 0
+    assert _read_csv(out)[1] == ["2", "0.25", "2.5"]
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--dims", "2", "2", "--t-max", "0.05", "--samples", "3", "--out", str(out)]) == 0
+    for row in _read_csv(out)[1:]:
+        assert [repr(float(x)) for x in row[1:]] == row[1:]
 
 
 def test_rate_report_stdout(capsys):

@@ -14,6 +14,7 @@ from entrate.dynamics import (
     convergence_order,
     embed_ab,
     evolve,
+    evolve_series,
     generator_from_json,
     generator_to_json,
 )
@@ -217,9 +218,10 @@ def test_simulate_shape_builds_the_map_and_one_offs_stay_in_kform():
     # evolve keeps exactly one map, for its (h, steps), and the next equal
     # segment reuses it; the one-off integrations of the rate probes and of
     # convergence_order keep none.  d_AB = 4, 9 and 16, the last with the
-    # ancillas of the ``entrate simulate`` time series; at d_AB = 32 evolve
-    # keeps none either
-    for factors in ((1, 2, 2, 1), (1, 3, 3, 1), (2, 4, 4, 2)):
+    # ancillas of the ``entrate simulate`` time series, and 2 2 3 1 with
+    # d_a != d_b; at d_AB = 32 evolve keeps none either.  The map's product
+    # returns an exactly Hermitian state
+    for factors in ((1, 2, 2, 1), (1, 3, 3, 1), (2, 2, 3, 1), (2, 4, 4, 2)):
         gen, rho = _random_generator(factors, 3, seed=1)
         first = evolve(gen, DensityMatrix(gen.dims, rho), 0.02, 32)
         ((key, m),) = gen._map_cache.items()
@@ -227,6 +229,8 @@ def test_simulate_shape_builds_the_map_and_one_offs_stay_in_kform():
         second = evolve(gen, first, 0.02, 32)
         assert list(gen._map_cache) == [key] and gen._map_cache[key] is m
         assert np.abs(second.matrix - _rk4_full(gen, first.matrix, 0.02, 32)).max() <= 1e-13, factors
+        for out in (first.matrix, second.matrix):
+            assert np.array_equal(out, out.conj().T), factors
     # above d_AB = 16 the build costs more than the segments it replaces
     gen, rho = _random_generator((1, 4, 8, 1), 3, seed=1)
     out = evolve(gen, DensityMatrix(gen.dims, rho), 0.02, 32)
@@ -331,6 +335,45 @@ def test_evolve_zero_time_is_identity():
             evolve(gen, rho, 1.0, steps=steps)
         with pytest.raises(ValueError, match="positive integer"):
             convergence_order(gen, rho, 1.0, steps)
+
+
+@pytest.mark.parametrize("factors", [(2, 2, 2, 1), (1, 4, 8, 1)], ids=["map", "kform"])
+def test_evolve_series_matches_repeated_evolve(factors, monkeypatch):
+    # the series in chunks of 3 states is the chain of evolve calls, state
+    # for state and spectrum for spectrum, bit for bit, on both paths
+    gen, rho = _random_generator(factors, 2, seed=3)
+    state = DensityMatrix(gen.dims, rho)
+    monkeypatch.setattr(dynamics, "SERIES_CHUNK_BYTES", 3 * 16 * gen.dims.total**2)
+    chunks = list(evolve_series(gen, state, 0.05, 7, 16))
+    assert [len(mats) for mats, _ in chunks] == [1, 3, 3, 1]
+    mats = np.concatenate([mats for mats, _ in chunks])
+    lams = np.concatenate([lam for _, lam in chunks])
+    want = state
+    for i in range(8):
+        if i:
+            want = evolve(gen, want, 0.05, 16)
+        assert np.array_equal(mats[i], want.matrix) and np.array_equal(lams[i], want.spectrum), i
+
+
+def test_evolve_series_stops_at_a_state_that_is_not_hermitian(monkeypatch):
+    # the states before it are handed out first; it does not drift, so it is
+    # a ValueError and no retry
+    dims = DimensionSignature.cut(2, 1)
+    gen = LindbladGenerator(dims, None, ())
+    rho0 = DensityMatrix(dims, np.diag([0.5, 0.5]).astype(complex))
+    broken = np.array([[0.5, 1e-3], [0.0, 0.5]], dtype=complex)  # |M - M†| = 1e-3
+    calls = []
+
+    def integrate(gen, rho, t, steps):
+        calls.append(steps)
+        return broken.copy() if len(calls) == 3 else rho.copy()
+
+    monkeypatch.setattr(dynamics, "_integrate", integrate)
+    seen = []
+    with pytest.raises(ValueError, match="segment 3 not Hermitian"):
+        for mats, _ in evolve_series(gen, rho0, 0.1, 4, 8):
+            seen.append(len(mats))
+    assert seen == [1, 2] and calls == [8] * 4
 
 
 def test_evolve_dims_mismatch():

@@ -248,18 +248,22 @@ def test_mutual_information_marginals_are_partial_traces(monkeypatch, factors):
     dims = DimensionSignature(*factors)
     rho = DensityMatrix(dims, random_density(dims.total, sum(factors)))
     seen = []
-    entropy = measures._entropy
+    eigvalsh = measures._eigvalsh
 
     def recording(x):
         seen.append(x)
-        return entropy(x)
+        return eigvalsh(x)
 
-    monkeypatch.setattr(measures, "_entropy", recording)
-    mutual_information(rho)
-    left, right, full = seen
+    # the marginals are diagonalized, in one stack when they are the same
+    # size, and the full state's entropy reads its kept spectrum
+    monkeypatch.setattr(measures, "_eigvalsh", recording)
+    got = mutual_information(rho)
+    assert len(seen) == (1 if dims.alice == dims.bob else 2)
+    left, right = (m for x in seen for m in x.reshape(-1, *x.shape[-2:]))
     assert np.array_equal(left, partial_trace(rho.matrix, factors, keep=(0, 1)))
     assert np.array_equal(right, partial_trace(rho.matrix, factors, keep=(2, 3)))
-    assert full is rho
+    monkeypatch.undo()
+    assert got == von_neumann_entropy(left) + von_neumann_entropy(right) - von_neumann_entropy(rho)
 
 
 # (state kind, d_A, d_B, state seed, restarts, ree seed) -> iterations of each
