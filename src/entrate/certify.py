@@ -541,6 +541,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> Certificate:
     t0 = time.monotonic()
     tasks = [(family, cell) for family in config.families for cell in cells_for(family, config)]
     args = (repeat(config), [f for f, _ in tasks], [c for _, c in tasks])
+    # the pool starts all its workers at once, so no more than there are cells
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, *args))

@@ -21,8 +21,8 @@ real matrix in any real coordinates of the Hermitian operators, as in the
 coherence-vector form of Gorini, Kossakowski & Sudarshan, J. Math. Phys. 17,
 821 (1976).  The coordinates used here are X -> Re X + Im X, which map the
 Hermitian operators onto the real matrices and keep the Frobenius norm; in
-them S is Re S + (Im S) P, with P the vec transpose.  M is built and kept in
-these coordinates in float64, half the bytes of the complex map.  The same
+them S is Re S + (Im S) P, with P the vec transpose.  M is built in these
+coordinates in float64, half the bytes of the complex map.  The same
 coordinates taken over the whole space turn a Hermitian rho into one real
 (d_AB^2, (d_a d_b)^2) matrix, so a segment is one real product with half the
 columns of the complex block, and the state it returns is exactly
@@ -45,23 +45,22 @@ probes, takes at most eight applications (about five on average) instead
 of 256.  Both paths compute the same polynomial; they differ by roundoff
 only.
 
-The caller picks the path.  ``evolve`` and ``evolve_series``, the
-time-series entry points, ask the generator for the step map of their (h,
-steps) when d_AB <= 16 (``STEP_MAP_MAX_AB``), which is built on the first
-request and kept until another (h, steps) replaces it: the 49 equal
+The caller picks the path.  ``evolve_series``, the time-series entry
+point, builds the step map of its (h, steps) when d_AB <= 16
+(``STEP_MAP_MAX_AB``), builds it again only when a retry changes the step
+count, and passes it to ``_integrate`` for every segment: the 49 equal
 segments of an ``entrate simulate`` series share one build.  Above that the
 build costs more than the K-form segments it would replace, so they run in
-K-form too.  ``_integrate`` applies the kept map when the generator holds
-one for its (h, steps) and otherwise runs in K-form, so the one-off
-integrations of the rate probes and ``convergence_order`` build none; a
-theorem2 probe takes about five generator applications, less than a build
-costs.
+K-form too.  Every other integration (``evolve``, the rate probes and
+``convergence_order``) is a one-off and runs in K-form; a theorem2 probe
+takes about five generator applications, less than a build costs.  The
+generator keeps no map, so no result depends on what ran on it before.
 
-``evolve_series`` integrates its segments one after another, as ``evolve``
-would, and checks the states in chunks: one stacked eigensolve gives the
-drift of every state of a chunk and the spectra the caller measures with,
-so what a state costs beyond its product and its eigensolve is a share of a
-few stacked calls, not a chain of per-state ones.
+``evolve_series`` integrates its segments one after another and checks
+the states in chunks: one stacked eigensolve gives the drift of every state
+of a chunk and the spectra the caller measures with, so what a state costs
+beyond its product and its eigensolve is a share of a few stacked calls,
+not a chain of per-state ones.
 """
 
 from __future__ import annotations
@@ -101,7 +100,7 @@ __all__ = [
 # post-integration sanity thresholds on trace and positivity drift
 DRIFT_TOL = 1e-8
 
-# evolve builds the step map only up to this d_AB.  The build grows as d_AB^6
+# evolve_series builds the step map only up to this d_AB.  The build grows as d_AB^6
 # and a K-form segment as d_AB^3: a 49-segment series of 32 steps with three
 # jump operators (one BLAS thread) took 0.015 s with the map and 0.135 s in
 # K-form at d_AB = 16 (dims 2 4 4 2), but 0.374 s against 0.078 s at d_AB = 32
@@ -139,6 +138,18 @@ def _check_ab(op: np.ndarray, dims: DimensionSignature, name: str) -> np.ndarray
     return op
 
 
+def _same_space(gen: LindbladGenerator, state) -> None:
+    # ``state`` is a DensityMatrix or a PureState
+    if gen.dims != state.dims:
+        raise ShapeError("generator and state live on different spaces")
+
+
+def _check_hermitian(h: np.ndarray) -> None:
+    herm = float(np.abs(h - dag(h)).max())
+    if herm > 1e-12:
+        raise ValueError(f"hamiltonian not Hermitian: max |H - H†| = {herm:.3e}")
+
+
 def embed_ab(op: np.ndarray, dims: DimensionSignature) -> np.ndarray:
     """Lift an operator on A ⊗ B to I_a ⊗ op ⊗ I_b on the full space."""
     op = _check_ab(op, dims, "A⊗B operator")
@@ -151,23 +162,21 @@ class LindbladGenerator:
 
     ``hamiltonian`` may be None for purely dissipative dynamics, and an empty
     ``lindblad_ops`` tuple gives closed (unitary) dynamics.  The effective
-    operator K = H - (i/2) sum L† L is formed once at construction; the RK4
-    step map that ``evolve`` asked for last is kept on it.
+    operator K = H - (i/2) sum L† L is formed once at construction.  The
+    generator is immutable: it keeps no step map, which ``evolve_series``
+    builds for itself (module docstring).
     """
 
     dims: DimensionSignature
     hamiltonian: np.ndarray | None = None
     lindblad_ops: tuple[np.ndarray, ...] = ()
     _k: np.ndarray = field(init=False, repr=False)
-    _map_cache: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         h = self.hamiltonian
         if h is not None:
             h = _check_ab(h, self.dims, "hamiltonian")
-            herm = float(np.abs(h - dag(h)).max())
-            if herm > 1e-12:
-                raise ValueError(f"hamiltonian not Hermitian: max |H - H†| = {herm:.3e}")
+            _check_hermitian(h)
         ls = tuple(_check_ab(l, self.dims, "lindblad op") for l in self.lindblad_ops)
         ab = self.dims.d_A * self.dims.d_B
         k = np.zeros((ab, ab), dtype=complex) if h is None else h.copy()
@@ -176,18 +185,6 @@ class LindbladGenerator:
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "lindblad_ops", ls)
         object.__setattr__(self, "_k", k)
-        object.__setattr__(self, "_map_cache", {})
-
-    def _step_map(self, h: float, steps: int) -> np.ndarray:
-        """T4(hS)^steps, real in the coordinates Re X + Im X.
-
-        Built on the first request and kept; a request for any other step
-        size or count replaces it.  Only ``evolve`` asks (module docstring).
-        """
-        if (h, steps) not in self._map_cache:
-            self._map_cache.clear()
-            self._map_cache[h, steps] = _build_step_map(self._k, self.lindblad_ops, h, steps)
-        return self._map_cache[h, steps]
 
     @cached_property
     def _norm_bound(self) -> float:
@@ -253,11 +250,12 @@ def apply_generator(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
 # maps the Hermitian operators onto the real matrices and keeps the Frobenius
 # norm.  On vec(X) it is the unitary T = ((1 - i) I + (1 + i) P)/2, P the vec
 # transpose, with T^-1 = ((1 + i) I + (1 - i) P)/2; T S T^-1 = Re S + (Im S) P
-# is real, and the step map is built and kept as the real matrix
+# is real, and the step map is built as the real matrix
 # T T4(hS)^steps T^-1.
 
 
 def _build_step_map(k: np.ndarray, ls: tuple[np.ndarray, ...], h: float, steps: int) -> np.ndarray:
+    # T4(hS)^steps, real in the coordinates Re X + Im X
     ab = k.shape[0]
     n = ab * ab
     if ls:
@@ -341,19 +339,20 @@ def _apply_step_map(m: np.ndarray, rho: np.ndarray, dims: DimensionSignature) ->
 
 # ------------------------------------------------------------- integration
 
-def _integrate(gen: LindbladGenerator, rho: np.ndarray, t: float, steps: int) -> np.ndarray:
+def _integrate(
+    gen: LindbladGenerator, rho: np.ndarray, t: float, steps: int, step_map: np.ndarray | None = None
+) -> np.ndarray:
     """rho after ``steps`` RK4 steps of size t/steps, i.e. T4(hS)^steps rho.
 
-    With the step map that ``evolve`` keeps on the generator for this (h,
-    steps) this is one product.  Otherwise, in K-form, the steps go in chunks
-    of m with m h beta <= 1 (beta = ``_norm_bound``), and each chunk is
-    Horner's rule on the coefficients c_0..c_J of T4(x)^m, J generator
+    With ``step_map``, which must be ``_build_step_map`` of this (t/steps,
+    steps), this is one product.  Otherwise, in K-form, the steps go in
+    chunks of m with m h beta <= 1 (beta = ``_norm_bound``), and each chunk
+    is Horner's rule on the coefficients c_0..c_J of T4(x)^m, J generator
     applications with J <= 4m; a chunk of one step is one RK4 step.
     """
-    h = t / steps
-    step_map = gen._map_cache.get((h, steps))
     if step_map is not None:
         return _apply_step_map(step_map, rho, gen.dims)
+    h = t / steps
     apply = _kform(gen._k, gen.lindblad_ops)
     y = _to_rows(rho, gen.dims)
     hb = h * gen._norm_bound
@@ -425,31 +424,21 @@ def _drift_error(drift: float, steps: int) -> IntegrationError:
     )
 
 
-def _keep_step_map(gen: LindbladGenerator, t: float, steps: int) -> None:
-    # up to d_AB = 16 the generator keeps the step map of (t/steps, steps),
-    # for _integrate and every later equal segment
-    if gen.dims.d_A * gen.dims.d_B <= STEP_MAP_MAX_AB:
-        gen._step_map(t / steps, steps)
-
-
 def evolve(gen: LindbladGenerator, rho0: DensityMatrix, t: float, steps: int = 1000) -> DensityMatrix:
-    """Integrate for time ``t`` with fixed-step RK4.  Up to d_AB = 16 the
-    generator keeps the step map of (t/steps, steps), so each later equal
-    segment is one product; larger blocks run in K-form.
+    """Integrate for time ``t`` with fixed-step RK4, as a one-off in K-form
+    (module docstring); a time series is ``evolve_series``.
 
     Raises IntegrationError (with a suggested step count scaled by the
     fourth root of the overshoot) if trace or positivity drift exceeds 1e-8,
     before the result is validated as a state.  The returned state keeps the
     spectrum the drift check computed.
     """
-    if gen.dims != rho0.dims:
-        raise ShapeError("generator and state live on different spaces")
+    _same_space(gen, rho0)
     if _finite_real(t, "t", "finite and >= 0") < 0:
         raise ValueError(f"t must be finite and >= 0, got {t}")
     steps = _positive_int(steps, "steps")
     if t == 0:
         return rho0
-    _keep_step_map(gen, t, steps)
     out = _integrate(gen, rho0.matrix, t, steps)
     drift, lam = _drift(out)
     if drift > DRIFT_TOL:
@@ -464,19 +453,19 @@ def evolve_series(
     chunks ``(mats, spectra)``: a stack of matrices and their ascending
     eigenvalues, in time order.  The first chunk is ``rho0`` alone.
 
-    Each segment is ``evolve``'s integration of ``steps`` steps (the step map
-    is built once and kept), run one after another.  A chunk holds at most
-    ``SERIES_CHUNK_BYTES`` of complex matrices and is checked as a stack:
-    one stacked eigensolve for the trace and positivity drift, then the
-    Hermiticity and finiteness of the rows before the first that drifts.
+    Each segment is an integration of ``steps`` steps, run one after
+    another; up to d_AB = 16 they share one step map, built again only when
+    a retry changes ``steps``.  A chunk holds at most ``SERIES_CHUNK_BYTES``
+    of complex matrices and is checked as a stack: one stacked eigensolve
+    for the trace and positivity drift, then the Hermiticity and finiteness
+    of the rows before the first that drifts.
     The rows before a failure are yielded first.  A segment that drifts is
     integrated again from the last good state with the suggested step count,
     which the later segments keep; its ``SERIES_RETRIES + 1``-th drift
     raises IntegrationError, and a row that is not Hermitian within
     ``HERMITIAN_TOL`` (or not finite) raises ValueError.
     """
-    if gen.dims != rho0.dims:
-        raise ShapeError("generator and state live on different spaces")
+    _same_space(gen, rho0)
     if _finite_real(t, "t", "finite and > 0") <= 0:
         raise ValueError(f"t must be finite and > 0, got {t}")
     count = _positive_int(count, "count")
@@ -485,13 +474,14 @@ def evolve_series(
     rows = max(1, SERIES_CHUNK_BYTES // (16 * n * n))
     start = rho0.matrix
     yield start[None], rho0.spectrum[None]
+    use_map = gen.dims.d_A * gen.dims.d_B <= STEP_MAP_MAX_AB
+    step_map = _build_step_map(gen._k, gen.lindblad_ops, t / steps, steps) if use_map else None
     done = failures = 0  # failures: of the segment after the last good one
     while done < count:
-        _keep_step_map(gen, t, steps)
         mats = np.empty((min(rows, count - done), n, n), dtype=complex)
         m = start
         for i in range(len(mats)):
-            m = mats[i] = _integrate(gen, m, t, steps)
+            m = mats[i] = _integrate(gen, m, t, steps, step_map)
         herm = _hermiticity_error(mats)
         # the step map's states are exactly Hermitian, their own Hermitian part
         drift, lam = _drift(mats, None if herm.any() else np.linalg.eigvalsh(mats))
@@ -508,6 +498,8 @@ def evolve_series(
             if failures > SERIES_RETRIES:
                 raise err
             steps = err.suggested_steps
+            if use_map:
+                step_map = _build_step_map(gen._k, gen.lindblad_ops, t / steps, steps)
 
 
 def _first(mask: np.ndarray, default: int) -> int:
@@ -520,8 +512,7 @@ def convergence_order(gen: LindbladGenerator, rho0: DensityMatrix, t: float, ste
     """Empirical order from errors at ``steps`` and ``2*steps`` against a
     reference at ``16*steps``.  Returns None when the errors are too close to
     roundoff to resolve a slope."""
-    if gen.dims != rho0.dims:
-        raise ShapeError("generator and state live on different spaces")
+    _same_space(gen, rho0)
     if _finite_real(t, "t", "finite and > 0") <= 0:
         raise ValueError(f"t must be finite and > 0, got {t}")
     steps = _positive_int(steps, "steps")

@@ -34,7 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import IntegrationError, LindbladGenerator, apply_generator, _drift, _integrate
+from .dynamics import (
+    IntegrationError, LindbladGenerator, apply_generator, _check_hermitian, _drift, _integrate, _same_space
+)
 from .linalg import (
     ShapeError,
     as_matrix,
@@ -220,9 +222,7 @@ def hamiltonian_commutator_check(h, psi: PureState, *, eta: float = 1e-8) -> Ine
     h = as_matrix(h, name="hamiltonian")
     if h.shape[0] != psi.dims.total:
         raise ShapeError(f"hamiltonian must be {psi.dims.total} x {psi.dims.total}, got shape {h.shape}")
-    herm = float(np.abs(h - dag(h)).max())
-    if herm > 1e-12:
-        raise ValueError(f"hamiltonian not Hermitian: max |H - H†| = {herm:.3e}")
+    _check_hermitian(h)
     v, _, b = _schmidt_logs(schmidt(psi), eta)
     amp = psi.amplitudes
     lhs = abs(-2.0 * (1.0 - eta) * float(b @ np.imag((amp.conj() @ v) * (h @ amp @ v.conj()))))
@@ -445,8 +445,7 @@ def surrogate_rate_analytic(
     if psi.dims.d < 2:
         raise DegenerateCut("d = 1 cut: no entanglement is possible across it")
     _check_eta(eta)
-    if psi.dims != gen.dims:
-        raise ValueError("state and generator live on different spaces")
+    _same_space(gen, psi)
     v, a, b = _schmidt_logs(schmidt(psi) if _sd is None else _sd, eta)
     amp = psi.amplitudes
     rhodot = apply_generator(gen, psi.projector())
@@ -462,8 +461,7 @@ def _surrogate_step(
         raise DegenerateCut("d = 1 cut: no entanglement is possible across it")
     if _finite_real(delta_t, "delta_t", "finite and > 0") <= 0:
         raise ValueError(f"delta_t must be finite and > 0, got {delta_t}")
-    if psi.dims != gen.dims:
-        raise ValueError("state and generator live on different spaces")
+    _same_space(gen, psi)
     _check_eta_ref(eta_ref)
     sd = schmidt(psi)
     rho_dt = _evolve_tight(gen, psi.density(), delta_t)
@@ -507,8 +505,7 @@ def mutual_info_rate_analytic(
     states, pure initial states included."""
     if isinstance(rho, PureState):
         rho = rho.density()
-    if rho.dims != gen.dims:
-        raise ValueError("state and generator live on different spaces")
+    _same_space(gen, rho)
     if eta is not None:
         _check_eta(eta)
     factors = rho.dims.factors()
@@ -529,8 +526,7 @@ def mutual_info_rate_fd(rho: DensityMatrix, gen: LindbladGenerator, delta_t: flo
     """Rate of the mutual information across aA | Bb at t = 0 by the
     Richardson extrapolation 2 q(dt/2) - q(dt) of the forward quotients
     q(h) = (I(rho_h) - I(rho)) / h, which cancels their step-linear error."""
-    if rho.dims != gen.dims:
-        raise ValueError("state and generator live on different spaces")
+    _same_space(gen, rho)
     if _finite_real(delta_t, "delta_t", "finite and > 0") <= 0:
         raise ValueError(f"delta_t must be finite and > 0, got {delta_t}")
     i0 = mutual_information(rho)

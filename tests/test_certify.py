@@ -180,6 +180,32 @@ def test_run_sweep_parallel_matches_serial():
     assert _stable_lines(serial) == _stable_lines(parallel)
 
 
+def test_run_sweep_starts_no_more_workers_than_cells(monkeypatch):
+    # the pool starts all its workers at once, so a large worker count asks
+    # for one per cell; the fake pool records the request and maps in-process
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(entrate.certify, "ProcessPoolExecutor", RecordingPool)
+    cfg = _small_config(families=("prop1", "kittaneh"))
+    cells = sum(len(cells_for(family, cfg)) for family in cfg.families)
+    cert = run_sweep(cfg, workers=10**6)
+    assert 1 < cells < 10**6 and asked == [cells]
+    assert _stable_lines(cert) == _stable_lines(run_sweep(cfg))
+
+
 def test_theorem2_sweep_with_both_measures():
     for measure in ("surrogate", "bruteforce"):
         cfg = SweepConfig(

@@ -7,6 +7,7 @@ from entrate import dynamics
 from entrate.dynamics import (
     IntegrationError,
     LindbladGenerator,
+    _build_step_map,
     _horner_degree,
     _integrate,
     _t4_power_coefficients,
@@ -19,7 +20,7 @@ from entrate.dynamics import (
     generator_to_json,
 )
 from entrate.linalg import ShapeError, tensor
-from entrate.rates import _evolve_tight, mutual_info_rate_fd
+from entrate.rates import _evolve_tight, entangling_rate_fd, mutual_info_rate_fd, surrogate_rate_fd
 from entrate.states import (
     DensityMatrix,
     DimensionSignature,
@@ -89,6 +90,29 @@ def _rk4_full(gen, rho, t, steps):
     return rho
 
 
+def _forbid_step_map(monkeypatch):
+    # every integration after this runs in K-form: building or applying a
+    # step map fails the test
+    def refuse(*args):
+        raise AssertionError("a step map was built or applied")
+
+    monkeypatch.setattr(dynamics, "_build_step_map", refuse)
+    monkeypatch.setattr(dynamics, "_apply_step_map", refuse)
+
+
+def _recording_builds(monkeypatch):
+    # every step map built from here on, as ((h, steps), map)
+    built = []
+    build = dynamics._build_step_map
+
+    def recording(k, ls, h, steps):
+        built.append(((h, steps), build(k, ls, h, steps)))
+        return built[-1][1]
+
+    monkeypatch.setattr(dynamics, "_build_step_map", recording)
+    return built
+
+
 def _random_generator(factors, k, seed):
     rng = np.random.default_rng(seed)
     dims = DimensionSignature(*factors)
@@ -103,47 +127,46 @@ def _random_generator(factors, k, seed):
     ids=["ancillas-map", "no-ancilla-map", "d16-ancillas-map", "kform-fallback"],
 )
 def test_block_kernels_match_full_space_rk4(factors, monkeypatch):
-    # both paths on every shape: K-form on a fresh generator, then the step
-    # map once one is kept for this (h, steps)
+    # both paths on every shape: K-form without a map, then the step map of
+    # this (h, steps) passed in
     gen, rho = _random_generator(factors, 2, seed=sum(factors))
     want = _rk4_full(gen, rho, 0.3, 48)
-    kform = _integrate(gen, rho, 0.3, 48)
-    assert not gen._map_cache
-    m = gen._step_map(0.3 / 48, 48)  # 48 = 0b110000 also exercises the powering's multiply
-    assert m.dtype == np.float64  # kept in the coordinates Re X + Im X
-    monkeypatch.setattr(dynamics, "_kform", None)  # the kept map is applied, not the K-form
-    mapped = _integrate(gen, rho, 0.3, 48)
+    with monkeypatch.context() as mp:
+        _forbid_step_map(mp)
+        kform = _integrate(gen, rho, 0.3, 48)
+    m = _build_step_map(gen._k, gen.lindblad_ops, 0.3 / 48, 48)  # 48 = 0b110000 also exercises the powering's multiply
+    assert m.dtype == np.float64  # built in the coordinates Re X + Im X
+    monkeypatch.setattr(dynamics, "_kform", None)  # the map is applied, not the K-form
+    mapped = _integrate(gen, rho, 0.3, 48, m)
     monkeypatch.undo()
-    assert list(gen._map_cache) == [(0.3 / 48, 48)]
     assert np.abs(kform - want).max() <= 1e-13
     assert np.abs(mapped - want).max() <= 1e-13
     assert np.abs(apply_generator(gen, rho) - _full_space_apply(gen)(rho)).max() <= 1e-13
 
 
-def test_repeated_segments_switch_to_the_step_map():
-    # the first segment of a time series builds the map and every equal
-    # segment after it applies the same object; the result is the same RK4
-    # polynomial either way
+def test_repeated_segments_switch_to_the_step_map(monkeypatch):
+    # a time series builds the map once and applies the same object to every
+    # equal segment; the result is the same RK4 polynomial either way
     gen, rho = _random_generator((1, 4, 4, 1), 3, seed=11)
-    want = _rk4_full(gen, rho, 0.2, 64)
-    state = DensityMatrix(gen.dims, rho)
-    seen = []
-    for _ in range(3):
-        assert np.abs(evolve(gen, state, 0.2, 64).matrix - want).max() <= 1e-13
-        seen.append(gen._map_cache[(0.2 / 64, 64)])
-    assert len(gen._map_cache) == 1 and seen[0] is seen[1] is seen[2]
+    built = _recording_builds(monkeypatch)
+    applied = []
+    apply = dynamics._apply_step_map
+    monkeypatch.setattr(dynamics, "_apply_step_map", lambda m, *args: applied.append(m) or apply(m, *args))
+    mats = np.concatenate([m for m, _ in evolve_series(gen, DensityMatrix(gen.dims, rho), 0.2, 3, 64)])
+    for prev, out in zip(mats, mats[1:]):
+        assert np.abs(out - _rk4_full(gen, prev, 0.2, 64)).max() <= 1e-13
+    ((key, m),) = built
+    assert key == (0.2 / 64, 64) and len(applied) == 3
+    assert all(a is m for a in applied)
 
 
 def test_new_step_count_rebuilds_the_map():
     gen, rho = _random_generator((2, 2, 2, 1), 1, seed=5)
-    gen._step_map(0.5 / 4, 4)
-    coarse = _integrate(gen, rho, 0.5, 4)
-    gen._step_map(0.5 / 8, 8)
-    fine = _integrate(gen, rho, 0.5, 8)
+    coarse = _integrate(gen, rho, 0.5, 4, _build_step_map(gen._k, gen.lindblad_ops, 0.5 / 4, 4))
+    fine = _integrate(gen, rho, 0.5, 8, _build_step_map(gen._k, gen.lindblad_ops, 0.5 / 8, 8))
     assert np.abs(coarse - _rk4_full(gen, rho, 0.5, 4)).max() <= 1e-13
     assert np.abs(fine - _rk4_full(gen, rho, 0.5, 8)).max() <= 1e-13
     assert np.abs(coarse - fine).max() > 1e-8
-    assert list(gen._map_cache) == [(0.5 / 8, 8)]
 
 
 @pytest.mark.parametrize("factors", [(1, 2, 2, 1), (1, 3, 3, 1), (2, 2, 3, 1)])
@@ -163,7 +186,7 @@ def test_step_map_is_kept_in_re_plus_im_coordinates(factors, k, steps):
     p = np.eye(ab * ab)[np.arange(ab * ab).reshape(ab, ab).T.reshape(-1)]
     t = ((1 - 1j) * np.eye(ab * ab) + (1 + 1j) * p) / 2
     want = t @ np.linalg.matrix_power(t4, steps) @ np.linalg.inv(t)
-    got = gen._step_map(0.3 / steps, steps)
+    got = _build_step_map(gen._k, gen.lindblad_ops, 0.3 / steps, steps)
     assert np.abs(want.imag).max() <= 1e-13
     assert np.abs(got - want.real).max() <= 1e-13
 
@@ -172,31 +195,32 @@ def test_step_map_is_kept_in_re_plus_im_coordinates(factors, k, steps):
 @pytest.mark.parametrize(
     "t, steps", [(1e-3, 64), (1e-5, 64), (0.3, 48)], ids=["dt1e-3", "dt1e-5", "t0.3-chunks"]
 )
-def test_kform_horner_matches_full_space_rk4(k, t, steps):
+def test_kform_horner_matches_full_space_rk4(k, t, steps, monkeypatch):
     # one chunk of m = steps when t beta <= 1 (the theorem2 probes), several
     # chunks at t = 0.3; both are the RK4 polynomial T4(hS)^steps
     gen, rho = _random_generator((1, 4, 4, 1), k, seed=20 + k)
+    _forbid_step_map(monkeypatch)
     got = _integrate(gen, rho, t, steps)
-    assert not gen._map_cache  # ran in K-form
     assert (t * gen._norm_bound <= 1.0) == (t < 0.3)
     assert np.abs(got - _rk4_full(gen, rho, t, steps)).max() <= 1e-13
 
 
-def test_kform_horner_long_horizons_stay_chunked():
+def test_kform_horner_long_horizons_stay_chunked(monkeypatch):
     # t beta of 50-100: one chunk would sum terms as large as e^(t beta) and
     # lose digits to cancellation; chunks of m h beta <= 1 do not
+    _forbid_step_map(monkeypatch)
     for factors, k, t, steps in [((1, 2, 2, 1), 1, 20.0, 400), ((2, 2, 2, 1), 2, 10.0, 256)]:
         gen, rho = _random_generator(factors, k, seed=40 + k)
         assert t * gen._norm_bound > 50
         assert np.abs(_integrate(gen, rho, t, steps) - _rk4_full(gen, rho, t, steps)).max() <= 1e-13
-        assert not gen._map_cache
 
 
-def test_kform_without_generator_returns_rho():
+def test_kform_without_generator_returns_rho(monkeypatch):
     gen = LindbladGenerator(DimensionSignature(1, 4, 4, 1))  # S = 0, beta = 0
     rho = random_density(16, 4)
+    _forbid_step_map(monkeypatch)
     got = _integrate(gen, rho, 0.5, 64)
-    assert gen._norm_bound == 0.0 and not gen._map_cache
+    assert gen._norm_bound == 0.0
     assert np.array_equal(got, rho)
 
 
@@ -214,44 +238,70 @@ def test_t4_power_coefficients_match_exact_expansion():
         assert max(abs(float((Fraction(c) - e) / e)) for c, e in zip(got, exact)) <= 1e-15, m
 
 
-def test_simulate_shape_builds_the_map_and_one_offs_stay_in_kform():
-    # evolve keeps exactly one map, for its (h, steps), and the next equal
-    # segment reuses it; the one-off integrations of the rate probes and of
-    # convergence_order keep none.  d_AB = 4, 9 and 16, the last with the
-    # ancillas of the ``entrate simulate`` time series, and 2 2 3 1 with
-    # d_a != d_b; at d_AB = 32 evolve keeps none either.  The map's product
-    # returns an exactly Hermitian state
+def test_simulate_shape_builds_the_map_and_one_offs_stay_in_kform(monkeypatch):
+    # a time series builds exactly one map, for its (h, steps), and every
+    # segment applies it; the one-off integrations of evolve, the rate
+    # probes and convergence_order build none.  d_AB = 4, 9 and 16, the last
+    # with the ancillas of the ``entrate simulate`` time series, and 2 2 3 1
+    # with d_a != d_b; at d_AB = 32 the series builds none either.  The
+    # map's product returns an exactly Hermitian state
+    built = _recording_builds(monkeypatch)
     for factors in ((1, 2, 2, 1), (1, 3, 3, 1), (2, 2, 3, 1), (2, 4, 4, 2)):
         gen, rho = _random_generator(factors, 3, seed=1)
-        first = evolve(gen, DensityMatrix(gen.dims, rho), 0.02, 32)
-        ((key, m),) = gen._map_cache.items()
+        built.clear()
+        _, first, second = np.concatenate([m for m, _ in evolve_series(gen, DensityMatrix(gen.dims, rho), 0.02, 2, 32)])
+        ((key, m),) = built
         assert key == (0.02 / 32, 32) and m.dtype == np.float64
-        second = evolve(gen, first, 0.02, 32)
-        assert list(gen._map_cache) == [key] and gen._map_cache[key] is m
-        assert np.abs(second.matrix - _rk4_full(gen, first.matrix, 0.02, 32)).max() <= 1e-13, factors
-        for out in (first.matrix, second.matrix):
+        assert np.array_equal(first, _integrate(gen, rho, 0.02, 32, m)), factors
+        assert np.abs(second - _rk4_full(gen, first, 0.02, 32)).max() <= 1e-13, factors
+        for out in (first, second):
             assert np.array_equal(out, out.conj().T), factors
     # above d_AB = 16 the build costs more than the segments it replaces
     gen, rho = _random_generator((1, 4, 8, 1), 3, seed=1)
-    out = evolve(gen, DensityMatrix(gen.dims, rho), 0.02, 32)
-    assert not gen._map_cache
-    assert np.abs(out.matrix - _rk4_full(gen, rho, 0.02, 32)).max() <= 1e-13
+    built.clear()
+    _, out = np.concatenate([m for m, _ in evolve_series(gen, DensityMatrix(gen.dims, rho), 0.02, 1, 32)])
+    assert not built
+    assert np.abs(out - _rk4_full(gen, rho, 0.02, 32)).max() <= 1e-13
+    _forbid_step_map(monkeypatch)
     for factors in ((1, 2, 2, 1), (1, 3, 3, 1), (1, 4, 4, 1)):
         for k in range(4):
             gen, rho = _random_generator(factors, k, seed=2)
             state = DensityMatrix(gen.dims, rho)
             _integrate(gen, rho, 1e-3, 64)
+            evolve(gen, state, 0.02, 32)
             _evolve_tight(gen, state, 1e-3)
             convergence_order(gen, state, 0.5, 8)
             mutual_info_rate_fd(state, gen, 1e-4)
-            assert not gen._map_cache, (factors, k)
 
 
-def test_convergence_order_in_kform():
+@pytest.mark.parametrize("factors", [(1, 2, 2, 1), (2, 2, 2, 1)], ids=["2x2", "ancillas"])
+def test_probes_do_not_depend_on_what_ran_before(factors):
+    # a probe is a function of its inputs: a plain evolve and a time series
+    # over the probe's own (t, steps), run on the same generator first,
+    # leave it bit for bit equal to its value on a fresh generator
+    gen, _ = _random_generator(factors, 1, seed=7)
+    psi = random_pure(gen.dims, 8)
+    rho = psi.density()
+    probes = [
+        (lambda g: surrogate_rate_fd(psi, g, 1e-3), [(1e-3, 64)]),
+        (lambda g: entangling_rate_fd(psi, g, 1e-3).gamma_fd, [(1e-3, 64)]),
+        (lambda g: mutual_info_rate_fd(rho, g, 1e-3), [(5e-4, 64), (1e-3, 64)]),
+        (lambda g: convergence_order(g, rho, 0.5, 8), [(0.5, 128), (0.5, 8)]),
+    ]
+    for i, (probe, runs) in enumerate(probes):
+        used = LindbladGenerator(gen.dims, gen.hamiltonian, gen.lindblad_ops)
+        for t, steps in runs:
+            evolve(used, rho, t, steps)
+            for _ in evolve_series(used, rho, t, 1, steps):
+                pass
+        assert probe(used) == probe(LindbladGenerator(gen.dims, gen.hamiltonian, gen.lindblad_ops)), i
+
+
+def test_convergence_order_in_kform(monkeypatch):
     gen, _ = _random_generator((1, 4, 4, 1), 1, seed=12)
     rho0 = random_pure(gen.dims, 13).density()
+    _forbid_step_map(monkeypatch)  # every integration runs in K-form
     order = convergence_order(gen, rho0, 0.5, 8)
-    assert not gen._map_cache  # every integration ran in K-form
     assert order is not None and order >= 3.7
 
 
@@ -339,8 +389,9 @@ def test_evolve_zero_time_is_identity():
 
 @pytest.mark.parametrize("factors", [(2, 2, 2, 1), (1, 4, 8, 1)], ids=["map", "kform"])
 def test_evolve_series_matches_repeated_evolve(factors, monkeypatch):
-    # the series in chunks of 3 states is the chain of evolve calls, state
-    # for state and spectrum for spectrum, bit for bit, on both paths
+    # the series in chunks of 3 states is the chain of single integrations
+    # (through the step map at d_AB = 4, in K-form at 32), state for state
+    # and spectrum for spectrum, bit for bit; in K-form each link is evolve
     gen, rho = _random_generator(factors, 2, seed=3)
     state = DensityMatrix(gen.dims, rho)
     monkeypatch.setattr(dynamics, "SERIES_CHUNK_BYTES", 3 * 16 * gen.dims.total**2)
@@ -348,10 +399,16 @@ def test_evolve_series_matches_repeated_evolve(factors, monkeypatch):
     assert [len(mats) for mats, _ in chunks] == [1, 3, 3, 1]
     mats = np.concatenate([mats for mats, _ in chunks])
     lams = np.concatenate([lam for _, lam in chunks])
+    step_map = None
+    if gen.dims.d_A * gen.dims.d_B <= dynamics.STEP_MAP_MAX_AB:
+        step_map = _build_step_map(gen._k, gen.lindblad_ops, 0.05 / 16, 16)
     want = state
     for i in range(8):
         if i:
-            want = evolve(gen, want, 0.05, 16)
+            m = _integrate(gen, want.matrix, 0.05, 16, step_map)
+            if step_map is None:
+                assert np.array_equal(m, evolve(gen, want, 0.05, 16).matrix), i
+            want = DensityMatrix(gen.dims, m)
         assert np.array_equal(mats[i], want.matrix) and np.array_equal(lams[i], want.spectrum), i
 
 
@@ -364,7 +421,7 @@ def test_evolve_series_stops_at_a_state_that_is_not_hermitian(monkeypatch):
     broken = np.array([[0.5, 1e-3], [0.0, 0.5]], dtype=complex)  # |M - M†| = 1e-3
     calls = []
 
-    def integrate(gen, rho, t, steps):
+    def integrate(gen, rho, t, steps, step_map=None):
         calls.append(steps)
         return broken.copy() if len(calls) == 3 else rho.copy()
 
