@@ -15,7 +15,6 @@ import math
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -293,6 +292,10 @@ def _with_tol(result: InequalityResult, tol: float) -> dict:
     }
 
 
+def _at_most(tag: str, lhs: float, rhs: float) -> InequalityResult:
+    return InequalityResult(tag, lhs, rhs, rhs - lhs)
+
+
 def _local_rotation(psi: PureState, u_a: np.ndarray, u_b: np.ndarray) -> PureState:
     amp = psi.amplitudes.reshape(psi.dims.alice, psi.dims.bob)
     out = (u_a @ amp @ u_b.T).reshape(-1)
@@ -313,10 +316,7 @@ def _eval(family: str, inputs: dict, tol: float) -> list[dict]:
     if family == "h_term":
         psi, h = inputs["psi"], inputs["H"]
         primary = hamiltonian_commutator_check(h, psi)
-        tight_rhs = primary.witness["tight_bound"]
-        tight = InequalityResult(
-            "coherent-term-cap-tight", primary.lhs, tight_rhs, tight_rhs - primary.lhs
-        )
+        tight = _at_most("coherent-term-cap-tight", primary.lhs, primary.witness["tight_bound"])
         return [_with_tol(primary, tol), _with_tol(tight, tol)]
     if family == "l_term":
         res = dissipative_commutator_check(inputs["L"], inputs["X"], inputs["Y"], inputs["p"])
@@ -340,22 +340,15 @@ def _eval(family: str, inputs: dict, tol: float) -> list[dict]:
             seed=inputs["seed"],
             ree_kwargs=ree_kwargs,
         )
-        bound_check = InequalityResult(
-            "rate-bound", report.gamma_surrogate_fd, report.theorem_bound, report.margin
-        )
-        ordering = InequalityResult(
-            "measure-ordering",
-            report.gamma_fd,
-            report.gamma_surrogate_fd,
-            report.gamma_surrogate_fd - report.gamma_fd,
-        )
+        bound_check = _at_most("rate-bound", report.gamma_surrogate_fd, report.theorem_bound)
+        ordering = _at_most("measure-ordering", report.gamma_fd, report.gamma_surrogate_fd)
         return [_with_tol(bound_check, tol), _with_tol(ordering, ORDERING_TOL)]
     if family == "theorem3":
         rho = inputs["rho"]
         gen = LindbladGenerator(rho.dims, inputs["H"], tuple(inputs["Ls"]))
         rate = mutual_info_rate_analytic(rho, gen)
         bound = mi_rate_bound(gen)
-        res = InequalityResult("mi-rate-bound", abs(rate), bound, bound - abs(rate))
+        res = _at_most("mi-rate-bound", abs(rate), bound)
         return [_with_tol(res, tol)]
     if family == "bravyi_lemma1":
         rho = inputs["rho"]
@@ -373,23 +366,14 @@ def _eval(family: str, inputs: dict, tol: float) -> list[dict]:
         product = entanglement_entropy(PureState(dims, np.outer(sd.left[:, 0], sd.right[:, 0]).reshape(-1)))
         maxent = entanglement_entropy(_local_rotation(_max_entangled(dims), u_a, u_b))
         checks = [
-            InequalityResult("nonnegative", -ent, 1e-12, ent + 1e-12),
-            InequalityResult("local-unitary-invariant", abs(rotated - ent), 1e-10, 1e-10 - abs(rotated - ent)),
-            InequalityResult("product-states-score-zero", product, 1e-12, 1e-12 - product),
-            InequalityResult(
-                "max-entangled-normalization",
-                abs(maxent - math.log(dims.d)),
-                1e-10,
-                1e-10 - abs(maxent - math.log(dims.d)),
-            ),
+            _at_most("nonnegative", -ent, 1e-12),
+            _at_most("local-unitary-invariant", abs(rotated - ent), 1e-10),
+            _at_most("product-states-score-zero", product, 1e-12),
+            _at_most("max-entangled-normalization", abs(maxent - math.log(dims.d)), 1e-10),
         ]
         if dims.d_A * dims.d_B <= _BRUTEFORCE_AB_CAP:
             est = ree_bruteforce(psi.density(), restarts=1, max_iters=300, seed=inputs["seed"])
-            checks.append(
-                InequalityResult(
-                    "bruteforce-agrees", abs(est.value - ent), 1e-4, 1e-4 - abs(est.value - ent)
-                )
-            )
+            checks.append(_at_most("bruteforce-agrees", abs(est.value - ent), 1e-4))
         return [_with_tol(c, tol) for c in checks]
     raise FormatError(f"unknown family {family!r}")
 
@@ -419,19 +403,18 @@ _SCHEMAS = {
 }
 
 
+# (encode, decode) of each field kind
+_CODECS = {
+    "pure": (state_to_json, state_from_json),
+    "state": (state_to_json, state_from_json),
+    "matrix": (matrix_to_json, matrix_from_json),
+    "matrix_list": (lambda ms: [matrix_to_json(m) for m in ms], lambda ms: [matrix_from_json(m) for m in ms]),
+    "scalar": (lambda v: v, lambda v: v),
+}
+
+
 def _pack_inputs(family: str, inputs: dict) -> dict:
-    out = {}
-    for key, kind in _SCHEMAS[family].items():
-        val = inputs[key]
-        if kind in ("pure", "state"):
-            out[key] = state_to_json(val)
-        elif kind == "matrix":
-            out[key] = matrix_to_json(val)
-        elif kind == "matrix_list":
-            out[key] = [matrix_to_json(m) for m in val]
-        else:
-            out[key] = val
-    return out
+    return {key: _CODECS[kind][0](inputs[key]) for key, kind in _SCHEMAS[family].items()}
 
 
 def _unpack_inputs(family: str, obj: dict) -> dict:
@@ -442,17 +425,9 @@ def _unpack_inputs(family: str, obj: dict) -> dict:
     out = {}
     try:
         for key, kind in schema.items():
-            val = obj[key]
-            if kind in ("pure", "state"):
-                out[key] = state_from_json(val)
-                if isinstance(out[key], PureState) != (kind == "pure"):
-                    raise FormatError(f"a {kind!r} field got a {type(out[key]).__name__}")
-            elif kind == "matrix":
-                out[key] = matrix_from_json(val)
-            elif kind == "matrix_list":
-                out[key] = [matrix_from_json(m) for m in val]
-            else:
-                out[key] = val
+            out[key] = _CODECS[kind][1](obj[key])
+            if kind in ("pure", "state") and isinstance(out[key], PureState) != (kind == "pure"):
+                raise FormatError(f"a {kind!r} field got a {type(out[key]).__name__}")
     except (ValueError, TypeError) as exc:
         raise FormatError(f"bad counterexample field {key!r}: {exc}") from exc
     return out
@@ -544,6 +519,8 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> Certificate:
     # the pool starts all its workers at once, so no more than there are cells
     workers = min(workers, len(tasks))
     if workers > 1:
+        # imported here: the pool pulls in multiprocessing, which a serial run never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_cell, *args))
     else:

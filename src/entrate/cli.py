@@ -32,6 +32,7 @@ Instance files are JSON:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -134,8 +135,18 @@ def _require_pure(state, what: str) -> PureState:
     return PureState(state.dims, top / np.linalg.norm(top))
 
 
-def _open_out(path):
-    return open(path, "w", newline="") if path else sys.stdout
+@contextlib.contextmanager
+def _csv_out(path, columns):
+    """A CSV writer on the file at ``path`` (stdout if none) that has written
+    the header row ``columns``."""
+    handle = open(path, "w", newline="") if path else sys.stdout
+    try:
+        writer = csv.writer(handle)
+        writer.writerow(columns)
+        yield writer
+    finally:
+        if handle is not sys.stdout:
+            handle.close()
 
 
 # ------------------------------------------------------------- subcommands
@@ -182,10 +193,7 @@ def _cmd_simulate(args) -> int:
     times = np.linspace(0.0, args.t_max, args.samples)
     seg = times[1] - times[0]
     seg_steps = max(32, int(math.ceil(seg / 1e-3)))
-    handle = _open_out(args.out)
-    try:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
+    with _csv_out(args.out, CSV_COLUMNS) as writer:
         row = 0
         # each chunk of the series is measured with the stacked kernels
         for mats, lam in evolve_series(gen, rho, seg, args.samples - 1, seg_steps):
@@ -199,9 +207,6 @@ def _cmd_simulate(args) -> int:
             for values in zip(*columns):
                 writer.writerow([f"{times[row]:.10g}", *_numbers(*values)])
                 row += 1
-    finally:
-        if handle is not sys.stdout:
-            handle.close()
     return 0
 
 
@@ -279,15 +284,9 @@ def _cmd_sweep_rates(args) -> int:
                 bound = entangling_rate_bound(gen)
             best = max(best, surrogate_rate_fd(psi, gen, delta_t, eta_ref=args.eta_ref))
         rows.append((d, best, bound))
-    handle = _open_out(args.out)
-    try:
-        writer = csv.writer(handle)
-        writer.writerow(SWEEP_COLUMNS)
+    with _csv_out(args.out, SWEEP_COLUMNS) as writer:
         for d, best, bound in rows:
             writer.writerow([d, *_numbers(best, bound)])
-    finally:
-        if handle is not sys.stdout:
-            handle.close()
     if args.strict and any(best > bound for _, best, bound in rows):
         return 1
     return 0
@@ -313,10 +312,21 @@ def _add_instance_flags(sp):
     sp.add_argument("--dims", type=int, nargs="+", metavar="D",
                     help="random instance factor dims: 'd_A d_B' or 'd_a d_A d_B d_b'")
     sp.add_argument("--seed", type=int, default=0, help="seed for random instances (default 0)")
+    _add_generator_flags(sp)
+
+
+def _add_generator_flags(sp):
     sp.add_argument("--lindblad-ops", type=_at_least(0), default=1, metavar="K",
-                    help="number of jump operators for random instances (default 1)")
+                    help="jump operators per random instance (default 1)")
     sp.add_argument("--no-hamiltonian", action="store_true",
-                    help="random instance without a coherent term")
+                    help="random instances without a coherent term")
+
+
+def _add_probe_flags(sp):
+    sp.add_argument("--delta-t", type=float, action="append", metavar="DT",
+                    help="finite-difference step (default 1e-4); rate takes several")
+    sp.add_argument("--eta-ref", type=float, default=1e-13,
+                    help="regularization of the separable reference (default 1e-13)")
 
 
 @functools.lru_cache(maxsize=1)
@@ -340,13 +350,11 @@ def _parser() -> argparse.ArgumentParser:
 
     rate = sub.add_parser("rate", help="one-step entangling-rate report (pure states only)")
     _add_instance_flags(rate)
-    rate.add_argument("--delta-t", type=float, action="append", metavar="DT",
-                      help="step size; repeatable (default 1e-4)")
+    _add_probe_flags(rate)
     rate.add_argument("--eta", type=float, default=1e-8,
                       help="smoothing for the analytic derivative (default 1e-8)")
-    rate.add_argument("--eta-ref", type=float, default=1e-13,
-                      help="regularization of the separable reference (default 1e-13)")
-    rate.add_argument("--measure", choices=("surrogate", "bruteforce"), default="surrogate")
+    rate.add_argument("--measure", choices=("surrogate", "bruteforce"), default="surrogate",
+                      help="bruteforce also runs the see-saw REE minimizer (default surrogate)")
     rate.add_argument("--out", help="JSON report path (default stdout)")
     rate.add_argument("--strict", action="store_true", help="exit 1 if any margin is negative")
     rate.set_defaults(func=_cmd_rate)
@@ -363,14 +371,9 @@ def _parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep-rates", help="max observed rate vs the closed-form cap, per d")
     sweep.add_argument("--dims", type=int, nargs="+", metavar="D", help="cut sizes d (default 2 3 4)")
     sweep.add_argument("--trials", type=_at_least(1), default=50, help="instances per d (default 50)")
-    sweep.add_argument("--delta-t", type=float, action="append", metavar="DT",
-                       help="finite-difference step (default 1e-4)")
-    sweep.add_argument("--eta-ref", type=float, default=1e-13,
-                       help="regularization of the separable reference (default 1e-13)")
+    _add_probe_flags(sweep)
     sweep.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    sweep.add_argument("--lindblad-ops", type=_at_least(0), default=1, metavar="K",
-                       help="jump operators per instance (default 1)")
-    sweep.add_argument("--no-hamiltonian", action="store_true")
+    _add_generator_flags(sweep)
     sweep.add_argument("--out", help="CSV path (default stdout)")
     sweep.add_argument("--strict", action="store_true", help="exit 1 if any observed rate beats the cap")
     sweep.set_defaults(func=_cmd_sweep_rates)
@@ -384,10 +387,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # FormatError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (IntegrationError, NumericalFailure) as exc:

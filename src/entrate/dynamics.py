@@ -80,6 +80,7 @@ from .states import (
     _finite_real,
     _hermiticity_error,
     _positive_int,
+    _positive_real,
     _signature_from_json,
     matrix_from_json,
     matrix_to_json,
@@ -466,8 +467,7 @@ def evolve_series(
     ``HERMITIAN_TOL`` (or not finite) raises ValueError.
     """
     _same_space(gen, rho0)
-    if _finite_real(t, "t", "finite and > 0") <= 0:
-        raise ValueError(f"t must be finite and > 0, got {t}")
+    _positive_real(t, "t")
     count = _positive_int(count, "count")
     steps = _positive_int(steps, "steps")
     n = rho0.dims.total
@@ -513,8 +513,7 @@ def convergence_order(gen: LindbladGenerator, rho0: DensityMatrix, t: float, ste
     reference at ``16*steps``.  Returns None when the errors are too close to
     roundoff to resolve a slope."""
     _same_space(gen, rho0)
-    if _finite_real(t, "t", "finite and > 0") <= 0:
-        raise ValueError(f"t must be finite and > 0, got {t}")
+    _positive_real(t, "t")
     steps = _positive_int(steps, "steps")
     ref = _integrate(gen, rho0.matrix, t, 16 * steps)
     e1 = float(np.linalg.norm(_integrate(gen, rho0.matrix, t, steps) - ref))

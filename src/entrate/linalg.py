@@ -86,9 +86,10 @@ class EigenDecomposition:
 def eigh(m) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix.
 
-    The input is symmetrized first, so mild (<= 1e-12) Hermiticity violations
-    are absorbed rather than rejected.  Eigenvalues come back in descending
-    order with eigenvector columns to match.
+    The input is replaced by its Hermitian part (``hermitize``), so any
+    asymmetry is absorbed rather than rejected; there is no threshold.
+    Eigenvalues come back in descending order with eigenvector columns to
+    match.
     """
     a = hermitize(as_matrix(m))
     try:

@@ -70,9 +70,9 @@ from .states import (
     DimensionSignature,
     PureState,
     _eigvalsh,
-    _finite_real,
     _log_on_support,
     _positive_int,
+    _positive_real,
     random_density,
     schmidt,
 )
@@ -489,8 +489,7 @@ def ree_bruteforce(
         raise ValueError(f"brute-force REE limited to total dimension <= {BRUTEFORCE_DIM_CAP}")
     restarts = _positive_int(restarts, "restarts")
     max_iters = _positive_int(max_iters, "max_iters")
-    if _finite_real(tol, "tol", "finite and > 0") <= 0:
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+    _positive_real(tol, "tol")
     dims = rho.dims
     na, nb = dims.alice, dims.bob
     m = _positive_int(ensemble_size, "ensemble_size") if ensemble_size is not None else (na * nb) ** 2

@@ -54,8 +54,8 @@ from .states import (
     DimensionSignature,
     PureState,
     SchmidtDecomposition,
-    _finite_real,
     _positive_int,
+    _positive_real,
     _smoothed,
     closest_separable_state,
     convex_split_witness,
@@ -160,6 +160,16 @@ def _check_eta(eta) -> None:
 def _check_eta_ref(eta_ref) -> None:
     if not 0.0 < eta_ref <= 1e-6:
         raise ValueError(f"eta_ref must lie in (0, 1e-6], got {eta_ref}")
+
+
+def _check_weight(p) -> None:
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must be in (0, 1), got {p}")
+
+
+def _check_cut(psi: PureState) -> None:
+    if psi.dims.d < 2:
+        raise DegenerateCut("d = 1 cut: no entanglement is possible across it")
 
 
 # ------------------------------------------------------ one-step quantities
@@ -276,8 +286,7 @@ def mixing_term(h, rho1, rho2, p: float) -> float:
     h = as_matrix(h, name="hamiltonian")
     r1, r2 = _mat(rho1), _mat(rho2)
     _same_size(hamiltonian=h, rho1=r1, rho2=r2)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
+    _check_weight(p)
     mix = matrix_log_on_support(p * r1 + (1.0 - p) * r2)
     pr = p * r1
     return float(np.real(1j * np.trace(h @ (pr @ mix - mix @ pr))))
@@ -285,8 +294,7 @@ def mixing_term(h, rho1, rho2, p: float) -> float:
 
 def mixing_term_bound(h, p: float) -> float:
     """Cap 2 h2(p) ||H||: mixing a weight-p component moves the log slowly."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
+    _check_weight(p)
     return 2.0 * binary_entropy(p) * operator_norm(as_matrix(h, name="hamiltonian"))
 
 
@@ -364,8 +372,7 @@ def random_xy_pair(dim: int, p: float, seed) -> tuple[np.ndarray, np.ndarray]:
     Y is a Ginibre density; X = Y^{1/2} C Y^{1/2} with a random contraction C
     rescaled (or mixed with the identity) so the trace lands exactly on p.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
+    _check_weight(p)
     rng = np.random.default_rng(seed)
     y = random_density(dim, rng)
     gq, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
@@ -442,8 +449,7 @@ def surrogate_rate_analytic(
     Re Tr rhodot (ln rho_eta - ln sigma0_eta), rhodot the generator applied to
     |psi><psi|, is a <psi|rhodot|psi> - sum_n b_n <v_n|rhodot|v_n> (module
     docstring): the ln(eta/n) parts cancel.  ``_sd`` is schmidt(psi), if known."""
-    if psi.dims.d < 2:
-        raise DegenerateCut("d = 1 cut: no entanglement is possible across it")
+    _check_cut(psi)
     _check_eta(eta)
     _same_space(gen, psi)
     v, a, b = _schmidt_logs(schmidt(psi) if _sd is None else _sd, eta)
@@ -457,10 +463,8 @@ def _surrogate_step(
     psi: PureState, gen: LindbladGenerator, delta_t: float, eta_ref: float
 ) -> tuple[SchmidtDecomposition, DensityMatrix, float]:
     # (schmidt(psi), rho_dt, D(rho_dt || reference)), ln reference in closed form (module docstring)
-    if psi.dims.d < 2:
-        raise DegenerateCut("d = 1 cut: no entanglement is possible across it")
-    if _finite_real(delta_t, "delta_t", "finite and > 0") <= 0:
-        raise ValueError(f"delta_t must be finite and > 0, got {delta_t}")
+    _check_cut(psi)
+    _positive_real(delta_t, "delta_t")
     _same_space(gen, psi)
     _check_eta_ref(eta_ref)
     sd = schmidt(psi)
@@ -527,8 +531,7 @@ def mutual_info_rate_fd(rho: DensityMatrix, gen: LindbladGenerator, delta_t: flo
     Richardson extrapolation 2 q(dt/2) - q(dt) of the forward quotients
     q(h) = (I(rho_h) - I(rho)) / h, which cancels their step-linear error."""
     _same_space(gen, rho)
-    if _finite_real(delta_t, "delta_t", "finite and > 0") <= 0:
-        raise ValueError(f"delta_t must be finite and > 0, got {delta_t}")
+    _positive_real(delta_t, "delta_t")
     i0 = mutual_information(rho)
 
     def quot(h: float) -> float:

@@ -40,9 +40,9 @@ __all__ = [
 
 TOTAL_DIM_CAP = 64
 
-# Schmidt coefficients (squared amplitudes) below this are dropped
-SCHMIDT_CUTOFF = 1e-12
-SUPPORT_TOL = 1e-12  # eigenvalues at or below this are off a state's support
+# eigenvalues at or below this are off a state's support, and so are Schmidt
+# coefficients, the eigenvalues of a pure state's marginal
+SUPPORT_TOL = 1e-12
 HERMITIAN_TOL = 1e-10  # the largest |M - M†| a state's matrix may show
 
 
@@ -63,6 +63,13 @@ def _finite_real(v, name: str, rule: str = "a finite number") -> float:
     bool not); anything else, "1e-3" or NaN too, raises "<name> must be <rule>"."""
     if isinstance(v, bool) or not isinstance(v, (int, float, np.integer, np.floating)) or not math.isfinite(v):
         raise ValueError(f"{name} must be {rule}, got {v!r}")
+    return float(v)
+
+
+def _positive_real(v, name: str) -> float:
+    """``_finite_real(v, name)`` if it is > 0; else "<name> must be finite and > 0"."""
+    if _finite_real(v, name, "finite and > 0") <= 0:
+        raise ValueError(f"{name} must be finite and > 0, got {v!r}")
     return float(v)
 
 
@@ -292,15 +299,16 @@ def _tie_break_order(p: np.ndarray, left: np.ndarray) -> list[int]:
 def schmidt(psi: PureState) -> SchmidtDecomposition:
     """Schmidt decomposition of ``psi`` across the aA | Bb cut.
 
-    Coefficients below 1e-12 are dropped.  Each left vector is phase-fixed so
-    its first nonzero component is real positive; the compensating phase goes
-    on the right vector, which keeps the reconstruction exact.
+    Coefficients at or below ``SUPPORT_TOL`` are dropped.  Each left vector
+    is phase-fixed so its first nonzero component is real positive; the
+    compensating phase goes on the right vector, which keeps the
+    reconstruction exact.
     """
     dims = psi.dims
     m = psi.amplitudes.reshape(dims.alice, dims.bob)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     p = s**2
-    mask = p > SCHMIDT_CUTOFF
+    mask = p > SUPPORT_TOL
     u, p = u[:, mask], p[mask]
     right = vh[mask, :].T.copy()  # columns are Bob-side vectors
     lead = u[np.argmax(np.abs(u) > 1e-12, axis=0), np.arange(p.size)]

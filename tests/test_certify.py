@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -18,7 +19,8 @@ from entrate.certify import (
     replay,
     run_sweep,
 )
-from entrate.certify import _build, _eval, _trial_seed
+from entrate.certify import _build, _eval, _pack_inputs, _trial_seed, _unpack_inputs
+from entrate.states import DensityMatrix, PureState
 
 
 def test_config_defaults_cover_every_family():
@@ -198,7 +200,7 @@ def test_run_sweep_starts_no_more_workers_than_cells(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(entrate.certify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     cfg = _small_config(families=("prop1", "kittaneh"))
     cells = sum(len(cells_for(family, cfg)) for family in cfg.families)
     cert = run_sweep(cfg, workers=10**6)
@@ -279,6 +281,32 @@ def test_forced_violation_dumps_and_replays(tmp_path):
     assert replayed == recorded
     assert result.witness["cell"] == rec["cell"]
     assert result.witness["seed"] == rec["seed"]
+
+
+def _same_input(a, b) -> bool:
+    # equal type, dims and every bit of the numbers
+    if isinstance(a, (PureState, DensityMatrix)):
+        data = "amplitudes" if isinstance(a, PureState) else "matrix"
+        return type(a) is type(b) and a.dims == b.dims and np.array_equal(getattr(a, data), getattr(b, data))
+    if isinstance(a, list):
+        return type(b) is list and len(a) == len(b) and all(map(_same_input, a, b))
+    if isinstance(a, np.ndarray):
+        return type(b) is np.ndarray and a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_counterexample_inputs_roundtrip_exactly(family):
+    # a built trial's inputs, packed, sent through JSON text and unpacked; at
+    # these seeds the theorem2 and theorem3 trials draw 3 and 2 jump operators
+    cfg = SweepConfig()
+    cell = cells_for(family, cfg)[-1]
+    inputs = _build(family, cell, _trial_seed(cfg.base_seed, family, cell, 0), cfg)
+    assert inputs.get("Ls", [None])
+    back = _unpack_inputs(family, json.loads(json.dumps(_pack_inputs(family, inputs))))
+    assert back.keys() == inputs.keys()
+    for key, value in inputs.items():
+        assert _same_input(value, back[key]), key
 
 
 def test_certificate_jsonl_shape(tmp_path):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -390,6 +391,14 @@ def test_sweep_rates_rejects_bad_counts(capsys):
         assert main(["sweep-rates", "--dims", "2", *flags]) == 2
         captured = capsys.readouterr()
         assert not captured.out and flags[0] in captured.err
+
+
+def test_every_option_has_help_text():
+    (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.option_strings:
+                assert action.help, (command, action.option_strings)
 
 
 def test_usage_errors_exit_2():
