@@ -5,6 +5,23 @@ draws its own instance from a seed derived by hashing (base seed, family,
 cell, trial index), so runs are reproducible cell-by-cell and trials are
 independent of scheduling.  Violating trials are dumped with their full
 input matrices so they can be replayed bit-for-bit later.
+
+A cell's trials are built and evaluated as one stack.  Each trial draws its
+variates from its own generator, seeded and ordered as when trials ran one
+at a time; the samplers then finish the cell's samples as stacks, and seven
+families (prop1, h_term, l_term, mixing, kittaneh, theorem3, bravyi_lemma1)
+check them with stacked kernels, mixing one stack per dimension its trials
+draw.  The axioms
+take their Schmidt decompositions as stacks, while theorem2's rate probe
+and the axioms' see-saw run trial by trial on the stacked samples.  A
+stacked LAPACK call runs the same routine on each matrix, so a trial's
+inputs and checks have the same bits in a stack of five as in a stack of
+one.  A cell whose stack raises one of the trial errors runs again one
+trial at a time, so each error is charged to its own trial.  The trial
+stays the unit of seeds, counts and counterexamples, and the cell the unit
+of the process pool.  ``_build``, ``_eval`` and ``replay`` take one trial as
+the stack of one.  A check whose margin is NaN fails its trial as a
+NumericalFailure, since no comparison can score it.
 """
 
 from __future__ import annotations
@@ -42,11 +59,13 @@ from .rates import (
     small_incremental_mixing_check,
 )
 from .states import (
-    DensityMatrix,
     DimensionSignature,
     PureState,
+    _densities,
     _finite_real,
+    _ginibre,
     _positive_int,
+    _unit_rows,
     matrix_from_json,
     matrix_to_json,
     random_density,
@@ -214,69 +233,75 @@ def cells_for(family: str, config: SweepConfig) -> list[dict]:
 
 # ----------------------------------------------------------- trial builders
 
-def _build(family: str, cell: dict, seed: int, config: SweepConfig) -> dict:
-    rng = np.random.default_rng(seed)
-    if family == "prop1":
+def _jump_operators(dim: int, rngs: list) -> list[list[np.ndarray]]:
+    # each trial draws its count k in [0, 4), then its k operators; the j-th
+    # operators of the trials that have one are drawn as one stack
+    counts = [int(rng.integers(0, 4)) for rng in rngs]
+    out = [[] for _ in rngs]
+    for j in range(max(counts)):
+        idx = [i for i, k in enumerate(counts) if k > j]
+        for i, l in zip(idx, random_ginibre_lindblad(dim, [rngs[i] for i in idx])):
+            out[i].append(l)
+    return out
+
+
+def _build(family: str, cell: dict, seed, config: SweepConfig):
+    """The inputs of the trial with ``seed``; for a list of seeds, a list
+    with the inputs of each, built as one stack.  Every trial draws from its
+    own generator in the order a one-trial build draws, and the samplers
+    finish each kind of sample as one stack (states module docstring)."""
+    if not isinstance(seed, list):
+        return _build(family, cell, [seed], config)[0]
+    seeds, rngs = seed, [np.random.default_rng(s) for s in seed]
+    if family in ("prop1", "h_term", "axioms"):
         dims = DimensionSignature.cut(cell["d_A"], cell["d_B"])
-        return {"psi": random_pure(dims, rng)}
-    if family == "h_term":
-        dims = DimensionSignature.cut(cell["d_A"], cell["d_B"])
-        return {"psi": random_pure(dims, rng), "H": random_gue_hamiltonian(dims.total, rng)}
+        psis = random_pure(dims, rngs)
+        if family == "prop1":
+            return [{"psi": psi} for psi in psis]
+        if family == "h_term":
+            return [{"psi": psi, "H": h} for psi, h in zip(psis, random_gue_hamiltonian(dims.total, rngs))]
+        u_a, u_b = random_unitary(dims.alice, rngs), random_unitary(dims.bob, rngs)
+        return [{"psi": psi, "U_a": a, "U_b": b, "seed": s} for psi, a, b, s in zip(psis, u_a, u_b, seeds)]
     if family == "l_term":
         dim, p = cell["dim"], cell["p"]
-        l = random_ginibre_lindblad(dim, rng)
-        x, y = random_xy_pair(dim, p, rng)
-        return {"L": l, "X": x, "Y": y, "p": p, "dim": dim}
+        ls = random_ginibre_lindblad(dim, rngs)
+        xs, ys = random_xy_pair(dim, p, rngs)
+        return [{"L": l, "X": x, "Y": y, "p": p, "dim": dim} for l, x, y in zip(ls, xs, ys)]
     if family == "mixing":
-        dim = _MIXING_DIMS[int(rng.integers(len(_MIXING_DIMS)))]
-        return {
-            "H": random_gue_hamiltonian(dim, rng),
-            "rho1": random_density(dim, rng),
-            "rho2": random_density(dim, rng),
-            "p": cell["p"],
-            "dim": dim,
-        }
+        # each trial draws its dimension first; the trials of one dimension are a stack
+        drawn = [_MIXING_DIMS[int(rng.integers(len(_MIXING_DIMS)))] for rng in rngs]
+        out = [None] * len(rngs)
+        for dim in set(drawn):
+            idx = [i for i, d in enumerate(drawn) if d == dim]
+            group = [rngs[i] for i in idx]
+            hs = random_gue_hamiltonian(dim, group)
+            r1, r2 = random_density(dim, group), random_density(dim, group)
+            for i, h, rho1, rho2 in zip(idx, hs, r1, r2):
+                out[i] = {"H": h, "rho1": rho1, "rho2": rho2, "p": cell["p"], "dim": dim}
+        return out
     if family == "kittaneh":
         dim = cell["dim"]
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        a = g @ dag(g)
-        a /= np.linalg.eigvalsh(hermitize(a)).max()
-        return {"A": a, "X": random_ginibre_lindblad(dim, rng), "dim": dim}
+        a = _ginibre((dim, dim), rngs)
+        a = a @ dag(a)
+        a /= np.linalg.eigvalsh(hermitize(a)).max(axis=-1)[:, None, None]
+        return [{"A": ai, "X": x, "dim": dim} for ai, x in zip(a, random_ginibre_lindblad(dim, rngs))]
     if family == "theorem2":
-        d = cell["d"]
-        dims = DimensionSignature.cut(d, d)
-        psi = random_pure(dims, rng)
-        h = random_gue_hamiltonian(dims.total, rng)
-        k = int(rng.integers(0, 4))
-        ls = [random_ginibre_lindblad(dims.total, rng) for _ in range(k)]
-        return {
-            "psi": psi,
-            "H": h,
-            "Ls": ls,
-            "delta_t": cell["delta_t"],
-            "measure": config.measure,
-            "eta": config.eta,
-            "eta_ref": config.eta_ref,
-            "seed": seed,
-        }
+        dims = DimensionSignature.cut(cell["d"], cell["d"])
+        psis = random_pure(dims, rngs)
+        hs = random_gue_hamiltonian(dims.total, rngs)
+        shared = {"delta_t": cell["delta_t"], "measure": config.measure, "eta": config.eta, "eta_ref": config.eta_ref}
+        return [
+            {"psi": psi, "H": h, "Ls": ls, **shared, "seed": s}
+            for psi, h, ls, s in zip(psis, hs, _jump_operators(dims.total, rngs), seeds)
+        ]
     if family == "theorem3":
         dims = DimensionSignature(cell["d_a"], 2, 2, cell["d_b"])
-        rho = DensityMatrix(dims, hermitize(random_density(dims.total, rng)))
-        h = random_gue_hamiltonian(4, rng)
-        k = int(rng.integers(0, 4))
-        ls = [random_ginibre_lindblad(4, rng) for _ in range(k)]
-        return {"rho": rho, "H": h, "Ls": ls}
+        rhos = _densities(dims, hermitize(random_density(dims.total, rngs)))
+        hs = random_gue_hamiltonian(4, rngs)
+        return [{"rho": rho, "H": h, "Ls": ls} for rho, h, ls in zip(rhos, hs, _jump_operators(4, rngs))]
     if family == "bravyi_lemma1":
         dims = DimensionSignature(*cell["dims"])
-        return {"rho": DensityMatrix(dims, hermitize(random_density(dims.total, rng)))}
-    if family == "axioms":
-        dims = DimensionSignature.cut(cell["d_A"], cell["d_B"])
-        return {
-            "psi": random_pure(dims, rng),
-            "U_a": random_unitary(dims.alice, rng),
-            "U_b": random_unitary(dims.bob, rng),
-            "seed": seed,
-        }
+        return [{"rho": rho} for rho in _densities(dims, hermitize(random_density(dims.total, rngs)))]
     raise FormatError(f"unknown family {family!r}")
 
 
@@ -296,10 +321,11 @@ def _at_most(tag: str, lhs: float, rhs: float) -> InequalityResult:
     return InequalityResult(tag, lhs, rhs, rhs - lhs)
 
 
-def _local_rotation(psi: PureState, u_a: np.ndarray, u_b: np.ndarray) -> PureState:
-    amp = psi.amplitudes.reshape(psi.dims.alice, psi.dims.bob)
-    out = (u_a @ amp @ u_b.T).reshape(-1)
-    return PureState(psi.dims, out / np.linalg.norm(out))
+def _local_rotation(psis: list[PureState], u_a: np.ndarray, u_b: np.ndarray) -> list[PureState]:
+    # (U_a ⊗ U_b) psi of each state of a list on one space and each pair of the stacks
+    dims = psis[0].dims
+    amp = np.stack([psi.amplitudes for psi in psis]).reshape(-1, dims.alice, dims.bob)
+    return _unit_rows(dims, (u_a @ amp @ u_b.swapaxes(-1, -2)).reshape(len(psis), -1))
 
 
 def _max_entangled(dims: DimensionSignature) -> PureState:
@@ -310,61 +336,99 @@ def _max_entangled(dims: DimensionSignature) -> PureState:
     return PureState(dims, amp.reshape(-1))
 
 
-def _eval(family: str, inputs: dict, tol: float) -> list[dict]:
+def _eval(family: str, inputs, tol: float):
+    """The checks of one trial's inputs; for a list of inputs, a list with
+    the checks of each.  Trials whose operands share their sizes are one
+    stack: seven families check it with stacked kernels, and the axioms take
+    its Schmidt decompositions; theorem2's rate probe and the axioms'
+    see-saw run trial by trial."""
+    if isinstance(inputs, dict):
+        return _eval(family, [inputs], tol)[0]
+    if family not in FAMILIES:
+        raise FormatError(f"unknown family {family!r}")
+    groups: dict = {}
+    for i, trial in enumerate(inputs):
+        groups.setdefault(_stack_key(trial), []).append(i)
+    out = [None] * len(inputs)
+    for idx in groups.values():
+        for i, checks in zip(idx, _eval_stack(family, [inputs[i] for i in idx], tol)):
+            out[i] = checks
+    return out
+
+
+def _stack_key(trial: dict):
+    # what the trials of one stack share: the space of their states, or the
+    # weight p and the size of their matrices
+    state = trial.get("psi", trial.get("rho"))
+    if state is not None:
+        return state.dims
+    return trial.get("p"), np.shape(trial["X"] if "X" in trial else trial["H"])
+
+
+def _eval_stack(family: str, trials: list[dict], tol: float) -> list[list[dict]]:
+    def stacked(key: str) -> np.ndarray:
+        return np.stack([t[key] for t in trials])
+
+    def one_check_each(results) -> list[list[dict]]:
+        return [[_with_tol(r, tol)] for r in results]
+
     if family == "prop1":
-        return [_with_tol(pure_ree_identity_check(inputs["psi"]), tol)]
+        return one_check_each(pure_ree_identity_check([t["psi"] for t in trials]))
     if family == "h_term":
-        psi, h = inputs["psi"], inputs["H"]
-        primary = hamiltonian_commutator_check(h, psi)
-        tight = _at_most("coherent-term-cap-tight", primary.lhs, primary.witness["tight_bound"])
-        return [_with_tol(primary, tol), _with_tol(tight, tol)]
+        results = hamiltonian_commutator_check(stacked("H"), [t["psi"] for t in trials])
+        tight = (_at_most("coherent-term-cap-tight", r.lhs, r.witness["tight_bound"]) for r in results)
+        return [[_with_tol(r, tol), _with_tol(t, tol)] for r, t in zip(results, tight)]
     if family == "l_term":
-        res = dissipative_commutator_check(inputs["L"], inputs["X"], inputs["Y"], inputs["p"])
-        return [_with_tol(res, tol)]
+        return one_check_each(dissipative_commutator_check(stacked("L"), stacked("X"), stacked("Y"), trials[0]["p"]))
     if family == "mixing":
-        res = small_incremental_mixing_check(inputs["H"], inputs["rho1"], inputs["rho2"], inputs["p"])
-        return [_with_tol(res, tol)]
+        results = small_incremental_mixing_check(stacked("H"), stacked("rho1"), stacked("rho2"), trials[0]["p"])
+        return one_check_each(results)
     if family == "kittaneh":
-        return [_with_tol(commutator_trace_norm_check(inputs["A"], inputs["X"]), tol)]
+        return one_check_each(commutator_trace_norm_check(stacked("A"), stacked("X")))
     if family == "theorem2":
-        psi = inputs["psi"]
-        gen = LindbladGenerator(psi.dims, inputs["H"], tuple(inputs["Ls"]))
-        ree_kwargs = {"restarts": 1, "max_iters": 200} if inputs["measure"] == "bruteforce" else None
-        report = entangling_rate_fd(
-            psi,
-            gen,
-            inputs["delta_t"],
-            inputs["measure"],
-            eta=inputs["eta"],
-            eta_ref=inputs["eta_ref"],
-            seed=inputs["seed"],
-            ree_kwargs=ree_kwargs,
-        )
-        bound_check = _at_most("rate-bound", report.gamma_surrogate_fd, report.theorem_bound)
-        ordering = _at_most("measure-ordering", report.gamma_fd, report.gamma_surrogate_fd)
-        return [_with_tol(bound_check, tol), _with_tol(ordering, ORDERING_TOL)]
+        return [_eval_theorem2(inputs, tol) for inputs in trials]
     if family == "theorem3":
-        rho = inputs["rho"]
-        gen = LindbladGenerator(rho.dims, inputs["H"], tuple(inputs["Ls"]))
-        rate = mutual_info_rate_analytic(rho, gen)
-        bound = mi_rate_bound(gen)
-        res = _at_most("mi-rate-bound", abs(rate), bound)
-        return [_with_tol(res, tol)]
+        rhos = [t["rho"] for t in trials]
+        gens = [LindbladGenerator(rho.dims, t["H"], tuple(t["Ls"])) for rho, t in zip(rhos, trials)]
+        rates = mutual_info_rate_analytic(rhos, gens)
+        return one_check_each(_at_most("mi-rate-bound", abs(r), b) for r, b in zip(rates, mi_rate_bound(gens)))
     if family == "bravyi_lemma1":
-        rho = inputs["rho"]
-        return [
-            _with_tol(marginal_split_check(rho, side="B"), tol),
-            _with_tol(marginal_split_check(rho, side="A"), tol),
-        ]
-    if family == "axioms":
-        psi = inputs["psi"]
-        u_a, u_b = inputs["U_a"], inputs["U_b"]
-        dims = psi.dims
-        sd = schmidt(psi)
+        rhos = [t["rho"] for t in trials]
+        sides = zip(marginal_split_check(rhos, side="B"), marginal_split_check(rhos, side="A"))
+        return [[_with_tol(b, tol), _with_tol(a, tol)] for b, a in sides]
+    return _eval_axioms(trials, tol)  # the last family
+
+
+def _eval_theorem2(inputs: dict, tol: float) -> list[dict]:
+    psi = inputs["psi"]
+    gen = LindbladGenerator(psi.dims, inputs["H"], tuple(inputs["Ls"]))
+    ree_kwargs = {"restarts": 1, "max_iters": 200} if inputs["measure"] == "bruteforce" else None
+    report = entangling_rate_fd(
+        psi,
+        gen,
+        inputs["delta_t"],
+        inputs["measure"],
+        eta=inputs["eta"],
+        eta_ref=inputs["eta_ref"],
+        seed=inputs["seed"],
+        ree_kwargs=ree_kwargs,
+    )
+    bound_check = _at_most("rate-bound", report.gamma_surrogate_fd, report.theorem_bound)
+    ordering = _at_most("measure-ordering", report.gamma_fd, report.gamma_surrogate_fd)
+    return [_with_tol(bound_check, tol), _with_tol(ordering, ORDERING_TOL)]
+
+
+def _eval_axioms(trials: list[dict], tol: float) -> list[list[dict]]:
+    psis = [t["psi"] for t in trials]
+    dims = psis[0].dims
+    u_a, u_b = np.stack([t["U_a"] for t in trials]), np.stack([t["U_b"] for t in trials])
+    sds = schmidt(psis)
+    rotated = entanglement_entropy(_local_rotation(psis, u_a, u_b))
+    product = entanglement_entropy([PureState(dims, np.outer(sd.left[:, 0], sd.right[:, 0]).reshape(-1)) for sd in sds])
+    maxent = entanglement_entropy(_local_rotation([_max_entangled(dims)] * len(psis), u_a, u_b))
+    out = []
+    for psi, inputs, sd, rotated, product, maxent in zip(psis, trials, sds, rotated, product, maxent):
         ent = sd.entropy()
-        rotated = entanglement_entropy(_local_rotation(psi, u_a, u_b))
-        product = entanglement_entropy(PureState(dims, np.outer(sd.left[:, 0], sd.right[:, 0]).reshape(-1)))
-        maxent = entanglement_entropy(_local_rotation(_max_entangled(dims), u_a, u_b))
         checks = [
             _at_most("nonnegative", -ent, 1e-12),
             _at_most("local-unitary-invariant", abs(rotated - ent), 1e-10),
@@ -374,8 +438,8 @@ def _eval(family: str, inputs: dict, tol: float) -> list[dict]:
         if dims.d_A * dims.d_B <= _BRUTEFORCE_AB_CAP:
             est = ree_bruteforce(psi.density(), restarts=1, max_iters=300, seed=inputs["seed"])
             checks.append(_at_most("bruteforce-agrees", abs(est.value - ent), 1e-4))
-        return [_with_tol(c, tol) for c in checks]
-    raise FormatError(f"unknown family {family!r}")
+        out.append([_with_tol(c, tol) for c in checks])
+    return out
 
 
 # ------------------------------------------------------------ serialization
@@ -466,6 +530,30 @@ class Certificate:
         Path(path).write_text(self.to_jsonl())
 
 
+# what a trial may raise and be counted as a numerical failure
+_TRIAL_ERRORS = (IntegrationError, NumericalFailure, SamplerFailure, InvalidPair)
+
+
+def _nan_failure(checks: list[dict]) -> NumericalFailure | None:
+    # a NaN margin neither holds nor fails, and min() would pass it or drop
+    # it by where it sits, so the first one fails its trial numerically
+    for c in checks:
+        if math.isnan(c["margin"]):
+            return NumericalFailure(f"check {c['name']} has a NaN margin (lhs {c['lhs']!r}, rhs {c['rhs']!r})")
+    return None
+
+
+def _run_trials(family: str, cell: dict, seeds: list[int], config: SweepConfig, tol: float):
+    # ([(inputs, checks) or the NumericalFailure of each trial], OptimizerStall count)
+    # for the trials of ``seeds``, built and evaluated as one stack
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", OptimizerStall)
+        inputs = _build(family, cell, seeds, config)
+        checks = _eval(family, inputs, tol)
+    trials = [_nan_failure(c) or (trial, c) for trial, c in zip(inputs, checks)]
+    return trials, sum(1 for w in caught if issubclass(w.category, OptimizerStall))
+
+
 def _run_cell(config: SweepConfig, family: str, cell: dict) -> dict:
     tol = config.tolerance(family)
     out = {
@@ -478,18 +566,25 @@ def _run_cell(config: SweepConfig, family: str, cell: dict) -> dict:
         "counterexamples": [],
         "errors": [],
     }
-    for i in range(config.trials):
-        seed = _trial_seed(config.base_seed, family, cell, i)
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always", OptimizerStall)
-                inputs = _build(family, cell, seed, config)
-                checks = _eval(family, inputs, tol)
-            out["stalls"] += sum(1 for w in caught if issubclass(w.category, OptimizerStall))
-        except (IntegrationError, NumericalFailure, SamplerFailure, InvalidPair) as exc:
+    seeds = [_trial_seed(config.base_seed, family, cell, i) for i in range(config.trials)]
+    try:
+        trials, out["stalls"] = _run_trials(family, cell, seeds, config, tol)
+    except _TRIAL_ERRORS:
+        # again one trial at a time, so that each error is charged to its trial
+        trials = []
+        for seed in seeds:
+            try:
+                (trial,), stalls = _run_trials(family, cell, [seed], config, tol)
+            except _TRIAL_ERRORS as exc:
+                trial, stalls = exc, 0
+            trials.append(trial)
+            out["stalls"] += stalls
+    for i, (seed, trial) in enumerate(zip(seeds, trials)):
+        if isinstance(trial, Exception):
             out["failures"] += 1
-            out["errors"].append({"index": i, "seed": seed, "error": f"{type(exc).__name__}: {exc}"})
+            out["errors"].append({"index": i, "seed": seed, "error": f"{type(trial).__name__}: {trial}"})
             continue
+        inputs, checks = trial
         slack = min(c["margin"] - (-c["tol"]) for c in checks)
         worst = min(c["margin"] for c in checks)
         out["worst_margin"] = min(out["worst_margin"], worst)
@@ -584,8 +679,10 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> Certificate:
 
 
 def replay(path) -> InequalityResult:
-    """Re-run a counterexample file through the same evaluation path and
-    return the worst check as an InequalityResult."""
+    """Re-run a counterexample file through the same evaluation path, as a
+    stack of one, and return the worst check as an InequalityResult.  A
+    check with a NaN margin raises NumericalFailure, as it fails its trial
+    in a sweep."""
     try:
         obj = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -600,7 +697,10 @@ def replay(path) -> InequalityResult:
         raise FormatError(f"unknown family {family!r}")
     inputs = _unpack_inputs(family, obj["inputs"])
     tol = DEFAULT_TOLERANCES[family]
-    checks = _eval(family, inputs, tol)
+    checks = _eval(family, [inputs], tol)[0]
+    failure = _nan_failure(checks)
+    if failure is not None:
+        raise failure
     worst = min(checks, key=lambda c: c["margin"] + c["tol"])
     return InequalityResult(
         tag=f"{family}:{worst['name']}",

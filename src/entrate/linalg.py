@@ -3,6 +3,10 @@
 Everything here works on plain numpy arrays: square complex matrices of
 dimension up to a few dozen.  Spectral routines go through the Hermitian
 eigendecomposition; nothing is sparse, iterative, or GPU-aware on purpose.
+``hermitize``, ``dag``, ``matrix_log_on_support``, the norms and
+``partial_trace`` also take a stack (k, n, n) and treat each matrix of it as
+they treat one; a stacked LAPACK call runs the same routine on each matrix,
+so a matrix reads the same bits in a stack as on its own.
 """
 
 from __future__ import annotations
@@ -53,17 +57,32 @@ class NumericalFailure(RuntimeError):
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
     """Coerce to a square complex matrix with finite entries."""
+    return _as_square(m, name, 2)
+
+
+def _as_stack(m, name: str = "matrix") -> np.ndarray:
+    """``as_matrix`` for a stack (k, n, n) of matrices."""
+    return _as_square(m, name, 3)
+
+
+def _as_square(m, name: str, ndim: int) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if a.ndim != ndim or a.shape[-1] != a.shape[-2]:
+        what = "square" if ndim == 2 else "a stack of square matrices"
+        raise ShapeError(f"{name} must be {what}, got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return a
 
 
+def _as_operand(m, name: str = "matrix") -> np.ndarray:
+    # one matrix, or a stack if ``m`` has three axes
+    return _as_square(m, name, 3 if np.ndim(m) == 3 else 2)
+
+
 def dag(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.conjugate(np.asarray(m)).T
+    """Conjugate transpose (of each matrix, for a stack)."""
+    return np.conjugate(np.asarray(m)).swapaxes(-1, -2)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -73,39 +92,41 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Hermitian spectral data: eigenvalues sorted descending, matching columns."""
+    """Hermitian spectral data: eigenvalues sorted descending, matching
+    columns (of each matrix, for a stack)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
         u = self.eigenvectors
-        return (u * self.eigenvalues) @ np.conjugate(u).T
+        return (u * self.eigenvalues[..., None, :]) @ dag(u)
 
 
 def eigh(m) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix (of each matrix, for a stack).
 
     The input is replaced by its Hermitian part (``hermitize``), so any
     asymmetry is absorbed rather than rejected; there is no threshold.
     Eigenvalues come back in descending order with eigenvector columns to
     match.
     """
-    a = hermitize(as_matrix(m))
+    a = hermitize(_as_operand(m))
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        off = a - np.diag(np.diag(a))
+        off = a * (1.0 - np.eye(a.shape[-1]))
         raise NumericalFailure(
             f"Hermitian eigensolver did not converge: {exc}",
             residual=float(np.linalg.norm(off)),
         ) from exc
     # numpy sorts ascending; flip to descending
-    return EigenDecomposition(vals[::-1].copy(), vecs[:, ::-1].copy())
+    return EigenDecomposition(vals[..., ::-1].copy(), vecs[..., ::-1].copy())
 
 
 def matrix_log_on_support(m) -> np.ndarray:
-    """Hermitian log with the spectrum clamped at ``LOG_FLOOR``.
+    """Hermitian log with the spectrum clamped at ``LOG_FLOOR`` (of each
+    matrix, for a stack).
 
     Eigenvalues below the floor are treated as ``LOG_FLOOR`` before taking
     logs, which keeps the result finite on (numerically) rank-deficient
@@ -117,22 +138,27 @@ def matrix_log_on_support(m) -> np.ndarray:
         raise NotPositive(f"matrix has eigenvalue {lo:.3e} < -1e-10")
     logs = np.log(np.maximum(dec.eigenvalues, LOG_FLOOR))
     u = dec.eigenvectors
-    return (u * logs) @ np.conjugate(u).T
+    return (u * logs[..., None, :]) @ dag(u)
 
 
 def singular_values(m) -> np.ndarray:
-    """Singular values, descending, from the SVD of M (M†M would lose the small ones)."""
-    return np.linalg.svd(as_matrix(m), compute_uv=False)
+    """Singular values, descending, from the SVD of M (M†M would lose the
+    small ones); of each matrix, for a stack."""
+    return np.linalg.svd(_as_operand(m), compute_uv=False)
 
 
-def operator_norm(m) -> float:
-    """Largest singular value (spectral norm)."""
-    return float(singular_values(m)[0])
+def _scalar_or_stack(v: np.ndarray):
+    return float(v) if v.ndim == 0 else v
 
 
-def trace_norm(m) -> float:
-    """Sum of singular values (Schatten-1 norm)."""
-    return float(singular_values(m).sum())
+def operator_norm(m):
+    """Largest singular value (spectral norm); an array of them for a stack."""
+    return _scalar_or_stack(singular_values(m)[..., 0])
+
+
+def trace_norm(m):
+    """Sum of singular values (Schatten-1 norm); an array of them for a stack."""
+    return _scalar_or_stack(singular_values(m).sum(axis=-1))
 
 
 def tensor(*ms) -> np.ndarray:
@@ -144,18 +170,19 @@ def tensor(*ms) -> np.ndarray:
 
 
 def partial_trace(m, dims, keep) -> np.ndarray:
-    """Trace out tensor factors, keeping the ones in ``keep``.
+    """Trace out tensor factors, keeping the ones in ``keep`` (of each
+    matrix, for a stack).
 
     ``dims`` lists the factor dimensions of the full space; ``keep`` is the
     set of factor indices to retain, in their original order.
     """
-    a = as_matrix(m)
+    a = _as_operand(m)
     dims = tuple(int(d) for d in dims)
     if any(d < 1 for d in dims):
         raise ShapeError(f"factor dimensions must be >= 1, got {dims}")
     total = math.prod(dims)
-    if total != a.shape[0]:
-        raise ShapeError(f"prod{dims} = {total} does not match matrix dim {a.shape[0]}")
+    if total != a.shape[-1]:
+        raise ShapeError(f"prod{dims} = {total} does not match matrix dim {a.shape[-1]}")
     n = len(dims)
     keep = tuple(sorted({int(k) for k in keep}))
     if not keep or keep[0] < 0 or keep[-1] >= n:
@@ -165,6 +192,7 @@ def partial_trace(m, dims, keep) -> np.ndarray:
     for i in range(n):
         if i not in keep:
             col[i] = row[i]  # repeated index: traced out
-    spec = "".join(row) + "".join(col) + "->" + "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
+    spec = "..." + "".join(row) + "".join(col) + "->..." + "".join(row[i] for i in keep) + "".join(col[i] for i in keep)
     dk = math.prod(dims[i] for i in keep)
-    return np.einsum(spec, a.reshape(dims + dims)).reshape(dk, dk)
+    lead = a.shape[:-2]
+    return np.einsum(spec, a.reshape(lead + dims + dims)).reshape(lead + (dk, dk))

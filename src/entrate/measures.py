@@ -71,6 +71,7 @@ from .states import (
     PureState,
     _eigvalsh,
     _log_on_support,
+    _one_space,
     _positive_int,
     _positive_real,
     random_density,
@@ -136,8 +137,9 @@ def _entropies(lam: np.ndarray):
 
 
 def _relative_entropies(mats: np.ndarray, lam: np.ndarray, log_s: np.ndarray):
-    # max(-S(rho) - Re<L_sigma, rho>, 0) against L_sigma = ln sigma on its support
-    overlap = np.vecdot(log_s.reshape(-1), mats.reshape(*mats.shape[:-2], -1)).real
+    # max(-S(rho) - Re<L_sigma, rho>, 0) against L_sigma = ln sigma on its
+    # support: one L_sigma for every state, or a stack of them, one per state
+    overlap = np.vecdot(log_s.reshape(*log_s.shape[:-2], -1), mats.reshape(*mats.shape[:-2], -1)).real
     return np.maximum(-_entropies(lam) - overlap, 0.0)
 
 
@@ -166,17 +168,16 @@ def von_neumann_entropy(rho) -> float:
 def _leaks(r, s_lam: np.ndarray, s_vec: np.ndarray):
     # whether rho leaks out of the support of sigma, as relative_entropy
     # documents, for sigma given by its eigendecomposition: a bool, or one
-    # per sigma of a stack; rho is diagonalized only if some sigma is rank
-    # deficient
+    # per sigma of a stack (paired with a stack of rho, or all against one);
+    # rho is diagonalized only if some sigma is rank deficient
     null = s_lam <= SUPPORT_TOL
     if not null.any():
         return False
     r_lam, r_vec = _eigh(r)
-    live = r_vec[:, r_lam > SUPPORT_TOL]
-    if not live.size:
-        return False
-    leak = np.abs(np.conjugate(s_vec).swapaxes(-1, -2) @ live) ** 2
-    return (leak * null[..., None]).sum(axis=-2).max(axis=-1) > SUPPORT_TOL
+    # the weight of each eigenvector of rho in sigma's null space, counted
+    # for the eigenvectors on rho's support
+    leak = ((np.abs(dag(s_vec) @ r_vec) ** 2) * null[..., None]).sum(axis=-2)
+    return np.where(r_lam > SUPPORT_TOL, leak, 0.0).max(axis=-1) > SUPPORT_TOL
 
 
 def _log_overlap(r, s_lam: np.ndarray, s_vec: np.ndarray) -> np.ndarray:
@@ -191,14 +192,18 @@ def _log_overlap(r, s_lam: np.ndarray, s_vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def relative_entropy(rho, sigma) -> float:
+def relative_entropy(rho, sigma):
     """Umegaki relative entropy Tr rho (ln rho - ln sigma).
 
     Returns +inf exactly when some eigenvector of rho with eigenvalue above
     ``SUPPORT_TOL`` has squared overlap above ``SUPPORT_TOL`` with the null
     space of sigma; otherwise both logs are taken on their joint support.
-    The result is clamped at zero.
+    The result is clamped at zero.  For two lists of DensityMatrix states on
+    one space it is an array, one value per pair, from stacked eigensolves;
+    the lists' states keep nothing.
     """
+    if isinstance(rho, list):
+        return _relative_entropy_pairs(rho, sigma)
     r, s = _operand(rho), _operand(sigma)
     if _raw(r).shape != _raw(s).shape:
         raise ValueError(f"shape mismatch {_raw(r).shape} vs {_raw(s).shape}")
@@ -209,9 +214,22 @@ def relative_entropy(rho, sigma) -> float:
     return float(_relative_entropies(_raw(r), _spectrum(r), log_s))
 
 
-def entanglement_entropy(psi: PureState) -> float:
-    """Entropy of the reduced state across aA | Bb, via the Schmidt spectrum."""
-    return schmidt(psi).entropy()
+def _relative_entropy_pairs(rhos: list[DensityMatrix], sigmas: list[DensityMatrix]) -> np.ndarray:
+    if len(rhos) != len(sigmas):
+        raise ValueError(f"{len(rhos)} states against {len(sigmas)} references")
+    _one_space([*rhos, *sigmas])
+    r = np.stack([x.matrix for x in rhos])
+    lam, vec = np.linalg.eigh(hermitize(np.stack([x.matrix for x in sigmas])))
+    out = _relative_entropies(r, np.stack([x.spectrum for x in rhos]), _log_on_support(lam, vec))
+    return np.where(_leaks(r, lam, vec), math.inf, out)
+
+
+def entanglement_entropy(psi):
+    """Entropy of the reduced state across aA | Bb, via the Schmidt spectrum;
+    a list of them for a list of states on one space (one stacked SVD)."""
+    if isinstance(psi, PureState):
+        return schmidt(psi).entropy()
+    return [sd.entropy() for sd in schmidt(psi)]
 
 
 def mutual_information(rho: DensityMatrix) -> float:

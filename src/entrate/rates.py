@@ -25,6 +25,16 @@ eta = eta_ref) use these: no reference matrix, no log, no eigensolver.
 
 The closed-form bounds (``entangling_rate_bound`` and friends) are what the
 certification sweeps compare the measured rates against.
+
+Each inequality check is a stacked kernel, and so are ``random_xy_pair``,
+``mutual_info_rate_analytic`` and ``mi_rate_bound``: given a stack of
+instances (matrices as (k, n, n) stacks, states and generators as lists on
+one space, a list of Generators as the sampler's ``seed``) they return a
+list of results, one per instance, from stacked eigensolves, SVDs and
+products.  The one-instance call is the stack of one.  A stacked LAPACK call
+runs the same routine on each matrix and the scalar formulas after it run
+per instance in Python floats, so an instance's result has the same bits in
+any stack.
 """
 
 from __future__ import annotations
@@ -39,6 +49,8 @@ from .dynamics import (
 )
 from .linalg import (
     ShapeError,
+    _as_operand,
+    _as_stack,
     as_matrix,
     dag,
     hermitize,
@@ -54,8 +66,14 @@ from .states import (
     DimensionSignature,
     PureState,
     SchmidtDecomposition,
+    _densities,
+    _eigvalsh,
+    _ginibre,
+    _is_stack,
+    _one_space,
     _positive_int,
     _positive_real,
+    _pure_densities,
     _smoothed,
     closest_separable_state,
     convex_split_witness,
@@ -175,11 +193,18 @@ def _check_cut(psi: PureState) -> None:
 # ------------------------------------------------------ one-step quantities
 
 def _same_size(**ops: np.ndarray) -> None:
-    # numpy would broadcast a mis-sized square operand into a wrong value
+    # numpy would broadcast a mis-sized square operand (or stack) into a wrong value
     (first, a), *rest = ops.items()
     for name, b in rest:
+        if b.shape[-1] != a.shape[-1]:
+            raise ShapeError(f"{first} is {a.shape[-1]} x {a.shape[-1]} but {name} is {b.shape[-1]} x {b.shape[-1]}")
         if b.shape != a.shape:
-            raise ShapeError(f"{first} is {len(a)} x {len(a)} but {name} is {len(b)} x {len(b)}")
+            raise ShapeError(f"{first} has shape {a.shape} but {name} has shape {b.shape}")
+
+
+def _one(m, name: str) -> np.ndarray:
+    # one operand as a stack of one, validated (and its errors worded) as one matrix
+    return as_matrix(m, name=name)[None]
 
 
 def hamiltonian_term(h, rho, sigma) -> float:
@@ -190,11 +215,12 @@ def hamiltonian_term(h, rho, sigma) -> float:
     return float(np.real(1j * np.trace(h @ (r @ log_s - log_s @ r))))
 
 
-def _coherent_caps(h, d: int) -> tuple[float, float]:
-    # (4 ln(d) ||H||, 2 h2(1/d) d ||H||) from one operator norm of H
+def _coherent_caps(h, d: int):
+    # (4 ln(d) ||H||, 2 h2(1/d) d ||H||) from one operator norm of H (arrays
+    # of them, for a stack)
     if _positive_int(d, "d") < 2:
         raise ValueError(f"need d >= 2, got {d}")
-    h_norm, p = operator_norm(as_matrix(h, name="hamiltonian")), 1.0 / d
+    h_norm, p = operator_norm(_as_operand(h, name="hamiltonian")), 1.0 / d
     return 4.0 * math.log(d) * h_norm, 2.0 * binary_entropy(p) / p * h_norm
 
 
@@ -217,7 +243,7 @@ def _schmidt_logs(sd: SchmidtDecomposition, eta: float) -> tuple[np.ndarray, flo
     return v, math.log((1.0 - eta + f) / f), np.log(((1.0 - eta) * sd.coefficients + f) / f)
 
 
-def hamiltonian_commutator_check(h, psi: PureState, *, eta: float = 1e-8) -> InequalityResult:
+def hamiltonian_commutator_check(h, psi, *, eta: float = 1e-8):
     """|i Tr(H [rho_eta, ln sigma0_eta])| vs the dimension cap 4 ln d ||H||.
 
     Both the state and its dephased Schmidt mixture are smoothed by ``eta`` so
@@ -225,166 +251,223 @@ def hamiltonian_commutator_check(h, psi: PureState, *, eta: float = 1e-8) -> Ine
     mixing-based cap, which holds for the smoothed pair as well because
     smoothing preserves d*sigma0 >= rho.  In the Schmidt product basis the
     term is -2 (1 - eta) sum_n b_n Im(<psi|v_n><v_n|H psi>) (module docstring),
-    which needs H Hermitian: H must be n x n and Hermitian within 1e-12."""
-    if psi.dims.d < 2:
+    which needs H Hermitian: H must be n x n and Hermitian within 1e-12.
+    A stack of H and a list of states give a list of results."""
+    if isinstance(psi, PureState):
+        return hamiltonian_commutator_check(_one(h, "hamiltonian"), [psi], eta=eta)[0]
+    dims = _one_space(psi)
+    if dims.d < 2:
         raise DegenerateCut("d = 1 cut: the separable reference equals the state")
     _check_eta(eta)
-    h = as_matrix(h, name="hamiltonian")
-    if h.shape[0] != psi.dims.total:
-        raise ShapeError(f"hamiltonian must be {psi.dims.total} x {psi.dims.total}, got shape {h.shape}")
+    h = _as_stack(h, name="hamiltonian")
+    if h.shape[1:] != (dims.total, dims.total) or len(h) != len(psi):
+        raise ShapeError(f"hamiltonian must be {dims.total} x {dims.total}, got shape {h.shape[1:]}")
     _check_hermitian(h)
-    v, _, b = _schmidt_logs(schmidt(psi), eta)
-    amp = psi.amplitudes
-    lhs = abs(-2.0 * (1.0 - eta) * float(b @ np.imag((amp.conj() @ v) * (h @ amp @ v.conj()))))
-    rhs, tight = _coherent_caps(h, psi.dims.d)
-    return InequalityResult("coherent-term-cap", lhs, rhs, rhs - lhs, witness={"tight_bound": tight})
+    out = []
+    for hi, x, sd, rhs, tight in zip(h, psi, schmidt(psi), *_coherent_caps(h, dims.d)):
+        v, _, b = _schmidt_logs(sd, eta)
+        amp = x.amplitudes
+        lhs = abs(-2.0 * (1.0 - eta) * float(b @ np.imag((amp.conj() @ v) * (hi @ amp @ v.conj()))))
+        rhs, tight = float(rhs), float(tight)
+        out.append(InequalityResult("coherent-term-cap", lhs, rhs, rhs - lhs, witness={"tight_bound": tight}))
+    return out
 
 
-def dissipative_term(l, x, y) -> complex:
-    """Tr(L† [L X, ln Y]) — one jump operator's contribution pattern."""
-    l = as_matrix(l, name="jump operator")
-    x = as_matrix(x, name="X")
-    y = as_matrix(y, name="Y")
+def dissipative_term(l, x, y):
+    """Tr(L† [L X, ln Y]) — one jump operator's contribution pattern; an
+    array of them for stacks of L, X and Y."""
+    if np.ndim(l) != 3:
+        return complex(dissipative_term(_one(l, "jump operator"), _one(x, "X"), _one(y, "Y"))[0])
+    l = _as_stack(l, name="jump operator")
+    x = _as_stack(x, name="X")
+    y = _as_stack(y, name="Y")
     _same_size(L=l, X=x, Y=y)
     log_y = matrix_log_on_support(y)
     lx = l @ x
-    return complex(np.trace(dag(l) @ (lx @ log_y - log_y @ lx)))
+    return np.trace(dag(l) @ (lx @ log_y - log_y @ lx), axis1=-2, axis2=-1)
 
 
-def dissipative_term_bound(l, p: float) -> float:
-    """Cap 172 ||L||^2 p ln(1/p), valid for trace weight p <= e^-2."""
+def dissipative_term_bound(l, p: float):
+    """Cap 172 ||L||^2 p ln(1/p), valid for trace weight p <= e^-2; an array
+    of them for a stack of L."""
     if not 0.0 < p <= math.exp(-2.0):
         raise InvalidPair(f"p must be in (0, e^-2], got {p}")
-    nl = operator_norm(as_matrix(l, name="jump operator"))
-    return DISSIPATOR_XY_COEFF * nl**2 * p * math.log(1.0 / p)
+    nl = operator_norm(_as_operand(l, name="jump operator"))
+
+    def cap(n: float) -> float:
+        return DISSIPATOR_XY_COEFF * n**2 * p * math.log(1.0 / p)
+
+    return cap(nl) if isinstance(nl, float) else np.array([cap(n) for n in nl.tolist()])
 
 
-def _validate_xy(x, y, p: float, tol: float = 1e-8):
-    x = as_matrix(x, name="X")
-    y = as_matrix(y, name="Y")
+def _validate_xy(x: np.ndarray, y: np.ndarray, p: float, tol: float = 1e-8) -> None:
+    # each pair of the stacks: 0 <= X <= Y, Tr X = p and Tr Y = 1 within tol;
+    # the first pair that fails names the rule it broke
     _same_size(X=x, Y=y)
-    if float(np.linalg.eigvalsh(hermitize(x)).min()) < -tol:
+    if (_eigvalsh(x).min(axis=-1) < -tol).any():
         raise InvalidPair("X is not positive semidefinite")
-    if float(np.linalg.eigvalsh(hermitize(y - x)).min()) < -tol:
+    if (_eigvalsh(y - x).min(axis=-1) < -tol).any():
         raise InvalidPair("X is not dominated by Y")
-    if abs(float(np.real(x.trace())) - p) > tol:
-        raise InvalidPair(f"Tr X = {np.real(x.trace())} != p = {p}")
-    if abs(float(np.real(y.trace())) - 1.0) > tol:
-        raise InvalidPair(f"Tr Y = {np.real(y.trace())} != 1")
-    return x, y
+    for tr in np.trace(x, axis1=-2, axis2=-1).real:
+        if abs(float(tr) - p) > tol:
+            raise InvalidPair(f"Tr X = {tr} != p = {p}")
+    for tr in np.trace(y, axis1=-2, axis2=-1).real:
+        if abs(float(tr) - 1.0) > tol:
+            raise InvalidPair(f"Tr Y = {tr} != 1")
 
 
-def dissipative_commutator_check(l, x, y, p: float) -> InequalityResult:
-    x, y = _validate_xy(x, y, p)
-    lhs = abs(dissipative_term(l, x, y))
-    rhs = dissipative_term_bound(l, p)
-    return InequalityResult("dissipative-term-cap", lhs, rhs, rhs - lhs, witness={"p": p})
+def dissipative_commutator_check(l, x, y, p: float):
+    """|Tr(L† [L X, ln Y])| vs 172 ||L||^2 p ln(1/p) for a valid pair (X, Y);
+    stacks of L, X and Y give a list of results."""
+    if np.ndim(l) != 3:
+        return dissipative_commutator_check(_one(l, "jump operator"), _one(x, "X"), _one(y, "Y"), p)[0]
+    x, y = _as_stack(x, name="X"), _as_stack(y, name="Y")
+    _validate_xy(x, y, p)
+    terms = dissipative_term(l, x, y)
+    out = []
+    for term, rhs in zip(terms, dissipative_term_bound(l, p)):
+        lhs, rhs = abs(complex(term)), float(rhs)
+        out.append(InequalityResult("dissipative-term-cap", lhs, rhs, rhs - lhs, witness={"p": p}))
+    return out
 
 
-def mixing_term(h, rho1, rho2, p: float) -> float:
-    """i Tr(H [p rho1, ln(p rho1 + (1-p) rho2)])."""
-    h = as_matrix(h, name="hamiltonian")
-    r1, r2 = _mat(rho1), _mat(rho2)
+def mixing_term(h, rho1, rho2, p: float):
+    """i Tr(H [p rho1, ln(p rho1 + (1-p) rho2)]); an array of them for stacks
+    of H, rho1 and rho2."""
+    if np.ndim(h) != 3:
+        return float(mixing_term(_one(h, "hamiltonian"), _mat(rho1)[None], _mat(rho2)[None], p)[0])
+    h = _as_stack(h, name="hamiltonian")
+    r1, r2 = _as_stack(rho1, name="state"), _as_stack(rho2, name="state")
     _same_size(hamiltonian=h, rho1=r1, rho2=r2)
     _check_weight(p)
     mix = matrix_log_on_support(p * r1 + (1.0 - p) * r2)
     pr = p * r1
-    return float(np.real(1j * np.trace(h @ (pr @ mix - mix @ pr))))
+    return np.real(1j * np.trace(h @ (pr @ mix - mix @ pr), axis1=-2, axis2=-1))
 
 
-def mixing_term_bound(h, p: float) -> float:
-    """Cap 2 h2(p) ||H||: mixing a weight-p component moves the log slowly."""
+def mixing_term_bound(h, p: float):
+    """Cap 2 h2(p) ||H||: mixing a weight-p component moves the log slowly;
+    an array of them for a stack of H."""
     _check_weight(p)
-    return 2.0 * binary_entropy(p) * operator_norm(as_matrix(h, name="hamiltonian"))
+    return 2.0 * binary_entropy(p) * operator_norm(_as_operand(h, name="hamiltonian"))
 
 
-def small_incremental_mixing_check(h, rho1, rho2, p: float) -> InequalityResult:
-    lhs = abs(mixing_term(h, rho1, rho2, p))
-    rhs = mixing_term_bound(h, p)
-    return InequalityResult("mixing-term-cap", lhs, rhs, rhs - lhs, witness={"p": p})
+def small_incremental_mixing_check(h, rho1, rho2, p: float):
+    """|i Tr(H [p rho1, ln(p rho1 + (1-p) rho2)])| vs 2 h2(p) ||H||; stacks
+    of H, rho1 and rho2 give a list of results."""
+    if np.ndim(h) != 3:
+        return small_incremental_mixing_check(_one(h, "hamiltonian"), _mat(rho1)[None], _mat(rho2)[None], p)[0]
+    out = []
+    for term, rhs in zip(mixing_term(h, rho1, rho2, p), mixing_term_bound(h, p)):
+        lhs, rhs = abs(float(term)), float(rhs)
+        out.append(InequalityResult("mixing-term-cap", lhs, rhs, rhs - lhs, witness={"p": p}))
+    return out
 
 
-def commutator_trace_norm_check(a, x) -> InequalityResult:
-    """||[A, X]||_1 <= ||A|| ||X||_1 for positive semidefinite A."""
-    a = as_matrix(a, name="A")
-    x = as_matrix(x, name="X")
+def commutator_trace_norm_check(a, x):
+    """||[A, X]||_1 <= ||A|| ||X||_1 for positive semidefinite A; stacks of A
+    and X give a list of results."""
+    if np.ndim(a) != 3:
+        return commutator_trace_norm_check(_one(a, "A"), _one(x, "X"))[0]
+    a = _as_stack(a, name="A")
+    x = _as_stack(x, name="X")
     _same_size(A=a, X=x)
-    if float(np.abs(a - dag(a)).max()) > 1e-10 or float(np.linalg.eigvalsh(hermitize(a)).min()) < -1e-10:
+    if (np.abs(a - dag(a)).max(axis=(-2, -1)) > 1e-10).any() or (_eigvalsh(a).min(axis=-1) < -1e-10).any():
         raise InvalidPair("A must be Hermitian positive semidefinite")
-    lhs = trace_norm(a @ x - x @ a)
-    rhs = operator_norm(a) * trace_norm(x)
-    return InequalityResult("commutator-trace-norm", lhs, rhs, rhs - lhs)
+    out = []
+    for lhs, a_norm, x_norm in zip(trace_norm(a @ x - x @ a), operator_norm(a), trace_norm(x)):
+        lhs, rhs = float(lhs), float(a_norm) * float(x_norm)
+        out.append(InequalityResult("commutator-trace-norm", lhs, rhs, rhs - lhs))
+    return out
 
 
-def pure_ree_identity_check(psi: PureState) -> InequalityResult:
+def pure_ree_identity_check(psi):
     """Relative entropy to the dephased Schmidt mixture equals the Schmidt
-    entropy for pure states; checked as an equality."""
-    sd = schmidt(psi)
-    entropy = sd.entropy()
-    dist = relative_entropy(psi.density(), closest_separable_state(sd))
-    return InequalityResult(
-        "pure-ree-identity",
-        dist,
-        entropy,
-        -abs(dist - entropy),
-        witness={"schmidt_coefficients": [float(c) for c in sd.coefficients]},
-    )
+    entropy for pure states; checked as an equality.  A list of states on one
+    space gives a list of results."""
+    if isinstance(psi, PureState):
+        return pure_ree_identity_check([psi])[0]
+    sds = schmidt(psi)
+    out = []
+    for sd, dist in zip(sds, relative_entropy(_pure_densities(psi), closest_separable_state(sds))):
+        entropy, dist = sd.entropy(), float(dist)
+        out.append(
+            InequalityResult(
+                "pure-ree-identity",
+                dist,
+                entropy,
+                -abs(dist - entropy),
+                witness={"schmidt_coefficients": [float(c) for c in sd.coefficients]},
+            )
+        )
+    return out
 
 
-def marginal_split_check(rho: DensityMatrix, side: str = "B") -> InequalityResult:
+def marginal_split_check(rho, side: str = "B"):
     """Operator inequality rho_sub <= d^2 (marginal ⊗ maximally mixed).
 
     side="B": rho on aAB is dominated by d_B^2 * (rho_aA ⊗ I/d_B);
     side="A" is the mirror statement on ABb.  The margin is the minimum
     eigenvalue of the difference, which certifies the convex split
-    sigma = rho/d^2 + (1 - 1/d^2) mu with mu a genuine state.
+    sigma = rho/d^2 + (1 - 1/d^2) mu with mu a genuine state.  A list of
+    states on one space gives a list of results.
     """
-    d_a, d_A, d_B, d_b = rho.dims.factors()
+    if isinstance(rho, DensityMatrix):
+        return marginal_split_check([rho], side)[0]
+    dims = _one_space(rho)
+    d_a, d_A, d_B, d_b = dims.factors()
+    m = np.stack([x.matrix for x in rho])
     if side == "B":
-        sub = partial_trace(rho.matrix, rho.dims.factors(), keep=(0, 1, 2))
-        marg = partial_trace(rho.matrix, rho.dims.factors(), keep=(0, 1))
+        sub = partial_trace(m, dims.factors(), keep=(0, 1, 2))
+        marg = partial_trace(m, dims.factors(), keep=(0, 1))
         sig = DimensionSignature(d_a, d_A, d_B, 1)
         prod = np.kron(marg, np.eye(d_B) / d_B)
         factor = d_B**2
     elif side == "A":
-        sub = partial_trace(rho.matrix, rho.dims.factors(), keep=(1, 2, 3))
-        marg = partial_trace(rho.matrix, rho.dims.factors(), keep=(2, 3))
+        sub = partial_trace(m, dims.factors(), keep=(1, 2, 3))
+        marg = partial_trace(m, dims.factors(), keep=(2, 3))
         sig = DimensionSignature(1, d_A, d_B, d_b)
         prod = np.kron(np.eye(d_A) / d_A, marg)
         factor = d_A**2
     else:
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
-    sub_dm = DensityMatrix(sig, hermitize(sub))
-    prod_dm = DensityMatrix(sig, hermitize(prod))
-    _, min_eig = convex_split_witness(sub_dm, prod_dm, factor)
-    return InequalityResult(
-        f"marginal-split-{side}",
-        max(-min_eig, 0.0),
-        0.0,
-        min_eig,
-        witness={"factor": factor, "min_eig": min_eig},
-    )
+    witnesses = convex_split_witness(_densities(sig, hermitize(sub)), _densities(sig, hermitize(prod)), factor)
+    return [
+        InequalityResult(
+            f"marginal-split-{side}",
+            max(-min_eig, 0.0),
+            0.0,
+            min_eig,
+            witness={"factor": factor, "min_eig": min_eig},
+        )
+        for _, min_eig in witnesses
+    ]
 
 
-def random_xy_pair(dim: int, p: float, seed) -> tuple[np.ndarray, np.ndarray]:
+def random_xy_pair(dim: int, p: float, seed):
     """Random (X, Y) with 0 <= X <= Y, Tr X = p, Tr Y = 1, Y full rank.
 
     Y is a Ginibre density; X = Y^{1/2} C Y^{1/2} with a random contraction C
     rescaled (or mixed with the identity) so the trace lands exactly on p.
+    A list of Generators as ``seed`` gives stacks (X, Y), one pair drawn
+    from each generator in the order one call per generator draws it.
     """
     _check_weight(p)
-    rng = np.random.default_rng(seed)
-    y = random_density(dim, rng)
-    gq, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    c = hermitize((gq * rng.uniform(0.0, 1.0, size=dim)) @ dag(gq))
-    q = float(np.real(np.trace(y @ c)))
-    if q >= p:
-        c = (p / q) * c
-    else:
-        alpha = (p - q) / (1.0 - q)
-        c = alpha * np.eye(dim) + (1.0 - alpha) * c
+    if not _is_stack(seed):
+        x, y = random_xy_pair(dim, p, [np.random.default_rng(seed)])
+        return x[0], y[0]
+    y = random_density(dim, seed)
+    gq, _ = np.linalg.qr(_ginibre((dim, dim), seed))
+    weights = np.stack([rng.uniform(0.0, 1.0, size=dim) for rng in seed])
+    c = hermitize((gq * weights[:, None, :]) @ dag(gq))
+    for i, q in enumerate(np.real(np.trace(y @ c, axis1=-2, axis2=-1)).tolist()):
+        if q >= p:
+            c[i] = (p / q) * c[i]
+        else:
+            alpha = (p - q) / (1.0 - q)
+            c[i] = alpha * np.eye(dim) + (1.0 - alpha) * c[i]
     lam, v = np.linalg.eigh(hermitize(y))
-    sqrt_y = (v * np.sqrt(np.clip(lam, 0.0, None))) @ dag(v)
+    sqrt_y = (v * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]) @ dag(v)
     x = hermitize(sqrt_y @ c @ sqrt_y)
     try:
         _validate_xy(x, y, p)
@@ -395,10 +478,21 @@ def random_xy_pair(dim: int, p: float, seed) -> tuple[np.ndarray, np.ndarray]:
 
 # -------------------------------------------------------- closed-form caps
 
-def _norms(gen: LindbladGenerator) -> tuple[float, float]:
-    h_norm = 0.0 if gen.hamiltonian is None else operator_norm(gen.hamiltonian)
-    l_sq = sum(operator_norm(l) ** 2 for l in gen.lindblad_ops)
-    return h_norm, float(l_sq)
+def _norms(gen):
+    # (||H||, sum ||L||^2) of a generator, or of each of a list, from one
+    # stacked SVD of the Hamiltonians and one of the jump operators
+    if isinstance(gen, LindbladGenerator):
+        return _norms([gen])[0]
+    hs = [g.hamiltonian for g in gen if g.hamiltonian is not None]
+    ls = [l for g in gen for l in g.lindblad_ops]
+    h_norms = iter(operator_norm(np.stack(hs)).tolist() if hs else ())
+    l_norms = iter(operator_norm(np.stack(ls)).tolist() if ls else ())
+    out = []
+    for g in gen:
+        h_norm = 0.0 if g.hamiltonian is None else next(h_norms)
+        l_sq = sum(next(l_norms) ** 2 for _ in g.lindblad_ops)
+        out.append((h_norm, float(l_sq)))
+    return out
 
 
 def entangling_rate_bound(gen: LindbladGenerator) -> float:
@@ -413,12 +507,15 @@ def unitary_rate_bound(gen: LindbladGenerator) -> float:
     return 4.0 * h_norm * math.log(gen.dims.d)
 
 
-def mi_rate_bound(gen: LindbladGenerator) -> float:
-    """Mutual-information rate cap 4 (2||H|| + 129 sum ||L||^2)(ln d_A + ln d_B)."""
-    h_norm, l_sq = _norms(gen)
-    return 4.0 * (2.0 * h_norm + MI_DISSIPATOR_COEFF * l_sq) * (
-        math.log(gen.dims.d_A) + math.log(gen.dims.d_B)
-    )
+def mi_rate_bound(gen):
+    """Mutual-information rate cap 4 (2||H|| + 129 sum ||L||^2)(ln d_A + ln d_B);
+    a list of caps for a list of generators whose operators share one size."""
+    if isinstance(gen, LindbladGenerator):
+        return mi_rate_bound([gen])[0]
+    return [
+        4.0 * (2.0 * h_norm + MI_DISSIPATOR_COEFF * l_sq) * (math.log(g.dims.d_A) + math.log(g.dims.d_B))
+        for g, (h_norm, l_sq) in zip(gen, _norms(gen))
+    ]
 
 
 # ------------------------------------------------------------- rate probes
@@ -494,36 +591,39 @@ def surrogate_rate_fd_richardson(
     return 2.0 * g2 - g1
 
 
-def mutual_info_rate_analytic(
-    rho: DensityMatrix | PureState,
-    gen: LindbladGenerator,
-    *,
-    eta: float | None = None,
-) -> float:
+def mutual_info_rate_analytic(rho, gen, *, eta: float | None = None):
     """d/dt [S(aA) + S(Bb) - S(full)] at t = 0 in closed form.
 
     Without ``eta`` the logs are taken on their supports, which is intended
     for full-rank states (random Ginibre densities qualify).  With ``eta``
     every logged state is first smoothed toward the maximally mixed state on
     its own space, which makes the formula evaluable at rank-deficient
-    states, pure initial states included."""
-    if isinstance(rho, PureState):
-        rho = rho.density()
-    _same_space(gen, rho)
+    states, pure initial states included.  A list of states on one space and
+    a list of generators give a list of rates, the logs from stacked
+    eigensolves."""
+    if not isinstance(rho, list):
+        return mutual_info_rate_analytic([rho], [gen], eta=eta)[0]
+    rho = [x.density() if isinstance(x, PureState) else x for x in rho]
+    dims = _one_space(rho)
+    if len(gen) != len(rho):
+        raise ValueError(f"{len(rho)} states but {len(gen)} generators")
+    for g, x in zip(gen, rho):
+        _same_space(g, x)
     if eta is not None:
         _check_eta(eta)
-    factors = rho.dims.factors()
-    rhodot = apply_generator(gen, rho.matrix)
+    factors = dims.factors()
+    mats = np.stack([x.matrix for x in rho])
+    rhodot = np.stack([apply_generator(g, x.matrix) for g, x in zip(gen, rho)])
 
     def logged(mat: np.ndarray) -> np.ndarray:
         return matrix_log_on_support(mat if eta is None else _smoothed(mat, eta))
 
-    val = np.trace(rhodot @ logged(rho.matrix))
+    val = np.trace(rhodot @ logged(mats), axis1=-2, axis2=-1)
     for keep in ((0, 1), (2, 3)):
-        sub = partial_trace(rho.matrix, factors, keep=keep)
+        sub = partial_trace(mats, factors, keep=keep)
         sub_dot = partial_trace(rhodot, factors, keep=keep)
-        val -= np.trace(sub_dot @ logged(sub))
-    return float(np.real(val))
+        val -= np.trace(sub_dot @ logged(sub), axis1=-2, axis2=-1)
+    return np.real(val).tolist()
 
 
 def mutual_info_rate_fd(rho: DensityMatrix, gen: LindbladGenerator, delta_t: float) -> float:

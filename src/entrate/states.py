@@ -5,6 +5,18 @@ factors, Bob the last two.  Ancilla-free systems just use d_a = d_b = 1.
 Includes the Schmidt decomposition, the closest separable state built from
 it, smoothing toward the maximally mixed state, seeded random samplers, and
 ``SUPPORT_TOL``, the one threshold of every support log and relative entropy.
+
+The samplers, ``schmidt``, ``closest_separable_state`` and
+``convex_split_witness`` are stacked kernels, and the one-instance call is
+their stack of one.  A sampler given a list of Generators as ``seed`` draws
+one sample from each, in the order one call per generator would, and
+finishes them together: the Hermitian parts, the operator-norm
+normalisations, the QR phase fix and the validation eigensolves are stacked
+calls.  It returns a stack (k, n, n), or a list of PureStates.  ``schmidt``
+and ``closest_separable_state`` take a list and return a list, and a list
+of DensityMatrix states of one space is validated by one stacked
+eigensolve (``_densities``).  A stacked LAPACK call runs the same routine
+on each matrix, so a sample reads the same bits in a stack as on its own.
 """
 
 from __future__ import annotations
@@ -14,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ShapeError, as_matrix, dag, hermitize, operator_norm
+from .linalg import ShapeError, _as_stack, as_matrix, dag, hermitize, operator_norm
 
 __all__ = [
     "TOTAL_DIM_CAP",
@@ -140,7 +152,13 @@ class PureState:
         return np.outer(self.amplitudes, np.conjugate(self.amplitudes))
 
     def density(self) -> "DensityMatrix":
-        return DensityMatrix(self.dims, self.projector())
+        return _pure_densities([self])[0]
+
+
+def _pure_densities(psis: list[PureState]) -> list["DensityMatrix"]:
+    # psi.density() of each state of a list on one space
+    amps = np.stack([psi.amplitudes for psi in psis])
+    return _densities(psis[0].dims, amps[:, :, None] * np.conjugate(amps)[:, None, :])
 
 
 def _eigvalsh(m: np.ndarray) -> np.ndarray:
@@ -171,8 +189,9 @@ def _purities(m: np.ndarray):
 
 def _log_on_support(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """V diag(ln lambda) V† from an eigendecomposition (lam, V), with ln taken
-    on the eigenvalues above ``SUPPORT_TOL`` and 0 in place of it elsewhere."""
-    return (vec * np.log(np.where(lam > SUPPORT_TOL, lam, 1.0))) @ dag(vec)
+    on the eigenvalues above ``SUPPORT_TOL`` and 0 in place of it elsewhere
+    (of each, for a stack)."""
+    return (vec * np.log(np.where(lam > SUPPORT_TOL, lam, 1.0))[..., None, :]) @ dag(vec)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -208,22 +227,12 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_matrix(self.matrix, name="density matrix")
-        if m.shape[0] != self.dims.total:
-            raise ShapeError(f"matrix dim {m.shape[0]} does not match dims total {self.dims.total}")
-        herm_err = float(_hermiticity_error(m))
-        if herm_err > HERMITIAN_TOL:
-            raise ValueError(f"not Hermitian: max |M - M†| = {herm_err:.3e}")
-        tr = m.trace()
-        if abs(tr - 1.0) > self.trace_tol:
-            raise ValueError(f"trace {tr} is not 1 within {self.trace_tol}")
         lam = self.__dict__.get("_spectrum")  # set only by _adopt
         if lam is None:
             if m is self.matrix:
                 m = m.copy()
             lam = _eigvalsh(m)
-        lo = float(lam.min())
-        if lo < -self.psd_tol:
-            raise ValueError(f"min eigenvalue {lo:.3e} below -{self.psd_tol}")
+        _check_states(self.dims, m[None], lam[None], self.trace_tol, self.psd_tol)
         object.__setattr__(self, "matrix", _read_only(m))
         object.__setattr__(self, "_spectrum", _read_only(lam))
 
@@ -261,6 +270,45 @@ class DensityMatrix:
         return float(_purities(self.matrix))
 
 
+def _check_states(dims: DimensionSignature, mats: np.ndarray, lam: np.ndarray, trace_tol, psd_tol) -> None:
+    """Raise unless every matrix of the stack ``mats``, with ascending spectra
+    ``lam``, is a state on ``dims``: n = dims.total, Hermitian within
+    ``HERMITIAN_TOL``, trace 1 within ``trace_tol``, no eigenvalue below
+    -``psd_tol`` (one tolerance, or one per matrix).  The rules are checked
+    in that order, and the first matrix to break one is named."""
+    if mats.shape[-1] != dims.total:
+        raise ShapeError(f"matrix dim {mats.shape[-1]} does not match dims total {dims.total}")
+    for herm_err in _hermiticity_error(mats).tolist():
+        if herm_err > HERMITIAN_TOL:
+            raise ValueError(f"not Hermitian: max |M - M†| = {herm_err:.3e}")
+    for tr in np.trace(mats, axis1=-2, axis2=-1):
+        if abs(tr - 1.0) > trace_tol:
+            raise ValueError(f"trace {tr} is not 1 within {trace_tol}")
+    for lo, tol in zip(lam.min(axis=-1).tolist(), [psd_tol] * len(lam) if np.ndim(psd_tol) == 0 else psd_tol):
+        if lo < -tol:
+            raise ValueError(f"min eigenvalue {lo:.3e} below -{tol}")
+
+
+def _densities(dims: DimensionSignature, mats: np.ndarray, trace_tol=1e-10, psd_tol=1e-10) -> list[DensityMatrix]:
+    """``DensityMatrix(dims, m, trace_tol, psd_tol)`` for each matrix ``m`` of
+    a stack the library has just computed (``psd_tol`` one tolerance or one
+    per matrix), validated as one stack: one eigensolve and one pass of each
+    rule.  Each state keeps its matrix as a read-only view of the stack."""
+    mats = _as_stack(mats, "density matrix")
+    lam = _eigvalsh(mats)
+    _check_states(dims, mats, lam, trace_tol, psd_tol)
+    _read_only(mats)
+    _read_only(lam)
+    out = []
+    for m, spectrum, tol in zip(mats, lam, [psd_tol] * len(lam) if np.ndim(psd_tol) == 0 else psd_tol):
+        # the fields DensityMatrix.__init__ would set, without validating again
+        rho = DensityMatrix.__new__(DensityMatrix)
+        rho.__dict__.update(dims=dims, matrix=m, trace_tol=trace_tol, psd_tol=tol)
+        rho.__dict__.update(_spectrum=spectrum, _eigh=None, _log=None)
+        out.append(rho)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """Schmidt data across aA | Bb: coefficients p_n (descending, summing to 1),
@@ -296,66 +344,103 @@ def _tie_break_order(p: np.ndarray, left: np.ndarray) -> list[int]:
     return sorted(range(p.size), key=key)
 
 
-def schmidt(psi: PureState) -> SchmidtDecomposition:
-    """Schmidt decomposition of ``psi`` across the aA | Bb cut.
+def _one_space(states: list) -> DimensionSignature:
+    # the signature that every state of a non-empty list shares
+    dims = states[0].dims
+    if any(x.dims != dims for x in states):
+        raise ShapeError("the states of a stack live on different spaces")
+    return dims
+
+
+def schmidt(psi: PureState | list[PureState]) -> SchmidtDecomposition | list[SchmidtDecomposition]:
+    """Schmidt decomposition of ``psi`` across the aA | Bb cut; of each
+    state, for a list of states on one space (one stacked SVD).
 
     Coefficients at or below ``SUPPORT_TOL`` are dropped.  Each left vector
     is phase-fixed so its first nonzero component is real positive; the
     compensating phase goes on the right vector, which keeps the
     reconstruction exact.
     """
-    dims = psi.dims
-    m = psi.amplitudes.reshape(dims.alice, dims.bob)
+    if isinstance(psi, PureState):
+        return schmidt([psi])[0]
+    dims = _one_space(psi)
+    m = np.stack([x.amplitudes for x in psi]).reshape(-1, dims.alice, dims.bob)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     p = s**2
     mask = p > SUPPORT_TOL
-    u, p = u[:, mask], p[mask]
-    right = vh[mask, :].T.copy()  # columns are Bob-side vectors
-    lead = u[np.argmax(np.abs(u) > 1e-12, axis=0), np.arange(p.size)]
+    if mask.all():  # full rank: every column is kept
+        return _phase_fixed(dims, p, u, vh, slice(None))
+    if (mask == mask[0]).all():
+        return _phase_fixed(dims, p, u, vh, mask[0])
+    # the ranks differ: each state drops its own columns
+    return [_phase_fixed(dims, *x)[0] for x in zip(p[:, None], u[:, None], vh[:, None], mask)]
+
+
+def _phase_fixed(dims: DimensionSignature, p: np.ndarray, u: np.ndarray, vh: np.ndarray, mask):
+    # the decompositions of a stack whose coefficients above SUPPORT_TOL are
+    # the ones ``mask`` picks (the same for every state), phase-fixed and ordered
+    u, p = u[..., mask], p[..., mask]
+    k, r = p.shape
+    right = vh[..., mask, :].swapaxes(-1, -2).copy()  # columns are Bob-side vectors
+    # the first entry above 1e-12 of each column of u
+    first = np.argmax(np.abs(u) > 1e-12, axis=-2)
+    lead = u[np.arange(k)[:, None], first, np.arange(r)]
     # the scalar abs, which the np.abs ufunc can differ from in the last bit
-    ph = lead / np.array([abs(x) for x in lead])
+    ph = (lead / np.array([abs(x) for x in lead.flat]).reshape(k, r))[:, None, :]
     u /= ph
     right *= ph
-    order = _tie_break_order(p, u)
-    return SchmidtDecomposition(dims, p[order], u[:, order], right[:, order])
+    out = []
+    for pi, ui, ri in zip(p, u, right):
+        order = _tie_break_order(pi, ui)
+        out.append(SchmidtDecomposition(dims, pi[order], ui[:, order], ri[:, order]))
+    return out
 
 
-def closest_separable_state(sd: SchmidtDecomposition) -> DensityMatrix:
-    """The dephased Schmidt mixture sum_n p_n |l_n r_n><l_n r_n|.
+def closest_separable_state(sd: SchmidtDecomposition | list[SchmidtDecomposition]):
+    """The dephased Schmidt mixture sum_n p_n |l_n r_n><l_n r_n| (of each
+    decomposition, for a list of them on one space).
 
     For a pure state this is the separable state minimizing the relative
     entropy, and the relative entropy to it equals the Schmidt entropy.
     """
-    p, u, r = sd.coefficients, sd.left, sd.right
-    m = np.einsum("n,in,jn,kn,ln->ikjl", p, u, np.conjugate(u), r, np.conjugate(r))
-    full = sd.dims.total
-    return DensityMatrix(sd.dims, hermitize(m.reshape(full, full)))
+    if isinstance(sd, SchmidtDecomposition):
+        return closest_separable_state([sd])[0]
+    dims = _one_space(sd)
+    full = dims.total
+    mats = np.stack(
+        [np.einsum("n,in,jn,kn,ln->ikjl", x.coefficients, x.left, x.left.conj(), x.right, x.right.conj()) for x in sd]
+    )
+    return _densities(dims, hermitize(mats.reshape(-1, full, full)))
 
 
-def convex_split_witness(rho: DensityMatrix, sigma: DensityMatrix, d: int):
+def convex_split_witness(rho: DensityMatrix | list[DensityMatrix], sigma, d: int):
     """Witness for d*sigma >= rho: returns (mu, min_eig) with
-    sigma = rho/d + (1 - 1/d) mu.
+    sigma = rho/d + (1 - 1/d) mu; for lists of states, a list of such pairs.
 
     ``min_eig`` is the smallest eigenvalue of d*sigma - rho; mu is a valid
     density matrix exactly when it is >= 0.  d = 1 leaves no room for mu.
     """
+    if isinstance(rho, DensityMatrix):
+        return convex_split_witness([rho], [sigma], d)[0]
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if d == 1:
         raise DegenerateCut("d = 1: sigma would have to equal rho, no complement state")
-    if rho.dims != sigma.dims:
+    dims = _one_space(rho)
+    if len(sigma) != len(rho) or _one_space(sigma) != dims:
         raise ShapeError("rho and sigma live on different spaces")
-    z = hermitize(d * sigma.matrix - rho.matrix)
-    min_eig = float(np.linalg.eigvalsh(z).min())
-    mu_m = (sigma.matrix - rho.matrix / d) / (1.0 - 1.0 / d)
-    mu = DensityMatrix(rho.dims, hermitize(mu_m), psd_tol=max(1e-10, -min_eig + 1e-12))
-    return mu, min_eig
+    r, s = np.stack([x.matrix for x in rho]), np.stack([x.matrix for x in sigma])
+    min_eig = np.linalg.eigvalsh(hermitize(d * s - r)).min(axis=-1).tolist()
+    mu_m = hermitize((s - r / d) / (1.0 - 1.0 / d))
+    mus = _densities(dims, mu_m, psd_tol=[max(1e-10, -lo + 1e-12) for lo in min_eig])
+    return list(zip(mus, min_eig))
 
 
 def _smoothed(m: np.ndarray, eta: float) -> np.ndarray:
-    """(1 - eta) m + (eta/n) I for an n x n matrix ``m``: a state mixed with
-    the maximally mixed state on its own space, which keeps it full rank."""
-    n = m.shape[0]
+    """(1 - eta) m + (eta/n) I for an n x n matrix ``m`` (each matrix of a
+    stack): a state mixed with the maximally mixed state on its own space,
+    which keeps it full rank."""
+    n = m.shape[-1]
     return (1.0 - eta) * m + (eta / n) * np.eye(n)
 
 
@@ -368,44 +453,72 @@ def smooth(rho: DensityMatrix, eta: float) -> DensityMatrix:
 
 # ---------------------------------------------------------------- samplers
 
-def random_pure(dims: DimensionSignature, seed) -> PureState:
-    """Haar-random pure state on the full space, deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(dims.total) + 1j * rng.standard_normal(dims.total)
-    return PureState(dims, z / np.linalg.norm(z))
+def _is_stack(seed) -> bool:
+    """Whether a sampler's ``seed`` is a list of Generators, one per sample."""
+    return isinstance(seed, list) and bool(seed) and all(isinstance(g, np.random.Generator) for g in seed)
+
+
+def _ginibre(shape: tuple[int, ...], rngs: list[np.random.Generator]) -> np.ndarray:
+    """One complex Gaussian array ``a + 1j * b`` of ``shape`` from each
+    generator, which draws a and then b; one draw of both is the same stream."""
+    parts = np.empty((len(rngs), 2, *shape))
+    for part, rng in zip(parts, rngs):
+        rng.standard_normal(out=part)
+    return parts[:, 0] + 1j * parts[:, 1]
+
+
+def _unit_rows(dims: DimensionSignature, z: np.ndarray) -> list[PureState]:
+    """The PureState of each row of ``z`` divided by its ``np.linalg.norm``,
+    which is the square root of the dots of the real and imaginary parts."""
+    norms = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
+    return [PureState(dims, amp) for amp in z / norms[:, None]]
+
+
+def random_pure(dims: DimensionSignature, seed) -> PureState | list[PureState]:
+    """Haar-random pure state on the full space, deterministic per seed; a
+    list of them for a list of Generators (module docstring)."""
+    if not _is_stack(seed):
+        return random_pure(dims, [np.random.default_rng(seed)])[0]
+    return _unit_rows(dims, _ginibre((dims.total,), seed))
 
 
 def random_gue_hamiltonian(dim: int, seed) -> np.ndarray:
-    """GUE-distributed Hermitian matrix rescaled to operator norm exactly 1."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    h = hermitize(g)
-    return h / operator_norm(h)
+    """GUE-distributed Hermitian matrix rescaled to operator norm exactly 1;
+    a stack of them for a list of Generators (module docstring)."""
+    if not _is_stack(seed):
+        return random_gue_hamiltonian(dim, [np.random.default_rng(seed)])[0]
+    h = hermitize(_ginibre((dim, dim), seed))
+    return h / operator_norm(h)[:, None, None]
 
 
 def random_ginibre_lindblad(dim: int, seed) -> np.ndarray:
-    """Complex Ginibre matrix rescaled to operator norm exactly 1."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return g / operator_norm(g)
+    """Complex Ginibre matrix rescaled to operator norm exactly 1; a stack of
+    them for a list of Generators (module docstring)."""
+    if not _is_stack(seed):
+        return random_ginibre_lindblad(dim, [np.random.default_rng(seed)])[0]
+    g = _ginibre((dim, dim), seed)
+    return g / operator_norm(g)[:, None, None]
 
 
 def random_density(dim: int, seed) -> np.ndarray:
-    """Full-rank random density matrix G G† / Tr(G G†) from a Ginibre G."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    m = g @ np.conjugate(g).T
-    return m / np.real(m.trace())
+    """Full-rank random density matrix G G† / Tr(G G†) from a Ginibre G; a
+    stack of them for a list of Generators (module docstring)."""
+    if not _is_stack(seed):
+        return random_density(dim, [np.random.default_rng(seed)])[0]
+    g = _ginibre((dim, dim), seed)
+    m = g @ dag(g)
+    return m / np.real(np.trace(m, axis1=-2, axis2=-1))[:, None, None]
 
 
 def random_unitary(dim: int, seed) -> np.ndarray:
-    """Haar-random unitary via QR of a Ginibre matrix with phase fixing."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    ph = np.diag(r).copy()
+    """Haar-random unitary via QR of a Ginibre matrix with phase fixing; a
+    stack of them for a list of Generators (module docstring)."""
+    if not _is_stack(seed):
+        return random_unitary(dim, [np.random.default_rng(seed)])[0]
+    q, r = np.linalg.qr(_ginibre((dim, dim), seed))
+    ph = np.diagonal(r, axis1=-2, axis2=-1).copy()
     ph /= np.abs(ph)
-    return q * ph
+    return q * ph[:, None, :]
 
 
 # ------------------------------------------------------------ serialization

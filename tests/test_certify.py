@@ -19,7 +19,9 @@ from entrate.certify import (
     replay,
     run_sweep,
 )
-from entrate.certify import _build, _eval, _pack_inputs, _trial_seed, _unpack_inputs
+from entrate.certify import _build, _eval, _pack_inputs, _run_cell, _trial_seed, _unpack_inputs
+from entrate.linalg import NumericalFailure
+from entrate.rates import InequalityResult, SamplerFailure
 from entrate.states import DensityMatrix, PureState
 
 
@@ -394,3 +396,110 @@ def test_full_family_coverage_minimal():
     assert cert.status == "ok"
     assert set(cert.families) == set(FAMILIES)
     assert math.isfinite(cert.runtime_s)
+
+
+def _bits(checks) -> list:
+    # each check's name and the exact text of its numbers, -0.0 apart from 0.0
+    return [(c["name"], repr(c["lhs"]), repr(c["rhs"]), repr(c["margin"])) for c in checks]
+
+
+def test_every_family_replays_its_counterexamples_bit_for_bit(tmp_path):
+    # tolerances no margin meets turn every trial into a counterexample; a
+    # file replays as a stack of one, the sweep built its trials as stacks
+    cfg = SweepConfig(
+        trials=2,
+        dims_grid=(2,),
+        delta_ts=(1e-3,),
+        tolerances=dict.fromkeys(FAMILIES, -1e9),
+        out_dir=str(tmp_path),
+    )
+    cert = run_sweep(cfg)
+    for fam in FAMILIES:
+        assert cert.families[fam]["violations"] == cert.families[fam]["trials"] > 0, fam
+    assert len(cert.counterexamples) == sum(cert.families[fam]["trials"] for fam in FAMILIES)
+    for rec in cert.counterexamples:
+        recorded = json.loads(pathlib.Path(rec["file"]).read_text())["checks"]
+        assert _bits(replay(rec["file"]).witness["checks"]) == _bits(recorded), rec["file"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_cell_of_five_trials_equals_five_cells_of_one(family, monkeypatch):
+    # the stacked cell against each of its trials run as a stack of one:
+    # the same inputs, checks and worst margin to the bit
+    seed_of = _trial_seed
+    for cell in (cells_for(family, SweepConfig())[0], cells_for(family, SweepConfig())[-1]):
+        five = _run_cell(SweepConfig(trials=5, tolerances={family: -1e9}), family, cell)
+        ones = []
+        for k in range(5):
+            monkeypatch.setattr(entrate.certify, "_trial_seed", lambda base, fam, c, i, k=k: seed_of(base, fam, c, k))
+            ones.append(_run_cell(SweepConfig(trials=1, tolerances={family: -1e9}), family, cell))
+        monkeypatch.setattr(entrate.certify, "_trial_seed", seed_of)
+        assert five["failures"] == 0 and five["violations"] == 5
+        assert repr(five["worst_margin"]) == repr(min(one["worst_margin"] for one in ones))
+        for stacked, (one,) in zip(five["counterexamples"], (one["counterexamples"] for one in ones)):
+            assert stacked["seed"] == one["seed"]
+            assert stacked["inputs"] == one["inputs"]
+            assert _bits(stacked["checks"]) == _bits(one["checks"])
+
+
+def test_a_failing_trial_is_charged_to_itself_alone(monkeypatch):
+    # the sampler fails on trial 3's generator, so the stacked build raises;
+    # the cell runs again trial by trial and only trial 3 fails
+    cfg = SweepConfig(families=("prop1",), trials=5, dims_grid=(2,))
+    cell = cells_for("prop1", cfg)[0]
+    seeds = [_trial_seed(cfg.base_seed, "prop1", cell, i) for i in range(5)]
+    planted = np.random.default_rng(seeds[3]).bit_generator.state
+    sampler, check = entrate.certify.random_pure, entrate.certify.pure_ree_identity_check
+    evaluated = []
+
+    def failing_sampler(dims, rngs):
+        if any(rng.bit_generator.state == planted for rng in rngs):
+            raise SamplerFailure("planted failure")
+        return sampler(dims, rngs)
+
+    monkeypatch.setattr(entrate.certify, "random_pure", failing_sampler)
+    monkeypatch.setattr(entrate.certify, "pure_ree_identity_check", lambda psis: evaluated.extend(psis) or check(psis))
+    out = _run_cell(cfg, "prop1", cell)
+    assert out["failures"] == 1
+    assert out["errors"] == [{"index": 3, "seed": seeds[3], "error": "SamplerFailure: planted failure"}]
+    assert len(evaluated) == 4 and math.isfinite(out["worst_margin"])
+
+
+def _patched_prop1(monkeypatch, margin):
+    result = InequalityResult("pure-ree-identity", 0.5, 0.0, margin)
+    monkeypatch.setattr(
+        entrate.certify,
+        "pure_ree_identity_check",
+        lambda psi: [result] * len(psi) if isinstance(psi, list) else result,
+    )
+
+
+def test_a_nan_margin_is_a_numerical_failure(monkeypatch, tmp_path):
+    # a NaN margin neither holds nor fails: min() would let it pass or drop it
+    # by where it sits, so the sweep fails its trial and replay raises
+    _patched_prop1(monkeypatch, math.nan)
+    cert = run_sweep(SweepConfig(families=("prop1",), trials=2, dims_grid=(2,)))
+    row = cert.families["prop1"]
+    assert (row["status"], row["numerical_failures"], row["violations"], row["worst_margin"]) == (
+        "inconclusive",
+        2,
+        0,
+        None,
+    )
+    for i, error in enumerate(row["cells"][0]["errors"]):
+        assert error["index"] == i
+        assert error["error"] == "NumericalFailure: check pure-ree-identity has a NaN margin (lhs 0.5, rhs 0.0)"
+    # a file written while the check was whole replays through the NaN
+    monkeypatch.undo()
+    cfg = SweepConfig(families=("prop1",), trials=1, dims_grid=(2,), tolerances={"prop1": -1.0}, out_dir=str(tmp_path))
+    path = run_sweep(cfg).counterexamples[0]["file"]
+    _patched_prop1(monkeypatch, math.nan)
+    with pytest.raises(NumericalFailure, match="NaN margin"):
+        replay(path)
+
+
+@pytest.mark.parametrize("margin, status", [(-math.inf, "violated"), (math.inf, "ok")])
+def test_infinite_margins_keep_their_meaning(monkeypatch, margin, status):
+    _patched_prop1(monkeypatch, margin)
+    row = run_sweep(SweepConfig(families=("prop1",), trials=2, dims_grid=(2,))).families["prop1"]
+    assert (row["status"], row["numerical_failures"]) == (status, 0)

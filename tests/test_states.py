@@ -110,6 +110,11 @@ def test_schmidt_product_state_is_rank_one():
     assert sd.coefficients.shape == (1,)
     assert sd.coefficients[0] == pytest.approx(1.0)
     assert sd.entropy() == pytest.approx(0.0, abs=1e-12)
+    # in a stack with a full-rank state each keeps its own rank, to the bit
+    states = [psi, random_pure(dims, 1), psi]
+    for alone, stacked in zip(map(schmidt, states), schmidt(states)):
+        for field in ("coefficients", "left", "right"):
+            assert np.array_equal(getattr(alone, field), getattr(stacked, field))
 
 
 def test_schmidt_known_two_qubit_amplitudes():
@@ -254,6 +259,28 @@ def test_samplers_deterministic_per_seed():
     c = random_pure(DimensionSignature.cut(2, 3), 18)
     assert np.array_equal(a.amplitudes, b.amplitudes)
     assert not np.array_equal(a.amplitudes, c.amplitudes)
+
+
+def test_stacked_samplers_match_one_at_a_time():
+    # a list of Generators draws one sample from each in the order one call
+    # per generator would, and finishes them as a stack: the same bits
+    seeds = (3, 4, 5)
+    for draw in (
+        lambda seed: random_pure(DimensionSignature(2, 2, 3, 1), seed),
+        lambda seed: random_gue_hamiltonian(5, seed),
+        lambda seed: random_ginibre_lindblad(5, seed),
+        lambda seed: random_density(5, seed),
+        lambda seed: random_unitary(5, seed),
+    ):
+        rngs = [np.random.default_rng(s) for s in seeds]
+        stacked = draw(rngs)
+        for rng, s, got in zip(rngs, seeds, stacked):
+            alone = np.random.default_rng(s)
+            want = draw(alone)
+            if isinstance(want, PureState):
+                want, got = want.amplitudes, got.amplitudes
+            assert np.array_equal(got, want)
+            assert rng.bit_generator.state == alone.bit_generator.state
 
 
 def test_haar_mean_reduced_purity_two_qubits():
