@@ -6,21 +6,22 @@ cell, trial index), so runs are reproducible cell-by-cell and trials are
 independent of scheduling.  Violating trials are dumped with their full
 input matrices so they can be replayed bit-for-bit later.
 
-A cell's trials are built and evaluated as one stack.  Each trial draws its
-variates from its own generator, seeded and ordered as when trials ran one
-at a time; the samplers then finish the cell's samples as stacks, and seven
-families (prop1, h_term, l_term, mixing, kittaneh, theorem3, bravyi_lemma1)
-check them with stacked kernels, mixing one stack per dimension its trials
-draw.  The axioms
-take their Schmidt decompositions as stacks, while theorem2's rate probe
-and the axioms' see-saw run trial by trial on the stacked samples.  A
-stacked LAPACK call runs the same routine on each matrix, so a trial's
-inputs and checks have the same bits in a stack of five as in a stack of
-one.  A cell whose stack raises one of the trial errors runs again one
+A cell's trials are built and evaluated in stacks of five consecutive
+trials (``_STACK_TRIALS``), so memory and the cost of a retry do not grow
+with the trial count.  Each trial draws its variates from its own
+generator, seeded and ordered as when trials ran one at a time; the
+samplers then finish a stack's samples together, and seven families
+(prop1, h_term, l_term, mixing, kittaneh, theorem3, bravyi_lemma1) check
+them with stacked kernels, mixing one stack per dimension its trials draw.
+The axioms take their Schmidt decompositions as stacks, while theorem2's
+rate probe and the axioms' see-saw run trial by trial on the stacked
+samples.  A stacked LAPACK call runs the same routine on each matrix, so a
+trial's inputs and checks have the same bits in a stack of five as in a
+stack of one.  A stack that raises one of the trial errors runs again one
 trial at a time, so each error is charged to its own trial.  The trial
 stays the unit of seeds, counts and counterexamples, and the cell the unit
-of the process pool.  ``_build``, ``_eval`` and ``replay`` take one trial as
-the stack of one.  A check whose margin is NaN fails its trial as a
+of the process pool.  ``_build``, ``_eval`` and ``replay`` take one trial
+as the stack of one.  A check whose margin is NaN fails its trial as a
 NumericalFailure, since no comparison can score it.
 """
 
@@ -530,6 +531,11 @@ class Certificate:
         Path(path).write_text(self.to_jsonl())
 
 
+# trials built and evaluated as one stack: a cell runs in stacks of this many
+# consecutive trials, so memory and the cost of a one-at-a-time retry stay
+# flat in the trial count; 5 is the size certify-default was measured at
+_STACK_TRIALS = 5
+
 # what a trial may raise and be counted as a numerical failure
 _TRIAL_ERRORS = (IntegrationError, NumericalFailure, SamplerFailure, InvalidPair)
 
@@ -567,18 +573,23 @@ def _run_cell(config: SweepConfig, family: str, cell: dict) -> dict:
         "errors": [],
     }
     seeds = [_trial_seed(config.base_seed, family, cell, i) for i in range(config.trials)]
-    try:
-        trials, out["stalls"] = _run_trials(family, cell, seeds, config, tol)
-    except _TRIAL_ERRORS:
-        # again one trial at a time, so that each error is charged to its trial
-        trials = []
-        for seed in seeds:
-            try:
-                (trial,), stalls = _run_trials(family, cell, [seed], config, tol)
-            except _TRIAL_ERRORS as exc:
-                trial, stalls = exc, 0
-            trials.append(trial)
-            out["stalls"] += stalls
+    trials = []
+    for start in range(0, len(seeds), _STACK_TRIALS):
+        chunk = seeds[start : start + _STACK_TRIALS]
+        try:
+            stack, stalls = _run_trials(family, cell, chunk, config, tol)
+        except _TRIAL_ERRORS:
+            # again one trial at a time, so that each error is charged to its trial
+            stack, stalls = [], 0
+            for seed in chunk:
+                try:
+                    (trial,), n = _run_trials(family, cell, [seed], config, tol)
+                except _TRIAL_ERRORS as exc:
+                    trial, n = exc, 0
+                stack.append(trial)
+                stalls += n
+        trials += stack
+        out["stalls"] += stalls
     for i, (seed, trial) in enumerate(zip(seeds, trials)):
         if isinstance(trial, Exception):
             out["failures"] += 1

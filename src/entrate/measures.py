@@ -203,25 +203,27 @@ def relative_entropy(rho, sigma):
     the lists' states keep nothing.
     """
     if isinstance(rho, list):
-        return _relative_entropy_pairs(rho, sigma)
+        if len(rho) != len(sigma):
+            raise ValueError(f"{len(rho)} states against {len(sigma)} references")
+        _one_space([*rho, *sigma])
+        lam, vec = np.linalg.eigh(hermitize(np.stack([x.matrix for x in sigma])))
+        r_lam = np.stack([x.spectrum for x in rho])
+        return _relative_entropy_stack(np.stack([x.matrix for x in rho]), r_lam, lam, vec, _log_on_support(lam, vec))
     r, s = _operand(rho), _operand(sigma)
     if _raw(r).shape != _raw(s).shape:
         raise ValueError(f"shape mismatch {_raw(r).shape} vs {_raw(s).shape}")
     lam, vec = _eigh(s)
-    if _leaks(r, lam, vec):
-        return math.inf
     log_s = s.log_on_support() if isinstance(s, DensityMatrix) else _log_on_support(lam, vec)
-    return float(_relative_entropies(_raw(r), _spectrum(r), log_s))
+    return float(_relative_entropy_stack(r, _spectrum(r), lam, vec, log_s))
 
 
-def _relative_entropy_pairs(rhos: list[DensityMatrix], sigmas: list[DensityMatrix]) -> np.ndarray:
-    if len(rhos) != len(sigmas):
-        raise ValueError(f"{len(rhos)} states against {len(sigmas)} references")
-    _one_space([*rhos, *sigmas])
-    r = np.stack([x.matrix for x in rhos])
-    lam, vec = np.linalg.eigh(hermitize(np.stack([x.matrix for x in sigmas])))
-    out = _relative_entropies(r, np.stack([x.spectrum for x in rhos]), _log_on_support(lam, vec))
-    return np.where(_leaks(r, lam, vec), math.inf, out)
+def _relative_entropy_stack(r, r_lam: np.ndarray, s_lam: np.ndarray, s_vec: np.ndarray, log_s: np.ndarray):
+    # D(rho || sigma) of each pair of a stack, as the other stacked kernels
+    # take one: rho as an operand of ``_leaks`` (a stack of matrices, or one
+    # state, whose kept eigh it reuses) with its spectra, sigma as its
+    # eigendecomposition and its log on support; +inf where rho leaks
+    out = _relative_entropies(_raw(r), r_lam, log_s)
+    return np.where(_leaks(r, s_lam, s_vec), math.inf, out)
 
 
 def entanglement_entropy(psi):

@@ -13,10 +13,11 @@ one sample from each, in the order one call per generator would, and
 finishes them together: the Hermitian parts, the operator-norm
 normalisations, the QR phase fix and the validation eigensolves are stacked
 calls.  It returns a stack (k, n, n), or a list of PureStates.  ``schmidt``
-and ``closest_separable_state`` take a list and return a list, and a list
-of DensityMatrix states of one space is validated by one stacked
-eigensolve (``_densities``).  A stacked LAPACK call runs the same routine
-on each matrix, so a sample reads the same bits in a stack as on its own.
+and ``closest_separable_state`` take a list and return a list, and the
+spectra of a list of DensityMatrix states of one space come from one
+stacked eigensolve (``_densities``).  A stacked LAPACK call runs the same
+routine on each matrix, so a sample reads the same bits in a stack as on
+its own.
 """
 
 from __future__ import annotations
@@ -227,12 +228,22 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = as_matrix(self.matrix, name="density matrix")
+        if m.shape[0] != self.dims.total:
+            raise ShapeError(f"matrix dim {m.shape[0]} does not match dims total {self.dims.total}")
+        herm_err = float(_hermiticity_error(m))
+        if herm_err > HERMITIAN_TOL:
+            raise ValueError(f"not Hermitian: max |M - M†| = {herm_err:.3e}")
+        tr = m.trace()
+        if abs(tr - 1.0) > self.trace_tol:
+            raise ValueError(f"trace {tr} is not 1 within {self.trace_tol}")
         lam = self.__dict__.get("_spectrum")  # set only by _adopt
         if lam is None:
             if m is self.matrix:
                 m = m.copy()
             lam = _eigvalsh(m)
-        _check_states(self.dims, m[None], lam[None], self.trace_tol, self.psd_tol)
+        lo = float(lam.min())
+        if lo < -self.psd_tol:
+            raise ValueError(f"min eigenvalue {lo:.3e} below -{self.psd_tol}")
         object.__setattr__(self, "matrix", _read_only(m))
         object.__setattr__(self, "_spectrum", _read_only(lam))
 
@@ -270,43 +281,16 @@ class DensityMatrix:
         return float(_purities(self.matrix))
 
 
-def _check_states(dims: DimensionSignature, mats: np.ndarray, lam: np.ndarray, trace_tol, psd_tol) -> None:
-    """Raise unless every matrix of the stack ``mats``, with ascending spectra
-    ``lam``, is a state on ``dims``: n = dims.total, Hermitian within
-    ``HERMITIAN_TOL``, trace 1 within ``trace_tol``, no eigenvalue below
-    -``psd_tol`` (one tolerance, or one per matrix).  The rules are checked
-    in that order, and the first matrix to break one is named."""
-    if mats.shape[-1] != dims.total:
-        raise ShapeError(f"matrix dim {mats.shape[-1]} does not match dims total {dims.total}")
-    for herm_err in _hermiticity_error(mats).tolist():
-        if herm_err > HERMITIAN_TOL:
-            raise ValueError(f"not Hermitian: max |M - M†| = {herm_err:.3e}")
-    for tr in np.trace(mats, axis1=-2, axis2=-1):
-        if abs(tr - 1.0) > trace_tol:
-            raise ValueError(f"trace {tr} is not 1 within {trace_tol}")
-    for lo, tol in zip(lam.min(axis=-1).tolist(), [psd_tol] * len(lam) if np.ndim(psd_tol) == 0 else psd_tol):
-        if lo < -tol:
-            raise ValueError(f"min eigenvalue {lo:.3e} below -{tol}")
-
-
 def _densities(dims: DimensionSignature, mats: np.ndarray, trace_tol=1e-10, psd_tol=1e-10) -> list[DensityMatrix]:
     """``DensityMatrix(dims, m, trace_tol, psd_tol)`` for each matrix ``m`` of
     a stack the library has just computed (``psd_tol`` one tolerance or one
-    per matrix), validated as one stack: one eigensolve and one pass of each
-    rule.  Each state keeps its matrix as a read-only view of the stack."""
+    per matrix), with the spectra from one stacked eigensolve.  Each state
+    is validated by ``DensityMatrix._adopt`` and keeps its matrix as a view
+    of the stack."""
     mats = _as_stack(mats, "density matrix")
     lam = _eigvalsh(mats)
-    _check_states(dims, mats, lam, trace_tol, psd_tol)
-    _read_only(mats)
-    _read_only(lam)
-    out = []
-    for m, spectrum, tol in zip(mats, lam, [psd_tol] * len(lam) if np.ndim(psd_tol) == 0 else psd_tol):
-        # the fields DensityMatrix.__init__ would set, without validating again
-        rho = DensityMatrix.__new__(DensityMatrix)
-        rho.__dict__.update(dims=dims, matrix=m, trace_tol=trace_tol, psd_tol=tol)
-        rho.__dict__.update(_spectrum=spectrum, _eigh=None, _log=None)
-        out.append(rho)
-    return out
+    tols = [psd_tol] * len(lam) if np.ndim(psd_tol) == 0 else psd_tol
+    return [DensityMatrix._adopt(dims, m, x, trace_tol=trace_tol, psd_tol=t) for m, x, t in zip(mats, lam, tols)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,8 +352,6 @@ def schmidt(psi: PureState | list[PureState]) -> SchmidtDecomposition | list[Sch
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     p = s**2
     mask = p > SUPPORT_TOL
-    if mask.all():  # full rank: every column is kept
-        return _phase_fixed(dims, p, u, vh, slice(None))
     if (mask == mask[0]).all():
         return _phase_fixed(dims, p, u, vh, mask[0])
     # the ranks differ: each state drops its own columns

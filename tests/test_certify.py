@@ -465,6 +465,32 @@ def test_a_failing_trial_is_charged_to_itself_alone(monkeypatch):
     assert len(evaluated) == 4 and math.isfinite(out["worst_margin"])
 
 
+def test_a_long_cell_runs_in_stacks_of_five(monkeypatch):
+    # 12 trials are stacks of 5, 5 and 2; a failure in the second stack runs
+    # only that stack again trial by trial, and is charged to trial 7 alone
+    cfg = SweepConfig(families=("prop1",), trials=12, dims_grid=(2,), tolerances={"prop1": -1e9})
+    cell = cells_for("prop1", cfg)[0]
+    seeds = [_trial_seed(cfg.base_seed, "prop1", cell, i) for i in range(12)]
+    planted = np.random.default_rng(seeds[7]).bit_generator.state
+    sampler = entrate.certify.random_pure
+    sizes = []
+
+    def failing_sampler(dims, rngs):
+        sizes.append(len(rngs))
+        if any(rng.bit_generator.state == planted for rng in rngs):
+            raise SamplerFailure("planted failure")
+        return sampler(dims, rngs)
+
+    monkeypatch.setattr(entrate.certify, "random_pure", failing_sampler)
+    out = _run_cell(cfg, "prop1", cell)
+    assert sizes == [5, 5, 1, 1, 1, 1, 1, 2]
+    assert out["errors"] == [{"index": 7, "seed": seeds[7], "error": "SamplerFailure: planted failure"}]
+    assert out["violations"] == 11
+    assert [(c["trial_index"], c["seed"]) for c in out["counterexamples"]] == [
+        (i, seeds[i]) for i in range(12) if i != 7
+    ]
+
+
 def _patched_prop1(monkeypatch, margin):
     result = InequalityResult("pure-ree-identity", 0.5, 0.0, margin)
     monkeypatch.setattr(
