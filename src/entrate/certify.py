@@ -6,23 +6,28 @@ cell, trial index), so runs are reproducible cell-by-cell and trials are
 independent of scheduling.  Violating trials are dumped with their full
 input matrices so they can be replayed bit-for-bit later.
 
-A cell's trials are built and evaluated in stacks of five consecutive
-trials (``_STACK_TRIALS``), so memory and the cost of a retry do not grow
-with the trial count.  Each trial draws its variates from its own
-generator, seeded and ordered as when trials ran one at a time; the
-samplers then finish a stack's samples together, and seven families
-(prop1, h_term, l_term, mixing, kittaneh, theorem3, bravyi_lemma1) check
-them with stacked kernels, mixing one stack per dimension its trials draw.
-The axioms take their Schmidt decompositions as stacks, while theorem2's
-rate probe and the axioms' see-saw run trial by trial on the stacked
-samples.  A stacked LAPACK call runs the same routine on each matrix, so a
-trial's inputs and checks have the same bits in a stack of five as in a
-stack of one.  A stack that raises one of the trial errors runs again one
-trial at a time, so each error is charged to its own trial.  The trial
-stays the unit of seeds, counts and counterexamples, and the cell the unit
-of the process pool.  ``_build``, ``_eval`` and ``replay`` take one trial
-as the stack of one.  A check whose margin is NaN fails its trial as a
-NumericalFailure, since no comparison can score it.
+Each family is one record of ``_FAMILY_TABLE``: the tolerance on its
+primary check, its cells for a config and the kinds of its counterexample
+input fields.  ``FAMILIES``, ``DEFAULT_TOLERANCES``, ``cells_for`` and the
+counterexample codecs read it, and ``_family`` is the one lookup that
+rejects an unknown name; a family's builder and checks are its branch of
+``_build`` and ``_eval``.
+
+A cell's trials run in stacks of five (``_STACK_TRIALS``), so memory and
+the cost of a retry stay flat in the trial count.  Each trial draws from its
+own generator, seeded and ordered as when trials ran one at a time, and the
+samplers and seven families' checks then take the stack as a whole; mixing,
+whose trials draw their own dimension, takes one stack per dimension.  The
+axioms take their Schmidt decompositions as a stack, while theorem2's rate
+probe and the axioms' see-saw run trial by trial.  A stacked LAPACK call
+runs the same routine on each matrix, so a trial's inputs and checks have
+the same bits in any stack; ``_build``, ``_eval`` and ``replay`` take one
+trial as the stack of one.  A stack that raises a trial error runs again one
+trial at a time, so each error is charged to its own trial; the trial stays
+the unit of seeds, counts and counterexamples, and the cell the unit of the
+process pool.  A check whose margin is NaN fails its trial as a
+NumericalFailure, since no comparison can score it.  ``replay`` scores each
+check at the tol its file recorded, so it names the check the sweep flagged.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ import warnings
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,7 +52,6 @@ from .rates import (
     InequalityResult,
     InvalidPair,
     SamplerFailure,
-    _check_eta,
     _check_eta_ref,
     commutator_trace_norm_check,
     dissipative_commutator_check,
@@ -90,34 +95,67 @@ __all__ = [
     "cells_for",
 ]
 
-# tolerance on the primary check of each family; axioms folds per-check
-# slack into the margins themselves
-DEFAULT_TOLERANCES = {
-    "prop1": 1e-10,
-    "h_term": 1e-6,
-    "l_term": 1e-6,
-    "mixing": 1e-6,
-    "kittaneh": 1e-9,
-    "theorem2": 1e-3,
-    "theorem3": 1e-3,
-    "bravyi_lemma1": 1e-10,
-    "axioms": 0.0,
-}
-FAMILIES = tuple(DEFAULT_TOLERANCES)
-
 ORDERING_TOL = 1e-7  # gamma_fd may exceed the surrogate rate by at most this
 
-_XY_TRACE_WEIGHTS = (1.0 / 8.0, 1.0 / 9.0, 1.0 / 16.0)
-_XY_DIMS = (4, 8, 9)
-_MIXING_WEIGHTS = (0.5, 0.25, math.exp(-2.0))
 _MIXING_DIMS = (4, 8, 16)
-_KITTANEH_DIMS = (4, 9, 16)
-_MARGINAL_SPLIT_CELLS = ([2, 2, 2, 2], [1, 3, 3, 1])
 _BRUTEFORCE_AB_CAP = 6  # axioms only cross-check the see-saw on tiny cuts
 
 
 class FormatError(ValueError):
     """Malformed sweep config or counterexample file."""
+
+
+class _Family(NamedTuple):
+    tol: float  # on the primary check; axioms fold per-check slack into their margins
+    cells: Callable  # SweepConfig -> the family's cells
+    fields: dict  # the kind of each input field, to round-trip counterexamples
+
+
+def _cuts(config) -> list[dict]:
+    return [{"d_A": a, "d_B": b} for a in config.dims_grid for b in config.dims_grid]
+
+
+_FAMILY_TABLE = {
+    "prop1": _Family(1e-10, _cuts, {"psi": "pure"}),
+    "h_term": _Family(1e-6, _cuts, {"psi": "pure", "H": "matrix"}),
+    "l_term": _Family(
+        1e-6,
+        lambda config: [{"dim": m, "p": p} for m in (4, 8, 9) for p in (1.0 / 8.0, 1.0 / 9.0, 1.0 / 16.0)],
+        {"L": "matrix", "X": "matrix", "Y": "matrix", "p": "scalar", "dim": "scalar"},
+    ),
+    "mixing": _Family(
+        1e-6,
+        lambda config: [{"p": p} for p in (0.5, 0.25, math.exp(-2.0))],
+        {"H": "matrix", "rho1": "matrix", "rho2": "matrix", "p": "scalar", "dim": "scalar"},
+    ),
+    "kittaneh": _Family(
+        1e-9, lambda config: [{"dim": m} for m in (4, 9, 16)], {"A": "matrix", "X": "matrix", "dim": "scalar"}
+    ),
+    "theorem2": _Family(
+        1e-3,
+        lambda config: [{"d": d, "delta_t": dt} for d in config.dims_grid for dt in config.delta_ts],
+        {"psi": "pure", "H": "matrix", "Ls": "matrix_list", "delta_t": "scalar", "measure": "scalar",
+         "eta_ref": "scalar", "seed": "scalar"},
+    ),
+    "theorem3": _Family(
+        1e-3,
+        lambda config: [{"d_a": a, "d_b": b} for a in (1, 2, 3) for b in (1, 2, 3)],
+        {"rho": "state", "H": "matrix", "Ls": "matrix_list"},
+    ),
+    "bravyi_lemma1": _Family(
+        1e-10, lambda config: [{"dims": [2, 2, 2, 2]}, {"dims": [1, 3, 3, 1]}], {"rho": "state"}
+    ),
+    "axioms": _Family(0.0, _cuts, {"psi": "pure", "U_a": "matrix", "U_b": "matrix", "seed": "scalar"}),
+}
+FAMILIES = tuple(_FAMILY_TABLE)
+DEFAULT_TOLERANCES = {name: fam.tol for name, fam in _FAMILY_TABLE.items()}
+
+
+def _family(name) -> _Family:
+    try:
+        return _FAMILY_TABLE[name]
+    except (KeyError, TypeError):  # a name read from JSON may be unhashable
+        raise FormatError(f"unknown family {name!r}; known: {', '.join(FAMILIES)}") from None
 
 
 @dataclass(frozen=True)
@@ -128,7 +166,6 @@ class SweepConfig:
     measure: str = "surrogate"
     dims_grid: tuple[int, ...] = (2, 3, 4)
     delta_ts: tuple[float, ...] = (1e-3, 1e-4, 1e-5)
-    eta: float = 1e-8
     eta_ref: float = 1e-13
     tolerances: dict = field(default_factory=dict)
     fail_fraction: float = 0.10
@@ -136,17 +173,13 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "families", tuple(self.families))
-        for fam in self.families:
-            if fam not in FAMILIES:
-                raise FormatError(f"unknown family {fam!r}; known: {', '.join(FAMILIES)}")
+        if not isinstance(self.tolerances, dict):
+            raise FormatError("tolerances must map family names to numbers")
+        for fam in (*self.families, *self.tolerances):
+            _family(fam)
         # an empty list certifies nothing, and a repeated family counts twice
         if not self.families or len(set(self.families)) < len(self.families):
             raise FormatError(f"families must be non-empty and distinct, got {list(self.families)}")
-        if not isinstance(self.tolerances, dict):
-            raise FormatError("tolerances must map family names to numbers")
-        for fam in self.tolerances:
-            if fam not in FAMILIES:
-                raise FormatError(f"tolerance override for unknown family {fam!r}")
         if isinstance(self.base_seed, bool) or not isinstance(self.base_seed, (int, np.integer)):
             raise FormatError(f"base_seed must be an integer, got {self.base_seed!r}")
         try:
@@ -156,9 +189,8 @@ class SweepConfig:
             # a NaN would pass every margin; a negative tolerance demands slack
             # and is kept, as it is how a sweep is made to dump counterexamples
             tols = {fam: _finite_real(v, f"tolerance for {fam}") for fam, v in self.tolerances.items()}
-            # the ranges entangling_rate_fd enforces, checked before any family runs
-            eta, eta_ref = _finite_real(self.eta, "eta"), _finite_real(self.eta_ref, "eta_ref")
-            _check_eta(eta)
+            # the range entangling_rate_fd enforces, checked before any family runs
+            eta_ref = _finite_real(self.eta_ref, "eta_ref")
             _check_eta_ref(eta_ref)
             fail_fraction = _finite_real(self.fail_fraction, "fail_fraction")
         except ValueError as exc:
@@ -168,7 +200,6 @@ class SweepConfig:
         object.__setattr__(self, "base_seed", int(self.base_seed))
         object.__setattr__(self, "delta_ts", dts)
         object.__setattr__(self, "tolerances", tols)
-        object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "eta_ref", eta_ref)
         # a repeated entry runs its cells twice, as a repeated family would
         if not dts or any(t <= 0 for t in dts) or len(set(dts)) < len(dts):
@@ -201,7 +232,7 @@ class SweepConfig:
         return asdict(self)
 
     def tolerance(self, family: str) -> float:
-        return float(self.tolerances.get(family, DEFAULT_TOLERANCES[family]))
+        return float(self.tolerances.get(family, _family(family).tol))
 
 
 def _trial_seed(base_seed: int, family: str, cell: dict, index: int) -> int:
@@ -214,35 +245,28 @@ def _cell_hash(cell: dict) -> str:
 
 
 def cells_for(family: str, config: SweepConfig) -> list[dict]:
-    grid = config.dims_grid
-    if family in ("prop1", "h_term", "axioms"):
-        return [{"d_A": a, "d_B": b} for a in grid for b in grid]
-    if family == "l_term":
-        return [{"dim": m, "p": p} for m in _XY_DIMS for p in _XY_TRACE_WEIGHTS]
-    if family == "mixing":
-        return [{"p": p} for p in _MIXING_WEIGHTS]
-    if family == "kittaneh":
-        return [{"dim": m} for m in _KITTANEH_DIMS]
-    if family == "theorem2":
-        return [{"d": d, "delta_t": dt} for d in grid for dt in config.delta_ts]
-    if family == "theorem3":
-        return [{"d_a": a, "d_b": b} for a in (1, 2, 3) for b in (1, 2, 3)]
-    if family == "bravyi_lemma1":
-        return [{"dims": list(c)} for c in _MARGINAL_SPLIT_CELLS]
-    raise FormatError(f"unknown family {family!r}")
+    return _family(family).cells(config)
 
 
 # ----------------------------------------------------------- trial builders
 
 def _jump_operators(dim: int, rngs: list) -> list[list[np.ndarray]]:
-    # each trial draws its count k in [0, 4), then its k operators; the j-th
-    # operators of the trials that have one are drawn as one stack
+    # each trial draws its count k in [0, 4), then its k operators; one
+    # sampler call draws them all, each trial's generator listed k times
     counts = [int(rng.integers(0, 4)) for rng in rngs]
-    out = [[] for _ in rngs]
-    for j in range(max(counts)):
-        idx = [i for i, k in enumerate(counts) if k > j]
-        for i, l in zip(idx, random_ginibre_lindblad(dim, [rngs[i] for i in idx])):
-            out[i].append(l)
+    drawers = [rng for rng, k in zip(rngs, counts) for _ in range(k)]
+    ls = iter(random_ginibre_lindblad(dim, drawers) if drawers else ())
+    return [[next(ls) for _ in range(k)] for k in counts]
+
+
+def _by_dim(dims: list[int], run) -> list:
+    # run(dim, idx) on the indices idx of the trials of each dimension, which
+    # returns one result per index; the results in trial order
+    out = [None] * len(dims)
+    for dim in set(dims):
+        idx = [i for i, d in enumerate(dims) if d == dim]
+        for i, result in zip(idx, run(dim, idx)):
+            out[i] = result
     return out
 
 
@@ -270,16 +294,13 @@ def _build(family: str, cell: dict, seed, config: SweepConfig):
         return [{"L": l, "X": x, "Y": y, "p": p, "dim": dim} for l, x, y in zip(ls, xs, ys)]
     if family == "mixing":
         # each trial draws its dimension first; the trials of one dimension are a stack
-        drawn = [_MIXING_DIMS[int(rng.integers(len(_MIXING_DIMS)))] for rng in rngs]
-        out = [None] * len(rngs)
-        for dim in set(drawn):
-            idx = [i for i, d in enumerate(drawn) if d == dim]
+        def build(dim: int, idx: list[int]) -> list[dict]:
             group = [rngs[i] for i in idx]
             hs = random_gue_hamiltonian(dim, group)
             r1, r2 = random_density(dim, group), random_density(dim, group)
-            for i, h, rho1, rho2 in zip(idx, hs, r1, r2):
-                out[i] = {"H": h, "rho1": rho1, "rho2": rho2, "p": cell["p"], "dim": dim}
-        return out
+            return [{"H": h, "rho1": a, "rho2": b, "p": cell["p"], "dim": dim} for h, a, b in zip(hs, r1, r2)]
+
+        return _by_dim([_MIXING_DIMS[int(rng.integers(len(_MIXING_DIMS)))] for rng in rngs], build)
     if family == "kittaneh":
         dim = cell["dim"]
         a = _ginibre((dim, dim), rngs)
@@ -290,7 +311,7 @@ def _build(family: str, cell: dict, seed, config: SweepConfig):
         dims = DimensionSignature.cut(cell["d"], cell["d"])
         psis = random_pure(dims, rngs)
         hs = random_gue_hamiltonian(dims.total, rngs)
-        shared = {"delta_t": cell["delta_t"], "measure": config.measure, "eta": config.eta, "eta_ref": config.eta_ref}
+        shared = {"delta_t": cell["delta_t"], "measure": config.measure, "eta_ref": config.eta_ref}
         return [
             {"psi": psi, "H": h, "Ls": ls, **shared, "seed": s}
             for psi, h, ls, s in zip(psis, hs, _jump_operators(dims.total, rngs), seeds)
@@ -300,10 +321,8 @@ def _build(family: str, cell: dict, seed, config: SweepConfig):
         rhos = _densities(dims, hermitize(random_density(dims.total, rngs)))
         hs = random_gue_hamiltonian(4, rngs)
         return [{"rho": rho, "H": h, "Ls": ls} for rho, h, ls in zip(rhos, hs, _jump_operators(4, rngs))]
-    if family == "bravyi_lemma1":
-        dims = DimensionSignature(*cell["dims"])
-        return [{"rho": rho} for rho in _densities(dims, hermitize(random_density(dims.total, rngs)))]
-    raise FormatError(f"unknown family {family!r}")
+    dims = DimensionSignature(*cell["dims"])  # bravyi_lemma1, the last family
+    return [{"rho": rho} for rho in _densities(dims, hermitize(random_density(dims.total, rngs)))]
 
 
 # --------------------------------------------------------- trial evaluators
@@ -337,38 +356,14 @@ def _max_entangled(dims: DimensionSignature) -> PureState:
     return PureState(dims, amp.reshape(-1))
 
 
-def _eval(family: str, inputs, tol: float):
-    """The checks of one trial's inputs; for a list of inputs, a list with
-    the checks of each.  Trials whose operands share their sizes are one
-    stack: seven families check it with stacked kernels, and the axioms take
-    its Schmidt decompositions; theorem2's rate probe and the axioms'
-    see-saw run trial by trial."""
-    if isinstance(inputs, dict):
-        return _eval(family, [inputs], tol)[0]
-    if family not in FAMILIES:
-        raise FormatError(f"unknown family {family!r}")
-    groups: dict = {}
-    for i, trial in enumerate(inputs):
-        groups.setdefault(_stack_key(trial), []).append(i)
-    out = [None] * len(inputs)
-    for idx in groups.values():
-        for i, checks in zip(idx, _eval_stack(family, [inputs[i] for i in idx], tol)):
-            out[i] = checks
-    return out
+def _eval(family: str, trials, tol: float):
+    """The checks of one trial's inputs; for a list of one cell's inputs, a
+    list with the checks of each, evaluated as one stack (module docstring)."""
+    if isinstance(trials, dict):
+        return _eval(family, [trials], tol)[0]
 
-
-def _stack_key(trial: dict):
-    # what the trials of one stack share: the space of their states, or the
-    # weight p and the size of their matrices
-    state = trial.get("psi", trial.get("rho"))
-    if state is not None:
-        return state.dims
-    return trial.get("p"), np.shape(trial["X"] if "X" in trial else trial["H"])
-
-
-def _eval_stack(family: str, trials: list[dict], tol: float) -> list[list[dict]]:
-    def stacked(key: str) -> np.ndarray:
-        return np.stack([t[key] for t in trials])
+    def stacked(key: str, group: list[dict] = trials) -> np.ndarray:
+        return np.stack([t[key] for t in group])
 
     def one_check_each(results) -> list[list[dict]]:
         return [[_with_tol(r, tol)] for r in results]
@@ -382,8 +377,11 @@ def _eval_stack(family: str, trials: list[dict], tol: float) -> list[list[dict]]
     if family == "l_term":
         return one_check_each(dissipative_commutator_check(stacked("L"), stacked("X"), stacked("Y"), trials[0]["p"]))
     if family == "mixing":
-        results = small_incremental_mixing_check(stacked("H"), stacked("rho1"), stacked("rho2"), trials[0]["p"])
-        return one_check_each(results)
+        def check(dim: int, idx: list[int]) -> list[InequalityResult]:
+            group = [trials[i] for i in idx]
+            return small_incremental_mixing_check(*(stacked(k, group) for k in ("H", "rho1", "rho2")), group[0]["p"])
+
+        return one_check_each(_by_dim([len(t["H"]) for t in trials], check))
     if family == "kittaneh":
         return one_check_each(commutator_trace_norm_check(stacked("A"), stacked("X")))
     if family == "theorem2":
@@ -409,7 +407,6 @@ def _eval_theorem2(inputs: dict, tol: float) -> list[dict]:
         gen,
         inputs["delta_t"],
         inputs["measure"],
-        eta=inputs["eta"],
         eta_ref=inputs["eta_ref"],
         seed=inputs["seed"],
         ree_kwargs=ree_kwargs,
@@ -445,29 +442,6 @@ def _eval_axioms(trials: list[dict], tol: float) -> list[list[dict]]:
 
 # ------------------------------------------------------------ serialization
 
-# field kinds per family, used to round-trip counterexample inputs
-_SCHEMAS = {
-    "prop1": {"psi": "pure"},
-    "h_term": {"psi": "pure", "H": "matrix"},
-    "l_term": {"L": "matrix", "X": "matrix", "Y": "matrix", "p": "scalar", "dim": "scalar"},
-    "mixing": {"H": "matrix", "rho1": "matrix", "rho2": "matrix", "p": "scalar", "dim": "scalar"},
-    "kittaneh": {"A": "matrix", "X": "matrix", "dim": "scalar"},
-    "theorem2": {
-        "psi": "pure",
-        "H": "matrix",
-        "Ls": "matrix_list",
-        "delta_t": "scalar",
-        "measure": "scalar",
-        "eta": "scalar",
-        "eta_ref": "scalar",
-        "seed": "scalar",
-    },
-    "theorem3": {"rho": "state", "H": "matrix", "Ls": "matrix_list"},
-    "bravyi_lemma1": {"rho": "state"},
-    "axioms": {"psi": "pure", "U_a": "matrix", "U_b": "matrix", "seed": "scalar"},
-}
-
-
 # (encode, decode) of each field kind
 _CODECS = {
     "pure": (state_to_json, state_from_json),
@@ -479,11 +453,11 @@ _CODECS = {
 
 
 def _pack_inputs(family: str, inputs: dict) -> dict:
-    return {key: _CODECS[kind][0](inputs[key]) for key, kind in _SCHEMAS[family].items()}
+    return {key: _CODECS[kind][0](inputs[key]) for key, kind in _family(family).fields.items()}
 
 
 def _unpack_inputs(family: str, obj: dict) -> dict:
-    schema = _SCHEMAS[family]
+    schema = _family(family).fields
     missing = set(schema) - set(obj)
     if missing:
         raise FormatError(f"counterexample inputs missing fields: {', '.join(sorted(missing))}")
@@ -691,9 +665,10 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> Certificate:
 
 def replay(path) -> InequalityResult:
     """Re-run a counterexample file through the same evaluation path, as a
-    stack of one, and return the worst check as an InequalityResult.  A
-    check with a NaN margin raises NumericalFailure, as it fails its trial
-    in a sweep."""
+    stack of one, and return the worst check as an InequalityResult.  Each
+    check is scored at the tol the file recorded for the check of its name,
+    and at the family's default where it recorded none.  A check with a NaN
+    margin raises NumericalFailure, as it fails its trial in a sweep."""
     try:
         obj = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -704,11 +679,12 @@ def replay(path) -> InequalityResult:
     if missing:
         raise FormatError(f"counterexample missing fields: {', '.join(sorted(missing))}")
     family = obj["family"]
-    if family not in FAMILIES:
-        raise FormatError(f"unknown family {family!r}")
     inputs = _unpack_inputs(family, obj["inputs"])
-    tol = DEFAULT_TOLERANCES[family]
-    checks = _eval(family, [inputs], tol)[0]
+    try:
+        tols = {c["name"]: _finite_real(c["tol"], f"the tol of check {c['name']!r}") for c in obj.get("checks", [])}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad recorded checks: {exc}") from exc
+    checks = [{**c, "tol": tols.get(c["name"], c["tol"])} for c in _eval(family, inputs, _family(family).tol)]
     failure = _nan_failure(checks)
     if failure is not None:
         raise failure

@@ -90,14 +90,11 @@ def test_config_rejects_bad_values():
         with pytest.raises(FormatError):
             SweepConfig(base_seed=bad)
     assert SweepConfig(base_seed=np.int64(-7)).base_seed == -7
-    # the smoothing weights are checked at construction, not by the first theorem2 trial
-    for bad in (0.0, 1e-11, 1e-3, float("nan"), "1e-8", True):
-        with pytest.raises(FormatError):
-            SweepConfig(eta=bad, families=("prop1",))
+    # the smoothing weight is checked at construction, not by the first theorem2 trial
     for bad in (0.0, -1e-13, 1e-5, float("inf"), "1e-13"):
         with pytest.raises(FormatError):
             SweepConfig(eta_ref=bad, families=("prop1",))
-    assert SweepConfig(eta=1e-10, eta_ref=1e-6).eta == 1e-10
+    assert SweepConfig(eta_ref=1e-6).eta_ref == 1e-6
     for bad in (False, "0.1", float("nan")):
         with pytest.raises(FormatError):
             SweepConfig(fail_fraction=bad)
@@ -112,6 +109,8 @@ def test_config_json_roundtrip_and_unknown_keys():
     assert again == cfg
     with pytest.raises(FormatError):
         SweepConfig.from_json({"trials": 3, "mystery": 1})
+    with pytest.raises(FormatError, match="unknown config keys: eta"):  # eta changed no check
+        SweepConfig.from_json({"trials": 1, "eta": 1e-8})
     with pytest.raises(FormatError):
         SweepConfig.from_json(["not", "a", "dict"])
 
@@ -331,7 +330,6 @@ def test_certificate_jsonl_shape(tmp_path):
         "measure": "surrogate",
         "dims_grid": [2],
         "delta_ts": [1e-3],
-        "eta": 1e-8,
         "eta_ref": 1e-13,
         "tolerances": {},
         "fail_fraction": 0.1,
@@ -371,6 +369,61 @@ def test_replay_rejects_malformed_files(tmp_path):
     bad.write_text(json.dumps({"family": "h_term", "cell": {}, "seed": 1, "inputs": inputs}))
     with pytest.raises(FormatError):
         replay(bad)
+
+
+def _theorem2_counterexample(tmp_path) -> pathlib.Path:
+    # one theorem2 trial at a tolerance no rate-bound margin meets
+    cfg = SweepConfig(
+        families=("theorem2",),
+        trials=1,
+        dims_grid=(2,),
+        delta_ts=(1e-3,),
+        tolerances={"theorem2": -1e12},
+        out_dir=str(tmp_path),
+    )
+    (rec,) = run_sweep(cfg).counterexamples
+    return pathlib.Path(rec["file"])
+
+
+def test_replay_scores_each_check_at_its_recorded_tol(tmp_path):
+    # the sweep failed rate-bound at its overridden tolerance; scored at the
+    # defaults, replay would name measure-ordering instead
+    path = _theorem2_counterexample(tmp_path)
+    recorded = json.loads(path.read_text())["checks"]
+    result = replay(path)
+    assert result.tag == "theorem2:rate-bound"
+    assert [c["tol"] for c in result.witness["checks"]] == [c["tol"] for c in recorded] == [-1e12, 1e-7]
+    assert _bits(result.witness["checks"]) == _bits(recorded)
+
+
+def test_replay_rejects_recorded_tols_that_are_not_finite_numbers(tmp_path):
+    path = _theorem2_counterexample(tmp_path)
+    rec = json.loads(path.read_text())
+    for bad in (math.nan, math.inf, "-1e12", True, None):
+        path.write_text(json.dumps({**rec, "checks": [{**rec["checks"][0], "tol": bad}]}))
+        with pytest.raises(FormatError, match="tol"):
+            replay(path)
+    for bad in (5, [{"name": "rate-bound"}], [["rate-bound", 1e-3]]):
+        path.write_text(json.dumps({**rec, "checks": bad}))
+        with pytest.raises(FormatError):
+            replay(path)
+    # a file that records no checks is scored at the defaults
+    for checks in ({}, {"checks": []}):
+        path.write_text(json.dumps({**{k: v for k, v in rec.items() if k != "checks"}, **checks}))
+        result = replay(path)
+        assert [c["tol"] for c in result.witness["checks"]] == [DEFAULT_TOLERANCES["theorem2"], 1e-7]
+        assert result.tag == "theorem2:measure-ordering"
+
+
+def test_a_theorem2_file_with_the_retired_eta_replays_bit_for_bit(tmp_path):
+    # theorem2's inputs once carried eta, which no check read; the decoder
+    # ignores the extra key, whatever its value
+    path = _theorem2_counterexample(tmp_path)
+    rec = json.loads(path.read_text())
+    assert "eta" not in rec["inputs"]
+    for eta in (1e-8, 1e-4):
+        path.write_text(json.dumps({**rec, "inputs": {**rec["inputs"], "eta": eta}}))
+        assert _bits(replay(path).witness["checks"]) == _bits(rec["checks"])
 
 
 def test_certificate_status_precedence():

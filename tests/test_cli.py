@@ -356,7 +356,9 @@ def test_certify_rejects_bad_config(tmp_path, capsys):
     cfg.write_text(json.dumps({"mystery": True}))
     assert main(["certify", "--config", str(cfg)]) == 2
     assert main(["certify", "--config", str(tmp_path / "missing.json")]) == 2
-    for text in ('{"trials": 2.5}', '{"trials": true}', '{"tolerances": {"prop1": NaN}}', '{"eta_ref": 1e-3}'):
+    # the last: eta changed no check and is no config key now (`rate --eta` stays)
+    for text in ('{"trials": 2.5}', '{"trials": true}', '{"tolerances": {"prop1": NaN}}', '{"eta_ref": 1e-3}',
+                 '{"trials": 1, "eta": 1e-8}'):
         cfg.write_text(text)
         assert main(["certify", "--config", str(cfg)]) == 2, text
     capsys.readouterr()

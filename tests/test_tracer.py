@@ -64,3 +64,29 @@ def test_tracer_counts_no_seesaw_iterations_under_axioms():
     got = t.layer_metrics()
     assert got["measures.ree_bruteforce.calls"] == 3
     assert got["measures.seesaw_iterations"] == 0
+
+
+# per-layer counts of one trial per cell on the (2, 3) grid; a counter a
+# family bypasses would read 0 or too few
+EVERY_FAMILY_COUNTS = {
+    "rates.inequality_checks.calls": 27,
+    "rates.entangling_rate_fd.calls": 6,
+    "rates.mutual_info_rate_analytic.calls": 9,
+    "measures.ree_bruteforce.calls": 3,
+    "measures.entanglement_entropy.calls": 12,
+    "states.schmidt.calls": 33,
+    "states.samplers.calls": 89,
+}
+
+
+def test_tracer_sees_every_family():
+    t = _load_tracer().Tracer()
+    try:
+        t.install()
+        entrate.certify.run_sweep(entrate.certify.SweepConfig(trials=1, dims_grid=(2, 3)))
+    finally:
+        t.uninstall()
+    got = t.layer_metrics()
+    assert {name: got[name] for name in EVERY_FAMILY_COUNTS} == EVERY_FAMILY_COUNTS
+    for fam in entrate.certify.FAMILIES:
+        assert got[f"certify.family_s.{fam}"] > 0, fam
