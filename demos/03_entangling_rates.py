@@ -34,6 +34,8 @@ for dt in (1e-3, 1e-4, 1e-5):
     rep = entangling_rate_fd(psi, gen, dt, measure="bruteforce", seed=0,
                              ree_kwargs={"restarts": 1, "max_iters": 200})
     print(f"{dt:8.0e} {rep.gamma_surrogate_fd:15.6f} {rep.gamma_fd:13.6f} {rep.margin:14.4f}")
+    assert rep.gamma_fd <= rep.gamma_surrogate_fd + 1e-7, "the see-saw rate beat the surrogate rate"
+    assert rep.margin >= 0.0, "a measured rate exceeds the cap"
 
 print()
 print("the see-saw rate (true measure) never exceeds the surrogate rate, and")

@@ -52,7 +52,6 @@ from .rates import (
     InequalityResult,
     InvalidPair,
     SamplerFailure,
-    _check_eta_ref,
     commutator_trace_norm_check,
     dissipative_commutator_check,
     entangling_rate_fd,
@@ -135,7 +134,7 @@ _FAMILY_TABLE = {
         1e-3,
         lambda config: [{"d": d, "delta_t": dt} for d in config.dims_grid for dt in config.delta_ts],
         {"psi": "pure", "H": "matrix", "Ls": "matrix_list", "delta_t": "scalar", "measure": "scalar",
-         "eta_ref": "scalar", "seed": "scalar"},
+         "seed": "scalar"},
     ),
     "theorem3": _Family(
         1e-3,
@@ -166,7 +165,6 @@ class SweepConfig:
     measure: str = "surrogate"
     dims_grid: tuple[int, ...] = (2, 3, 4)
     delta_ts: tuple[float, ...] = (1e-3, 1e-4, 1e-5)
-    eta_ref: float = 1e-13
     tolerances: dict = field(default_factory=dict)
     fail_fraction: float = 0.10
     out_dir: str | None = None
@@ -189,9 +187,6 @@ class SweepConfig:
             # a NaN would pass every margin; a negative tolerance demands slack
             # and is kept, as it is how a sweep is made to dump counterexamples
             tols = {fam: _finite_real(v, f"tolerance for {fam}") for fam, v in self.tolerances.items()}
-            # the range entangling_rate_fd enforces, checked before any family runs
-            eta_ref = _finite_real(self.eta_ref, "eta_ref")
-            _check_eta_ref(eta_ref)
             fail_fraction = _finite_real(self.fail_fraction, "fail_fraction")
         except ValueError as exc:
             raise FormatError(str(exc)) from exc
@@ -200,7 +195,6 @@ class SweepConfig:
         object.__setattr__(self, "base_seed", int(self.base_seed))
         object.__setattr__(self, "delta_ts", dts)
         object.__setattr__(self, "tolerances", tols)
-        object.__setattr__(self, "eta_ref", eta_ref)
         # a repeated entry runs its cells twice, as a repeated family would
         if not dts or any(t <= 0 for t in dts) or len(set(dts)) < len(dts):
             raise FormatError(f"delta_ts must be non-empty and distinct with entries > 0, got {list(dts)}")
@@ -311,7 +305,7 @@ def _build(family: str, cell: dict, seed, config: SweepConfig):
         dims = DimensionSignature.cut(cell["d"], cell["d"])
         psis = random_pure(dims, rngs)
         hs = random_gue_hamiltonian(dims.total, rngs)
-        shared = {"delta_t": cell["delta_t"], "measure": config.measure, "eta_ref": config.eta_ref}
+        shared = {"delta_t": cell["delta_t"], "measure": config.measure}
         return [
             {"psi": psi, "H": h, "Ls": ls, **shared, "seed": s}
             for psi, h, ls, s in zip(psis, hs, _jump_operators(dims.total, rngs), seeds)
@@ -402,15 +396,8 @@ def _eval_theorem2(inputs: dict, tol: float) -> list[dict]:
     psi = inputs["psi"]
     gen = LindbladGenerator(psi.dims, inputs["H"], tuple(inputs["Ls"]))
     ree_kwargs = {"restarts": 1, "max_iters": 200} if inputs["measure"] == "bruteforce" else None
-    report = entangling_rate_fd(
-        psi,
-        gen,
-        inputs["delta_t"],
-        inputs["measure"],
-        eta_ref=inputs["eta_ref"],
-        seed=inputs["seed"],
-        ree_kwargs=ree_kwargs,
-    )
+    report = entangling_rate_fd(psi, gen, inputs["delta_t"], inputs["measure"], seed=inputs["seed"],
+                                ree_kwargs=ree_kwargs)
     bound_check = _at_most("rate-bound", report.gamma_surrogate_fd, report.theorem_bound)
     ordering = _at_most("measure-ordering", report.gamma_fd, report.gamma_surrogate_fd)
     return [_with_tol(bound_check, tol), _with_tol(ordering, ORDERING_TOL)]
@@ -456,8 +443,10 @@ def _pack_inputs(family: str, inputs: dict) -> dict:
     return {key: _CODECS[kind][0](inputs[key]) for key, kind in _family(family).fields.items()}
 
 
-def _unpack_inputs(family: str, obj: dict) -> dict:
+def _unpack_inputs(family: str, obj) -> dict:
     schema = _family(family).fields
+    if not isinstance(obj, dict):
+        raise FormatError(f"counterexample inputs must be a JSON object, got {type(obj).__name__}")
     missing = set(schema) - set(obj)
     if missing:
         raise FormatError(f"counterexample inputs missing fields: {', '.join(sorted(missing))}")

@@ -75,7 +75,9 @@ def test_config_rejects_bad_values():
     for bad in (float("nan"), float("inf"), float("-inf"), "1e-3", True, None):
         with pytest.raises(FormatError):
             SweepConfig(tolerances={"prop1": bad})
-    for text in ('{"tolerances": {"prop1": NaN}}', '{"tolerances": {"prop1": Infinity}}'):
+    # the last: the rate probe's reference has no smoothing weight any more
+    for text in ('{"tolerances": {"prop1": NaN}}', '{"tolerances": {"prop1": Infinity}}',
+                 '{"trials": 1, "eta_ref": 1e-13}'):
         with pytest.raises(FormatError):
             SweepConfig.from_json(json.loads(text))
     with pytest.raises(FormatError):
@@ -90,11 +92,6 @@ def test_config_rejects_bad_values():
         with pytest.raises(FormatError):
             SweepConfig(base_seed=bad)
     assert SweepConfig(base_seed=np.int64(-7)).base_seed == -7
-    # the smoothing weight is checked at construction, not by the first theorem2 trial
-    for bad in (0.0, -1e-13, 1e-5, float("inf"), "1e-13"):
-        with pytest.raises(FormatError):
-            SweepConfig(eta_ref=bad, families=("prop1",))
-    assert SweepConfig(eta_ref=1e-6).eta_ref == 1e-6
     for bad in (False, "0.1", float("nan")):
         with pytest.raises(FormatError):
             SweepConfig(fail_fraction=bad)
@@ -111,6 +108,8 @@ def test_config_json_roundtrip_and_unknown_keys():
         SweepConfig.from_json({"trials": 3, "mystery": 1})
     with pytest.raises(FormatError, match="unknown config keys: eta"):  # eta changed no check
         SweepConfig.from_json({"trials": 1, "eta": 1e-8})
+    with pytest.raises(FormatError, match="unknown config keys: eta_ref"):  # the pinch needs no smoothing
+        SweepConfig.from_json({"trials": 1, "eta_ref": 1e-13})
     with pytest.raises(FormatError):
         SweepConfig.from_json(["not", "a", "dict"])
 
@@ -330,7 +329,6 @@ def test_certificate_jsonl_shape(tmp_path):
         "measure": "surrogate",
         "dims_grid": [2],
         "delta_ts": [1e-3],
-        "eta_ref": 1e-13,
         "tolerances": {},
         "fail_fraction": 0.1,
         "out_dir": None,
@@ -364,6 +362,10 @@ def test_replay_rejects_malformed_files(tmp_path):
     bad.write_text(json.dumps({"family": "prop1", "cell": {}, "seed": 1, "inputs": {"psi": strings}}))
     with pytest.raises(FormatError):  # entries must be numbers, not strings or booleans
         replay(bad)
+    for inputs in (5, None, "x", ["psi"]):  # inputs that are not an object
+        bad.write_text(json.dumps({"family": "prop1", "cell": {}, "seed": 1, "inputs": inputs}))
+        with pytest.raises(FormatError):
+            replay(bad)
     psi = {"dims": [1, 2, 2, 1], "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0] * 4}
     inputs = {"psi": psi, "H": {"re": [[True, 0, 0, 0]] + [[0] * 4] * 3, "im": [[0] * 4] * 4}}
     bad.write_text(json.dumps({"family": "h_term", "cell": {}, "seed": 1, "inputs": inputs}))
@@ -424,6 +426,25 @@ def test_a_theorem2_file_with_the_retired_eta_replays_bit_for_bit(tmp_path):
     for eta in (1e-8, 1e-4):
         path.write_text(json.dumps({**rec, "inputs": {**rec["inputs"], "eta": eta}}))
         assert _bits(replay(path).witness["checks"]) == _bits(rec["checks"])
+
+
+def test_a_theorem2_file_with_the_retired_eta_ref_replays_with_no_smaller_margin():
+    # a counterexample written while the rate probe measured against the
+    # Schmidt mixture smoothed by eta_ref = 1e-13; the decoder ignores the
+    # retired key, and the pinch is never farther than that reference, so
+    # the rate-bound lhs can only fall (here from +2.47 to -1.53: the trial
+    # has two jump operators, whose leak the smoothed reference charged
+    # ln(n / eta_ref) per unit of weight)
+    path = pathlib.Path(__file__).parent / "data" / "theorem2-eta-ref-counterexample.json"
+    rec = json.loads(path.read_text())
+    assert rec["inputs"]["eta_ref"] == 1e-13 and len(rec["inputs"]["Ls"]) == 2
+    recorded = {c["name"]: c for c in rec["checks"]}
+    checks = {c["name"]: c for c in replay(path).witness["checks"]}
+    assert checks.keys() == recorded.keys()
+    assert checks["rate-bound"]["rhs"] == recorded["rate-bound"]["rhs"]
+    assert checks["rate-bound"]["margin"] >= recorded["rate-bound"]["margin"]
+    assert checks["rate-bound"]["lhs"] < recorded["rate-bound"]["lhs"] - 1.0
+    assert checks["measure-ordering"]["margin"] == 0.0
 
 
 def test_certificate_status_precedence():
