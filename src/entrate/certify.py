@@ -13,21 +13,23 @@ counterexample codecs read it, and ``_family`` is the one lookup that
 rejects an unknown name; a family's builder and checks are its branch of
 ``_build`` and ``_eval``.
 
-A cell's trials run in stacks of five (``_STACK_TRIALS``), so memory and
-the cost of a retry stay flat in the trial count.  Each trial draws from its
-own generator, seeded and ordered as when trials ran one at a time, and the
-samplers and seven families' checks then take the stack as a whole; mixing,
-whose trials draw their own dimension, takes one stack per dimension.  The
-axioms take their Schmidt decompositions as a stack, while theorem2's rate
-probe and the axioms' see-saw run trial by trial.  A stacked LAPACK call
-runs the same routine on each matrix, so a trial's inputs and checks have
-the same bits in any stack; ``_build``, ``_eval`` and ``replay`` take one
-trial as the stack of one.  A stack that raises a trial error runs again one
-trial at a time, so each error is charged to its own trial; the trial stays
-the unit of seeds, counts and counterexamples, and the cell the unit of the
-process pool.  A check whose margin is NaN fails its trial as a
-NumericalFailure, since no comparison can score it.  ``replay`` scores each
-check at the tol its file recorded, so it names the check the sweep flagged.
+A cell's trials run in stacks of five (``_STACK_TRIALS``), so memory and the
+cost of a retry stay flat in the trial count.  Each trial draws from its own
+generator, seeded and ordered as when trials ran one at a time, and the
+samplers and every family's checks then take the stack as a whole; mixing,
+whose trials draw their own dimension, takes one stack per dimension.  Only
+the see-saws (the axioms' and theorem2's with measure="bruteforce") run
+trial by trial: perfbench's tracer reads the iteration count off each
+``ree_bruteforce`` result, so it stays one state in, one estimate out.  A
+stacked LAPACK call runs the same routine on each matrix, so a trial's
+inputs and checks have the same bits in any stack; ``_build``, ``_eval`` and
+``replay`` take one trial as the stack of one.  A stack that raises a trial
+error runs again one trial at a time, so each error is charged to its own
+trial; the trial stays the unit of seeds, counts and counterexamples, and
+the cell the unit of the process pool.  A check whose margin is NaN fails
+its trial as a NumericalFailure, since no comparison can score it.
+``replay`` scores each check at the tol its file recorded, so it names the
+check the sweep flagged.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ from .states import (
     _densities,
     _finite_real,
     _ginibre,
+    _grouped,
     _positive_int,
     _unit_rows,
     matrix_from_json,
@@ -253,17 +256,6 @@ def _jump_operators(dim: int, rngs: list) -> list[list[np.ndarray]]:
     return [[next(ls) for _ in range(k)] for k in counts]
 
 
-def _by_dim(dims: list[int], run) -> list:
-    # run(dim, idx) on the indices idx of the trials of each dimension, which
-    # returns one result per index; the results in trial order
-    out = [None] * len(dims)
-    for dim in set(dims):
-        idx = [i for i, d in enumerate(dims) if d == dim]
-        for i, result in zip(idx, run(dim, idx)):
-            out[i] = result
-    return out
-
-
 def _build(family: str, cell: dict, seed, config: SweepConfig):
     """The inputs of the trial with ``seed``; for a list of seeds, a list
     with the inputs of each, built as one stack.  Every trial draws from its
@@ -294,7 +286,7 @@ def _build(family: str, cell: dict, seed, config: SweepConfig):
             r1, r2 = random_density(dim, group), random_density(dim, group)
             return [{"H": h, "rho1": a, "rho2": b, "p": cell["p"], "dim": dim} for h, a, b in zip(hs, r1, r2)]
 
-        return _by_dim([_MIXING_DIMS[int(rng.integers(len(_MIXING_DIMS)))] for rng in rngs], build)
+        return _grouped([_MIXING_DIMS[int(rng.integers(len(_MIXING_DIMS)))] for rng in rngs], build)
     if family == "kittaneh":
         dim = cell["dim"]
         a = _ginibre((dim, dim), rngs)
@@ -375,11 +367,11 @@ def _eval(family: str, trials, tol: float):
             group = [trials[i] for i in idx]
             return small_incremental_mixing_check(*(stacked(k, group) for k in ("H", "rho1", "rho2")), group[0]["p"])
 
-        return one_check_each(_by_dim([len(t["H"]) for t in trials], check))
+        return one_check_each(_grouped([len(t["H"]) for t in trials], check))
     if family == "kittaneh":
         return one_check_each(commutator_trace_norm_check(stacked("A"), stacked("X")))
     if family == "theorem2":
-        return [_eval_theorem2(inputs, tol) for inputs in trials]
+        return _eval_theorem2(trials, tol)
     if family == "theorem3":
         rhos = [t["rho"] for t in trials]
         gens = [LindbladGenerator(rho.dims, t["H"], tuple(t["Ls"])) for rho, t in zip(rhos, trials)]
@@ -392,15 +384,16 @@ def _eval(family: str, trials, tol: float):
     return _eval_axioms(trials, tol)  # the last family
 
 
-def _eval_theorem2(inputs: dict, tol: float) -> list[dict]:
-    psi = inputs["psi"]
-    gen = LindbladGenerator(psi.dims, inputs["H"], tuple(inputs["Ls"]))
-    ree_kwargs = {"restarts": 1, "max_iters": 200} if inputs["measure"] == "bruteforce" else None
-    report = entangling_rate_fd(psi, gen, inputs["delta_t"], inputs["measure"], seed=inputs["seed"],
-                                ree_kwargs=ree_kwargs)
-    bound_check = _at_most("rate-bound", report.gamma_surrogate_fd, report.theorem_bound)
-    ordering = _at_most("measure-ordering", report.gamma_fd, report.gamma_surrogate_fd)
-    return [_with_tol(bound_check, tol), _with_tol(ordering, ORDERING_TOL)]
+def _eval_theorem2(trials: list[dict], tol: float) -> list[list[dict]]:
+    # one cell's trials share delta_t and the measure; the rate probe takes them as one stack
+    gens = [LindbladGenerator(t["psi"].dims, t["H"], tuple(t["Ls"])) for t in trials]
+    dt, measure = trials[0]["delta_t"], trials[0]["measure"]
+    ree_kwargs = {"restarts": 1, "max_iters": 200} if measure == "bruteforce" else None
+    reports = entangling_rate_fd([t["psi"] for t in trials], gens, dt, measure, seed=[t["seed"] for t in trials],
+                                 ree_kwargs=ree_kwargs)
+    bound_checks = (_at_most("rate-bound", r.gamma_surrogate_fd, r.theorem_bound) for r in reports)
+    orderings = (_at_most("measure-ordering", r.gamma_fd, r.gamma_surrogate_fd) for r in reports)
+    return [[_with_tol(b, tol), _with_tol(o, ORDERING_TOL)] for b, o in zip(bound_checks, orderings)]
 
 
 def _eval_axioms(trials: list[dict], tol: float) -> list[list[dict]]:

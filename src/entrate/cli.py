@@ -351,7 +351,9 @@ def _parser() -> argparse.ArgumentParser:
     _add_instance_flags(rate)
     _add_probe_flags(rate)
     rate.add_argument("--eta", type=float, default=1e-8,
-                      help="smoothing of the closed-form t = 0 rate, gamma_surrogate_analytic (default 1e-8)")
+                      help="smoothing of the closed-form t = 0 rate, gamma_surrogate_analytic (default 1e-8); "
+                           "under dissipation the rate has no finite t = 0 value, and it and gamma_surrogate_fd "
+                           "read different cut-offs (eta, delta t): they agree only under closed dynamics")
     rate.add_argument("--measure", choices=("surrogate", "bruteforce"), default="surrogate",
                       help="bruteforce also runs the see-saw REE minimizer (default surrogate)")
     rate.add_argument("--out", help="JSON report path (default stdout)")

@@ -43,7 +43,11 @@ Sci. Comput. 33, 488 (2011), applied to the RK4 polynomial rather than to
 the exponential.  A 64-step integration over t <= 1e-3, as in the theorem2
 probes, takes at most eight applications (about five on average) instead
 of 256.  Both paths compute the same polynomial; they differ by roundoff
-only.
+only.  A stack of states under a list of generators runs one Horner chain
+per chunk size (theorem2's t beta <= 1 gives one): missing jump operators
+are zero matrices (adding +0 may flip an exact -0), and each state's
+coefficients are zero-padded above its own degree, so it is an exact zero
+until then (apply(0) = 0, 0 + x = x) and reads as in a stack of one.
 
 The caller picks the path.  ``evolve_series``, the time-series entry
 point, builds the step map of its (h, steps) when d_AB <= 16
@@ -76,8 +80,10 @@ from .states import (
     HERMITIAN_TOL,
     DensityMatrix,
     DimensionSignature,
+    _densities,
     _eigvalsh,
     _finite_real,
+    _grouped,
     _hermiticity_error,
     _positive_int,
     _positive_real,
@@ -199,9 +205,10 @@ class LindbladGenerator:
 # rho on a ⊗ (A⊗B) ⊗ b has axes (a, AB, b, a', AB', b').  The K-form keeps it
 # as rows AB by columns (a, b, a', b', AB'), so left products act on the rows
 # and right products on the trailing AB' axis of the same buffer; the step
-# map takes rows (AB, AB') by columns (a, b, a', b').
+# map takes rows (AB, AB') by columns (a, b, a', b').  The K-form layouts
+# carry a leading stack axis.
 
-_ROWS = (1, 0, 2, 3, 5, 4)  # self-inverse
+_ROWS = (0, 2, 1, 3, 4, 6, 5)  # self-inverse, on a stack
 _VEC = (1, 4, 0, 2, 3, 5)
 _VEC_INV = (2, 0, 3, 4, 1, 5)
 _T_AB_PAIR = (0, 1, 4, 5, 2, 3)  # on the _VEC layout: (a, b) <-> (a', b')
@@ -214,35 +221,44 @@ def _axes(dims: DimensionSignature) -> tuple[int, int, int, int]:
 
 def _to_rows(rho: np.ndarray, dims: DimensionSignature) -> np.ndarray:
     d_a, ab, d_b, _ = _axes(dims)
-    return rho.reshape(d_a, ab, d_b, d_a, ab, d_b).transpose(_ROWS).reshape(ab, -1)
+    return rho.reshape(-1, d_a, ab, d_b, d_a, ab, d_b).transpose(_ROWS).reshape(len(rho), ab, -1)
 
 
 def _from_rows(y: np.ndarray, dims: DimensionSignature) -> np.ndarray:
     d_a, ab, d_b, n = _axes(dims)
-    return y.reshape(ab, d_a, d_b, d_a, d_b, ab).transpose(_ROWS).reshape(n, n)
+    return y.reshape(-1, ab, d_a, d_b, d_a, d_b, ab).transpose(_ROWS).reshape(len(y), n, n)
 
 
-def _kform(k: np.ndarray, ls: tuple[np.ndarray, ...]):
-    """The generator on the row layout: y -> -i(K y - y K†) + sum L y L†."""
-    ab = k.shape[0]
+def _kform(gens: list[LindbladGenerator]):
+    """A list of generators on a stack in the row layout: y_i -> -i(K_i y_i -
+    y_i K_i†) + sum_k L_ik y_i L_ik†, missing jump operators as zero matrices."""
+    k = np.stack([g._k for g in gens])
+    ls = np.zeros((max(len(g.lindblad_ops) for g in gens), *k.shape), dtype=complex)
+    for i, g in enumerate(gens):
+        for j, l in enumerate(g.lindblad_ops):
+            ls[j, i] = l
+    ab = k.shape[-1]
     k_dag = dag(k)
     pairs = [(l, dag(l)) for l in ls]
 
     def apply(y: np.ndarray) -> np.ndarray:
         out = k @ y
-        out -= (y.reshape(-1, ab) @ k_dag).reshape(ab, -1)
+        out -= (y.reshape(len(y), -1, ab) @ k_dag).reshape(y.shape)
         out *= -1j
         for l, l_dag in pairs:
-            out += ((l @ y).reshape(-1, ab) @ l_dag).reshape(ab, -1)
+            out += ((l @ y).reshape(len(y), -1, ab) @ l_dag).reshape(y.shape)
         return out
 
     return apply
 
 
-def apply_generator(gen: LindbladGenerator, rho: np.ndarray) -> np.ndarray:
-    """L(rho) for a full-space rho, computed on its A ⊗ B block."""
-    rows = _kform(gen._k, gen.lindblad_ops)(_to_rows(rho, gen.dims))
-    return _from_rows(rows, gen.dims)
+def apply_generator(gen, rho: np.ndarray) -> np.ndarray:
+    """L(rho) for a full-space rho, computed on its A ⊗ B block; for a list of
+    generators on one space and a stack, each applied to its matrix at once."""
+    one = isinstance(gen, LindbladGenerator)
+    gens, rho = ([gen], rho[None]) if one else (gen, rho)
+    out = _from_rows(_kform(gens)(_to_rows(rho, gens[0].dims)), gens[0].dims)
+    return out[0] if one else out
 
 
 # ------------------------------------------------------------ the step map
@@ -340,34 +356,41 @@ def _apply_step_map(m: np.ndarray, rho: np.ndarray, dims: DimensionSignature) ->
 
 # ------------------------------------------------------------- integration
 
-def _integrate(
-    gen: LindbladGenerator, rho: np.ndarray, t: float, steps: int, step_map: np.ndarray | None = None
-) -> np.ndarray:
-    """rho after ``steps`` RK4 steps of size t/steps, i.e. T4(hS)^steps rho.
+def _integrate(gen, rho: np.ndarray, t: float, steps: int, step_map: np.ndarray | None = None) -> np.ndarray:
+    """rho after ``steps`` RK4 steps of size t/steps, i.e. T4(hS)^steps rho
+    (for a list of generators on one space and a stack, each matrix under its own).
 
-    With ``step_map``, which must be ``_build_step_map`` of this (t/steps,
-    steps), this is one product.  Otherwise, in K-form, the steps go in
-    chunks of m with m h beta <= 1 (beta = ``_norm_bound``), and each chunk
-    is Horner's rule on the coefficients c_0..c_J of T4(x)^m, J generator
-    applications with J <= 4m; a chunk of one step is one RK4 step.
-    """
+    With ``step_map``, which must be ``_build_step_map`` of this (one)
+    generator's (t/steps, steps), this is one product.  Otherwise, in K-form,
+    the steps go in chunks of m with m h beta <= 1 (beta = ``_norm_bound``),
+    and each chunk is Horner's rule on the coefficients c_0..c_J of T4(x)^m,
+    zero-padded over a stack (module docstring), J <= 4m applications."""
     if step_map is not None:
         return _apply_step_map(step_map, rho, gen.dims)
+    one = isinstance(gen, LindbladGenerator)
+    gens, rho = ([gen], rho[None]) if one else (gen, rho)
     h = t / steps
-    apply = _kform(gen._k, gen.lindblad_ops)
-    y = _to_rows(rho, gen.dims)
-    hb = h * gen._norm_bound
-    chunk = steps if hb * steps <= 1.0 else max(1, int(1.0 / hb))
-    for start in range(0, steps, chunk):
-        m = min(chunk, steps - start)
-        coeffs = _t4_power_coefficients(m, _horner_degree(m * hb, 4 * m))
-        acc = coeffs[-1] * y
-        for c in coeffs[-2::-1]:
-            acc = apply(acc)
-            acc *= h
-            acc += c * y
-        y = acc
-    return _from_rows(y, gen.dims)
+    hbs = [h * g._norm_bound for g in gens]
+
+    def chain(chunk: int, idx: list[int]) -> np.ndarray:
+        apply = _kform([gens[i] for i in idx])
+        y = _to_rows(rho[idx], gens[0].dims)
+        for start in range(0, steps, chunk):
+            m = min(chunk, steps - start)
+            degrees = [_horner_degree(m * hbs[i], 4 * m) for i in idx]
+            coeffs = np.zeros((len(idx), max(degrees) + 1))
+            for row, j in zip(coeffs, degrees):
+                row[: j + 1] = _t4_power_coefficients(m, j)
+            acc = coeffs[:, -1, None, None] * y
+            for c in coeffs.T[-2::-1, :, None, None]:
+                acc = apply(acc)
+                acc *= h
+                acc += c * y
+            y = acc
+        return _from_rows(y, gens[0].dims)
+
+    out = np.stack(_grouped([steps if hb * steps <= 1.0 else max(1, int(1.0 / hb)) for hb in hbs], chain))
+    return out[0] if one else out
 
 
 def _horner_degree(z: float, cap: int) -> int:
@@ -444,7 +467,7 @@ def evolve(gen: LindbladGenerator, rho0: DensityMatrix, t: float, steps: int = 1
     drift, lam = _drift(out)
     if drift > DRIFT_TOL:
         raise _drift_error(drift, steps)
-    return DensityMatrix._adopt(rho0.dims, out, lam, trace_tol=DRIFT_TOL, psd_tol=DRIFT_TOL)
+    return _densities(rho0.dims, out[None], DRIFT_TOL, DRIFT_TOL, lam[None])[0]
 
 
 def evolve_series(

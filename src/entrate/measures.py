@@ -228,10 +228,16 @@ def _relative_entropy_stack(r, r_lam: np.ndarray, s_lam: np.ndarray, s_vec: np.n
 
 def entanglement_entropy(psi):
     """Entropy of the reduced state across aA | Bb, via the Schmidt spectrum;
-    a list of them for a list of states on one space (one stacked SVD)."""
+    a list of them for a list of states on one space (one stacked SVD).
+    Only the singular values are read: no Schmidt vectors are phase-fixed
+    or ordered, so tied coefficients add in the SVD's order."""
     if isinstance(psi, PureState):
-        return schmidt(psi).entropy()
-    return [sd.entropy() for sd in schmidt(psi)]
+        return entanglement_entropy([psi])[0]
+    dims = _one_space(psi)
+    m = np.stack([x.amplitudes for x in psi]).reshape(-1, dims.alice, dims.bob)
+    # the singular values of the full SVD, as ``schmidt`` takes them
+    p = np.linalg.svd(m, full_matrices=False)[1] ** 2
+    return [float(-(x * np.log(x)).sum()) for x in (row[row > SUPPORT_TOL] for row in p)]
 
 
 def mutual_information(rho: DensityMatrix) -> float:

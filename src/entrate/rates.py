@@ -34,14 +34,15 @@ The closed-form bounds (``entangling_rate_bound`` and friends) are what the
 certification sweeps compare the measured rates against.
 
 Each inequality check is a stacked kernel, and so are ``random_xy_pair``,
-``mutual_info_rate_analytic`` and ``mi_rate_bound``: given a stack of
-instances (matrices as (k, n, n) stacks, states and generators as lists on
-one space, a list of Generators as the sampler's ``seed``) they return a
-list of results, one per instance, from stacked eigensolves, SVDs and
-products.  The one-instance call is the stack of one.  A stacked LAPACK call
-runs the same routine on each matrix and the scalar formulas after it run
-per instance in Python floats, so an instance's result has the same bits in
-any stack.
+``mutual_info_rate_analytic``, ``entangling_rate_fd`` (whose see-saw runs
+per instance) and the caps ``entangling_rate_bound`` and ``mi_rate_bound``:
+given a stack of instances (matrices as (k, n, n) stacks, states and
+generators as lists on one space, a list of Generators as the sampler's
+``seed``) they return a list of results, one per instance, from stacked
+eigensolves, SVDs and products.  The one-instance call is the stack of one.
+A stacked LAPACK call runs the same routine on each matrix and the scalar
+formulas after it run per instance in Python floats, so an instance's result
+has the same bits in any stack.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ from .states import (
     _densities,
     _eigvalsh,
     _ginibre,
+    _grouped,
     _is_stack,
     _one_space,
     _positive_int,
@@ -481,10 +483,8 @@ def random_xy_pair(dim: int, p: float, seed):
 # -------------------------------------------------------- closed-form caps
 
 def _norms(gen):
-    # (||H||, sum ||L||^2) of a generator, or of each of a list, from one
-    # stacked SVD of the Hamiltonians and one of the jump operators
-    if isinstance(gen, LindbladGenerator):
-        return _norms([gen])[0]
+    # (||H||, sum ||L||^2) of each generator of a list, from one stacked SVD
+    # of the Hamiltonians and one of the jump operators
     hs = [g.hamiltonian for g in gen if g.hamiltonian is not None]
     ls = [l for g in gen for l in g.lindblad_ops]
     h_norms = iter(operator_norm(np.stack(hs)).tolist() if hs else ())
@@ -497,15 +497,17 @@ def _norms(gen):
     return out
 
 
-def entangling_rate_bound(gen: LindbladGenerator) -> float:
-    """4 (||H|| + 86 sum ||L||^2) ln d with d = min(d_A, d_B)."""
-    h_norm, l_sq = _norms(gen)
-    return 4.0 * (h_norm + RATE_DISSIPATOR_COEFF * l_sq) * math.log(gen.dims.d)
+def entangling_rate_bound(gen):
+    """4 (||H|| + 86 sum ||L||^2) ln d with d = min(d_A, d_B); a list of caps
+    for a list of generators whose operators share one size."""
+    if isinstance(gen, LindbladGenerator):
+        return entangling_rate_bound([gen])[0]
+    return [4.0 * (h + RATE_DISSIPATOR_COEFF * l_sq) * math.log(g.dims.d) for g, (h, l_sq) in zip(gen, _norms(gen))]
 
 
 def unitary_rate_bound(gen: LindbladGenerator) -> float:
     """Closed-dynamics specialization 4 ||H|| ln d."""
-    h_norm, _ = _norms(gen)
+    h_norm, _ = _norms([gen])[0]
     return 4.0 * h_norm * math.log(gen.dims.d)
 
 
@@ -522,22 +524,27 @@ def mi_rate_bound(gen):
 
 # ------------------------------------------------------------- rate probes
 
-def _evolve_tight(gen: LindbladGenerator, rho: DensityMatrix, t: float) -> DensityMatrix:
-    # short-horizon integration, retried with doubled resolution until the
-    # trace/positivity drift is below 1e-10
-    steps = 64
-    while True:
-        out = _integrate(gen, rho.matrix, t, steps)
-        drift, lam = _drift(out)
-        if drift <= TIGHT_DRIFT:
-            return DensityMatrix._adopt(rho.dims, out, lam, trace_tol=1e-9, psd_tol=1e-9)
-        if steps >= 8192:
-            raise IntegrationError(
-                f"drift {drift:.3e} still above {TIGHT_DRIFT} at {steps} steps",
-                drift=drift,
-                suggested_steps=2 * steps,
-            )
-        steps *= 2
+def _evolve_tight(gen, rho, t: float):
+    # short-horizon integration of one state, or of each of a list under its
+    # own generator as one stack; a state whose trace/positivity drift is
+    # above TIGHT_DRIFT is integrated again alone with doubled resolution,
+    # so the IntegrationError it may end in is its own
+    one = isinstance(gen, LindbladGenerator)
+    gens, rhos = ([gen], [rho]) if one else (gen, rho)
+    mats = np.stack([x.matrix for x in rhos])
+    out = _integrate(gens, mats, t, 64)
+    drift, lam = _drift(out)
+    for i in np.flatnonzero(drift > TIGHT_DRIFT):
+        steps = 64
+        while drift[i] > TIGHT_DRIFT:
+            if steps >= 8192:
+                msg = f"drift {drift[i]:.3e} still above {TIGHT_DRIFT} at {steps} steps"
+                raise IntegrationError(msg, drift=float(drift[i]), suggested_steps=2 * steps)
+            steps *= 2
+            out[i : i + 1] = _integrate(gens[i : i + 1], mats[i : i + 1], t, steps)
+            drift[i : i + 1], lam[i : i + 1] = _drift(out[i : i + 1])
+    states = _densities(rhos[0].dims, out, trace_tol=1e-9, psd_tol=1e-9, spectra=lam)
+    return states[0] if one else states
 
 
 def surrogate_rate_analytic(psi: PureState, gen: LindbladGenerator, *, eta: float = 1e-8) -> float:
@@ -556,40 +563,51 @@ def surrogate_rate_analytic(psi: PureState, gen: LindbladGenerator, *, eta: floa
     return float(a * np.vdot(amp, rhodot @ amp).real - b @ weights)
 
 
-def _pinch_overlap(sd: SchmidtDecomposition, m: np.ndarray) -> float:
-    # Tr rho ln pinch(rho) = sum_k w_k ln(w_k / m_k) (module docstring), the
+def _pinch_overlap(sds: list[SchmidtDecomposition], m: np.ndarray) -> list[float]:
+    # Tr rho ln pinch(rho) = sum_k w_k ln(w_k / m_k) (module docstring) of each
+    # decomposition of a list on one space and each matrix of a stack, the
     # blocks as an (r + 1) x (r + 1) table whose last row and column are P⊥
-    # and Q⊥; a block of rank 0 or weight <= 0 adds nothing (0 ln 0 = 0)
-    (alice, r), bob = sd.left.shape, sd.right.shape[0]
-    u = np.kron(sd.left, sd.right)  # the columns a_i ⊗ b_j
-    w = np.zeros((r + 1, r + 1))
-    w[:r, :r] = np.real(np.einsum("nk,nk->k", u.conj(), m @ u)).reshape(r, r)
-    if r < alice or r < bob:
-        # a_i ⊗ Q⊥ and P⊥ ⊗ b_j from the marginals, P⊥ ⊗ Q⊥ from the trace
-        m_a, m_b = (partial_trace(m, sd.dims.factors(), keep=k) for k in ((0, 1), (2, 3)))
-        w[:r, r] = np.real(np.einsum("xi,xy,yi->i", sd.left.conj(), m_a, sd.left)) - w[:r, :r].sum(axis=1)
-        w[r, :r] = np.real(np.einsum("xj,xy,yj->j", sd.right.conj(), m_b, sd.right)) - w[:r, :r].sum(axis=0)
-        w[r, r] = np.real(np.trace(m)) - w.sum()
-    mult = np.outer([1] * r + [alice - r], [1] * r + [bob - r])
-    keep = (mult > 0) & (w > 0.0)
-    return float(w[keep] @ np.log(w[keep] / mult[keep]))
+    # and Q⊥, one product per Schmidt rank; a block of rank 0 or weight <= 0 adds nothing
+    alice, bob = sds[0].dims.alice, sds[0].dims.bob
+
+    def overlaps(r: int, idx: list[int]) -> list[float]:
+        left, right, mi = np.stack([sds[i].left for i in idx]), np.stack([sds[i].right for i in idx]), m[idx]
+        # the columns a_i ⊗ b_j, as np.kron lays them out
+        u = (left[:, :, None, :, None] * right[:, None, :, None, :]).reshape(len(idx), alice * bob, r * r)
+        w = np.zeros((len(idx), r + 1, r + 1))
+        w[:, :r, :r] = np.real(np.einsum("...nk,...nk->...k", u.conj(), mi @ u)).reshape(-1, r, r)
+        if r < alice or r < bob:
+            # a_i ⊗ Q⊥ and P⊥ ⊗ b_j from the marginals, P⊥ ⊗ Q⊥ from the trace
+            m_a, m_b = (partial_trace(mi, sds[0].dims.factors(), keep=k) for k in ((0, 1), (2, 3)))
+            w[:, :r, r] = np.real(np.einsum("...xi,...xy,...yi->...i", left.conj(), m_a, left)) - w[:, :r, :r].sum(-1)
+            w[:, r, :r] = np.real(np.einsum("...xj,...xy,...yj->...j", right.conj(), m_b, right)) - w[:, :r, :r].sum(-2)
+            w[:, r, r] = np.real(np.trace(mi, axis1=-2, axis2=-1)) - w.sum(axis=(-2, -1))
+        mult = np.outer([1] * r + [alice - r], [1] * r + [bob - r])
+        keep = (mult > 0) & (w > 0.0)
+        return [float(wi[k] @ np.log(wi[k] / mult[k])) for wi, k in zip(w, keep)]
+
+    return _grouped([sd.coefficients.size for sd in sds], overlaps)
 
 
-def _surrogate_step(psi: PureState, gen: LindbladGenerator, delta_t: float):
-    # (schmidt(psi), rho_dt, D(rho_dt || pinch(rho_dt))), the pinch in the Schmidt frame of psi
-    _check_cut(psi)
+def _surrogate_step(psis: list[PureState], gens: list[LindbladGenerator], delta_t: float):
+    # (schmidt(psi), rho_dt, D(rho_dt || pinch(rho_dt))) of each state of a
+    # list on one space under its generator, the pinch in the Schmidt frame of psi
+    _check_cut(psis[0])
     _positive_real(delta_t, "delta_t")
-    _same_space(gen, psi)
-    sd = schmidt(psi)
-    rho_dt = _evolve_tight(gen, psi.density(), delta_t)
-    return sd, rho_dt, max(-von_neumann_entropy(rho_dt) - _pinch_overlap(sd, rho_dt.matrix), 0.0)
+    _one_space(psis)
+    for g in gens:
+        _same_space(g, psis[0])
+    sds = schmidt(psis)
+    rhos = _evolve_tight(gens, _pure_densities(psis), delta_t)
+    overlaps = _pinch_overlap(sds, np.stack([x.matrix for x in rhos]))
+    return [(sd, x, max(-von_neumann_entropy(x) - o, 0.0)) for sd, x, o in zip(sds, rhos, overlaps)]
 
 
 def surrogate_rate_fd(psi: PureState, gen: LindbladGenerator, delta_t: float) -> float:
     """(D(rho_dt || pinch(rho_dt)) - E(psi)) / dt, the pinch onto the blocks
     of the Schmidt frame of psi (module docstring); a separable reference
     that needs no regularizer, and equals E(psi) at t = 0."""
-    sd, _, dist = _surrogate_step(psi, gen, delta_t)
+    ((sd, _, dist),) = _surrogate_step([psi], [gen], delta_t)
     return (dist - sd.entropy()) / delta_t
 
 
@@ -624,7 +642,7 @@ def mutual_info_rate_analytic(rho, gen, *, eta: float | None = None):
         _check_eta(eta)
     factors = dims.factors()
     mats = np.stack([x.matrix for x in rho])
-    rhodot = np.stack([apply_generator(g, x.matrix) for g, x in zip(gen, rho)])
+    rhodot = apply_generator(gen, mats)
 
     def logged(mat: np.ndarray) -> np.ndarray:
         return matrix_log_on_support(mat if eta is None else _smoothed(mat, eta))
@@ -651,42 +669,30 @@ def mutual_info_rate_fd(rho: DensityMatrix, gen: LindbladGenerator, delta_t: flo
     return 2.0 * quot(delta_t / 2.0) - quot(delta_t)
 
 
-def entangling_rate_fd(
-    psi: PureState,
-    gen: LindbladGenerator,
-    delta_t: float,
-    measure: str = "surrogate",
-    *,
-    seed: int | None = None,
-    ree_kwargs: dict | None = None,
-) -> RateReport:
-    """Measure the entangling rate of one instance over one short step.
+def entangling_rate_fd(psi, gen, delta_t: float, measure: str = "surrogate", *, seed=None, ree_kwargs=None):
+    """Measure the entangling rate of one instance over one short step; a
+    list of reports for a list of states on one space, their generators and
+    their seeds, taken as one stack (``_surrogate_step``).
 
     measure="surrogate" differences the relative entropy to the block pinch
     in the Schmidt frame of psi.  measure="bruteforce" additionally runs
-    the see-saw minimizer on the evolved state and keeps the smaller upper
+    the see-saw minimizer on each evolved state and keeps the smaller upper
     bound, so gamma_fd <= gamma_surrogate_fd holds by construction.
     """
     if measure not in ("surrogate", "bruteforce"):
         raise ValueError(f"measure must be 'surrogate' or 'bruteforce', got {measure!r}")
-    sd, rho_dt, surr_dt = _surrogate_step(psi, gen, delta_t)
-    e0 = sd.entropy()
-    gamma_surrogate = (surr_dt - e0) / delta_t
-    if measure == "bruteforce":
-        kwargs = dict(ree_kwargs or {})
-        kwargs.setdefault("seed", 0 if seed is None else seed)
-        estimate = ree_bruteforce(rho_dt, **kwargs)
-        gamma = (min(estimate.value, surr_dt) - e0) / delta_t
-    else:
-        gamma = gamma_surrogate
-    bound = entangling_rate_bound(gen)
-    return RateReport(
-        gamma_fd=gamma,
-        gamma_surrogate_fd=gamma_surrogate,
-        delta_t=delta_t,
-        theorem_bound=bound,
-        margin=bound - gamma_surrogate,
-        dims=psi.dims,
-        measure=measure,
-        seed=seed,
-    )
+    one = isinstance(psi, PureState)
+    psis, gens, seeds = ([psi], [gen], [seed]) if one else (psi, gen, seed or [None] * len(psi))
+    reports = []
+    for (sd, rho_dt, surr_dt), x, s, bound in zip(
+        _surrogate_step(psis, gens, delta_t), psis, seeds, entangling_rate_bound(gens)
+    ):
+        e0 = sd.entropy()
+        gamma = gamma_surrogate = (surr_dt - e0) / delta_t
+        if measure == "bruteforce":
+            estimate = ree_bruteforce(rho_dt, **{"seed": 0 if s is None else s, **(ree_kwargs or {})})
+            gamma = (min(estimate.value, surr_dt) - e0) / delta_t
+        reports.append(RateReport(gamma_fd=gamma, gamma_surrogate_fd=gamma_surrogate, delta_t=delta_t,
+                                  theorem_bound=bound, margin=bound - gamma_surrogate, dims=x.dims,
+                                  measure=measure, seed=s))
+    return reports[0] if one else reports

@@ -140,13 +140,7 @@ class PureState:
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
-        if amp.size != self.dims.total:
-            raise ShapeError(f"amplitude vector has length {amp.size}, expected {self.dims.total}")
-        if not np.all(np.isfinite(amp)):
-            raise ValueError("amplitudes contain NaN or Inf")
-        nrm = float(np.linalg.norm(amp))
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValueError(f"state norm {nrm} is not 1 within 1e-12")
+        _check_amplitudes(self.dims, amp[None])
         object.__setattr__(self, "amplitudes", amp)
 
     def projector(self) -> np.ndarray:
@@ -154,6 +148,26 @@ class PureState:
 
     def density(self) -> "DensityMatrix":
         return _pure_densities([self])[0]
+
+
+def _check_amplitudes(dims: DimensionSignature, amps: np.ndarray) -> None:
+    # PureState's checks on each row of a stack, the norm as np.linalg.norm
+    # takes it; the first row that fails raises
+    if amps.shape[-1] != dims.total:
+        raise ShapeError(f"amplitude vector has length {amps.shape[-1]}, expected {dims.total}")
+    norms = np.sqrt(np.vecdot(amps.real, amps.real) + np.vecdot(amps.imag, amps.imag))
+    for finite, nrm in zip(np.isfinite(amps).all(axis=-1).tolist(), norms.tolist()):
+        if not finite:
+            raise ValueError("amplitudes contain NaN or Inf")
+        if abs(nrm - 1.0) > 1e-12:
+            raise ValueError(f"state norm {nrm} is not 1 within 1e-12")
+
+
+def _unchecked(cls, **fields):
+    # ``cls`` with ``fields`` set, its __post_init__ checks run by the caller on a whole stack
+    obj = cls.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _pure_densities(psis: list[PureState]) -> list["DensityMatrix"]:
@@ -227,35 +241,10 @@ class DensityMatrix:
     _log: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
+        # the stack of one of ``_densities``, on a copy if the caller holds the matrix
         m = as_matrix(self.matrix, name="density matrix")
-        if m.shape[0] != self.dims.total:
-            raise ShapeError(f"matrix dim {m.shape[0]} does not match dims total {self.dims.total}")
-        herm_err = float(_hermiticity_error(m))
-        if herm_err > HERMITIAN_TOL:
-            raise ValueError(f"not Hermitian: max |M - M†| = {herm_err:.3e}")
-        tr = m.trace()
-        if abs(tr - 1.0) > self.trace_tol:
-            raise ValueError(f"trace {tr} is not 1 within {self.trace_tol}")
-        lam = self.__dict__.get("_spectrum")  # set only by _adopt
-        if lam is None:
-            if m is self.matrix:
-                m = m.copy()
-            lam = _eigvalsh(m)
-        lo = float(lam.min())
-        if lo < -self.psd_tol:
-            raise ValueError(f"min eigenvalue {lo:.3e} below -{self.psd_tol}")
-        object.__setattr__(self, "matrix", _read_only(m))
-        object.__setattr__(self, "_spectrum", _read_only(lam))
-
-    @classmethod
-    def _adopt(cls, dims: DimensionSignature, m: np.ndarray, spectrum: np.ndarray, **tols) -> "DensityMatrix":
-        """Validate a matrix the library has just computed and hands over,
-        with its ``_eigvalsh(m)`` already known, so nothing is copied or
-        diagonalized again."""
-        rho = cls.__new__(cls)
-        object.__setattr__(rho, "_spectrum", spectrum)
-        rho.__init__(dims, m, **tols)
-        return rho
+        self.__dict__.update(vars(_densities(self.dims, (m.copy() if m is self.matrix else m)[None],
+                                             self.trace_tol, self.psd_tol)[0]))
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -281,16 +270,31 @@ class DensityMatrix:
         return float(_purities(self.matrix))
 
 
-def _densities(dims: DimensionSignature, mats: np.ndarray, trace_tol=1e-10, psd_tol=1e-10) -> list[DensityMatrix]:
+def _densities(dims: DimensionSignature, mats: np.ndarray, trace_tol=1e-10, psd_tol=1e-10, spectra=None):
     """``DensityMatrix(dims, m, trace_tol, psd_tol)`` for each matrix ``m`` of
     a stack the library has just computed (``psd_tol`` one tolerance or one
-    per matrix), with the spectra from one stacked eigensolve.  Each state
-    is validated by ``DensityMatrix._adopt`` and keeps its matrix as a view
-    of the stack."""
+    per matrix), checked as one stack, with the spectra from one stacked
+    eigensolve or, when the caller has them, ``spectra``.  The first matrix
+    that fails a check raises what its constructor would.  Each state keeps
+    its matrix and spectrum as views of the stacks."""
     mats = _as_stack(mats, "density matrix")
-    lam = _eigvalsh(mats)
-    tols = [psd_tol] * len(lam) if np.ndim(psd_tol) == 0 else psd_tol
-    return [DensityMatrix._adopt(dims, m, x, trace_tol=trace_tol, psd_tol=t) for m, x, t in zip(mats, lam, tols)]
+    if mats.shape[-1] != dims.total:
+        raise ShapeError(f"matrix dim {mats.shape[-1]} does not match dims total {dims.total}")
+    tols = psd_tol if isinstance(psd_tol, list) else [psd_tol] * len(mats)
+    lam = _eigvalsh(mats) if spectra is None else spectra
+    herm, traces = _hermiticity_error(mats).tolist(), np.trace(mats, axis1=-2, axis2=-1).tolist()
+    for herm_err, trace, low, tol in zip(herm, traces, lam.min(axis=-1).tolist(), tols):
+        if herm_err > HERMITIAN_TOL:
+            raise ValueError(f"not Hermitian: max |M - M†| = {herm_err:.3e}")
+        if abs(trace - 1.0) > trace_tol:
+            raise ValueError(f"trace {trace} is not 1 within {trace_tol}")
+        if low < -tol:
+            raise ValueError(f"min eigenvalue {low:.3e} below -{tol}")
+    return [
+        _unchecked(DensityMatrix, dims=dims, matrix=_read_only(m), trace_tol=trace_tol, psd_tol=t,
+                   _spectrum=_read_only(x))
+        for m, x, t in zip(mats, lam, tols)
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,13 +316,14 @@ class SchmidtDecomposition:
         return PureState(self.dims, amp / np.linalg.norm(amp))
 
 
-def _tie_break_order(p: np.ndarray, left: np.ndarray) -> list[int]:
-    # descending by coefficient; near-degenerate coefficients ordered by the
-    # lexicographic (re, im) entries of the phase-fixed left vectors, whose
-    # keys are built only when two coefficients round to the same value
+def _tie_break_order(p: np.ndarray, left: np.ndarray):
+    # descending by coefficient, the SVD's order when adjacent coefficients are
+    # more than 1e-11 apart; near-degenerate ones ordered by the lexicographic
+    # (re, im) entries of the phase-fixed left vectors
+    listed = p.tolist()
+    if all(a - b > 1e-11 for a, b in zip(listed, listed[1:])):
+        return np.arange(p.size)
     rounded = [-round(float(x), 12) for x in p]
-    if len(set(rounded)) == len(rounded):
-        return sorted(range(p.size), key=rounded.__getitem__)
 
     def key(n: int):
         col = left[:, n]
@@ -326,6 +331,17 @@ def _tie_break_order(p: np.ndarray, left: np.ndarray) -> list[int]:
         return (rounded[n], lex)
 
     return sorted(range(p.size), key=key)
+
+
+def _grouped(keys: list, run) -> list:
+    # run(key, idx) on the indices idx of each distinct key, which returns one
+    # result per index, as one stack per key; the results in index order
+    out = [None] * len(keys)
+    for key in set(keys):
+        idx = [i for i, k in enumerate(keys) if k == key]
+        for i, result in zip(idx, run(key, idx)):
+            out[i] = result
+    return out
 
 
 def _one_space(states: list) -> DimensionSignature:
@@ -360,19 +376,20 @@ def schmidt(psi: PureState | list[PureState]) -> SchmidtDecomposition | list[Sch
 
 def _phase_fixed(dims: DimensionSignature, p: np.ndarray, u: np.ndarray, vh: np.ndarray, mask):
     # the decompositions of a stack whose coefficients above SUPPORT_TOL are
-    # the ones ``mask`` picks (the same for every state), phase-fixed and ordered
+    # the ones ``mask`` picks, phase-fixed and ordered
     u, p = u[..., mask], p[..., mask]
     k, r = p.shape
     right = vh[..., mask, :].swapaxes(-1, -2).copy()  # columns are Bob-side vectors
     # the first entry above 1e-12 of each column of u
     first = np.argmax(np.abs(u) > 1e-12, axis=-2)
     lead = u[np.arange(k)[:, None], first, np.arange(r)]
-    # the scalar abs, which the np.abs ufunc can differ from in the last bit
-    ph = (lead / np.array([abs(x) for x in lead.flat]).reshape(k, r))[:, None, :]
+    # hypot is the scalar abs, which the np.abs ufunc can differ from in the last bit
+    ph = (lead / np.hypot(lead.real, lead.imag))[:, None, :]
     u /= ph
     right *= ph
     out = []
     for pi, ui, ri in zip(p, u, right):
+        # fancy-indexed even in SVD order: the copies' layout sets how later products round
         order = _tie_break_order(pi, ui)
         out.append(SchmidtDecomposition(dims, pi[order], ui[:, order], ri[:, order]))
     return out
@@ -451,9 +468,12 @@ def _ginibre(shape: tuple[int, ...], rngs: list[np.random.Generator]) -> np.ndar
 
 def _unit_rows(dims: DimensionSignature, z: np.ndarray) -> list[PureState]:
     """The PureState of each row of ``z`` divided by its ``np.linalg.norm``,
-    which is the square root of the dots of the real and imaginary parts."""
+    which is the square root of the dots of the real and imaginary parts,
+    checked as one stack."""
     norms = np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))
-    return [PureState(dims, amp) for amp in z / norms[:, None]]
+    amps = z / norms[:, None]
+    _check_amplitudes(dims, amps)
+    return [_unchecked(PureState, dims=dims, amplitudes=amp) for amp in amps]
 
 
 def random_pure(dims: DimensionSignature, seed) -> PureState | list[PureState]:

@@ -224,17 +224,20 @@ def test_axioms_sweep_includes_seesaw_crosscheck():
     assert cert.families["axioms"]["worst_margin"] >= 0.0
 
 
-def test_axioms_trial_takes_four_schmidt_decompositions(monkeypatch):
-    # one for psi (entropy and product factors), one each for the rotated,
-    # product and rotated maximally entangled states; 3x3 runs no see-saw
+@pytest.mark.parametrize("d, seesaws", [(3, 0), (2, 5)])
+def test_axioms_stack_takes_one_schmidt_decomposition(monkeypatch, d, seesaws):
+    # one for the stack's states (entropy and product factors); the rotated,
+    # product and rotated maximally entangled states' entropies read singular
+    # values only.  Each see-saw (2x2, not 3x3) takes its own for its start
     calls = []
     for owner in (entrate.certify, entrate.measures):
         fn = owner.schmidt
         monkeypatch.setattr(owner, "schmidt", lambda psi, fn=fn: calls.append(psi) or fn(psi))
-    cell = {"d_A": 3, "d_B": 3}
-    cfg = SweepConfig(families=("axioms",), trials=1)
-    _eval("axioms", _build("axioms", cell, _trial_seed(2024, "axioms", cell, 0), cfg), 0.0)
-    assert len(calls) == 4
+    cell = {"d_A": d, "d_B": d}
+    cfg = SweepConfig(families=("axioms",), trials=5)
+    seeds = [_trial_seed(2024, "axioms", cell, i) for i in range(5)]
+    _eval("axioms", _build("axioms", cell, seeds, cfg), 0.0)
+    assert len(calls) == 1 + seesaws
 
 
 # each family's worst margin in the default sweep at one trial per cell, so a
@@ -259,6 +262,27 @@ def test_default_certificate_is_pinned():
         row = cert.families[fam]
         assert (row["status"], row["trials"], row["violations"]) == ("ok", len(cells_for(fam, cert.config)), 0)
         assert row["worst_margin"] == pytest.approx(want, rel=1e-9, abs=0.0), fam
+
+
+# each family's worst margin in the benchmark's own pass, five trials per cell
+# (stacks of five) at its two seeds, as the code before theorem2 and the
+# axioms' entropies were stacked read them: stacking moves no certificate
+STACKED_WORST_MARGINS = {
+    2024: {"prop1": -9.658940314238862e-15, "h_term": 2.1303442241964, "l_term": 29.745725035216207,
+           "mixing": 0.7650564672179256, "kittaneh": 0.571748349233951, "theorem2": 0.0,
+           "theorem3": 11.032647861616116, "bravyi_lemma1": 0.20175513255823616, "axioms": 9.984456877655248e-13},
+    8128: {"prop1": -1.226796442210798e-14, "h_term": 2.25865278268206, "l_term": 29.754719664476696,
+           "mixing": 0.7601023701783898, "kittaneh": 0.5755857046909771, "theorem2": 0.0,
+           "theorem3": 11.001732458784181, "bravyi_lemma1": 0.20180301925537178, "axioms": 9.988897769753748e-13},
+}
+
+
+@pytest.mark.parametrize("seed", sorted(STACKED_WORST_MARGINS))
+def test_stacked_certificate_is_pinned(seed):
+    cert = run_sweep(SweepConfig(trials=5, base_seed=seed))
+    assert cert.status == "ok"
+    got = {fam: repr(row["worst_margin"]) for fam, row in cert.families.items()}
+    assert got == {fam: repr(v) for fam, v in STACKED_WORST_MARGINS[seed].items()}
 
 
 def test_forced_violation_dumps_and_replays(tmp_path):

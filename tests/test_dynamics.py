@@ -215,6 +215,34 @@ def test_kform_horner_long_horizons_stay_chunked(monkeypatch):
         assert np.abs(_integrate(gen, rho, t, steps) - _rk4_full(gen, rho, t, steps)).max() <= 1e-13
 
 
+def _scaled(gen, s):
+    # the generator with H and every jump operator scaled by s
+    return LindbladGenerator(gen.dims, s * gen.hamiltonian, tuple(s * l for l in gen.lindblad_ops))
+
+
+@pytest.mark.parametrize("t, steps", [(1e-3, 64), (0.3, 48)], ids=["one-chunk", "chunks-differ"])
+def test_a_stack_integrates_as_its_stacks_of_one(t, steps):
+    # five generators with 0-3 jump operators and norms up to 16x apart:
+    # their Horner degrees differ, and at t = 0.3 so do their chunk sizes.
+    # Each state of the stack keeps the bits of its stack of one.  A stacked
+    # generator application keeps the values: a zero jump operator's slot
+    # adds +0, which turns an exact -0 (a diagonal's imaginary part) into +0
+    gens, rhos = [], []
+    for i, (k, s) in enumerate([(0, 1.0), (3, 0.5), (1, 8.0), (2, 2.0), (3, 4.0)]):
+        gen, rho = _random_generator((2, 2, 2, 1), k, seed=60 + i)
+        gens.append(_scaled(gen, s))
+        rhos.append(rho)
+    hbs = [t / steps * g._norm_bound for g in gens]
+    chunks = [steps if hb * steps <= 1.0 else max(1, int(1.0 / hb)) for hb in hbs]
+    assert len({_horner_degree(c * hb, 4 * c) for c, hb in zip(chunks, hbs)}) > 1
+    assert (len(set(chunks)) > 1) == (t > 1e-3)
+    stacked = _integrate(gens, np.stack(rhos), t, steps)
+    applied = apply_generator(gens, np.stack(rhos))
+    for i, (gen, rho) in enumerate(zip(gens, rhos)):
+        assert stacked[i].tobytes() == _integrate(gen, rho, t, steps).tobytes(), i
+        assert np.array_equal(applied[i], apply_generator(gen, rho)), i
+
+
 def test_kform_without_generator_returns_rho(monkeypatch):
     gen = LindbladGenerator(DimensionSignature(1, 4, 4, 1))  # S = 0, beta = 0
     rho = random_density(16, 4)

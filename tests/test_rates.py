@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import entrate.rates
+from entrate.certify import SweepConfig, _build, _run_cell, _trial_seed, cells_for
 from entrate.dynamics import LindbladGenerator, apply_generator
 from entrate.linalg import ShapeError, matrix_log_on_support
 from entrate.measures import relative_entropy, von_neumann_entropy
@@ -409,6 +410,60 @@ def test_entangling_rate_fd_takes_one_schmidt_decomposition_and_no_log(monkeypat
     analytic = _counting(monkeypatch, entrate.rates, "surrogate_rate_analytic")
     entangling_rate_fd(psi, gen, 1e-4)
     assert (len(schmidts), len(logs), len(dists), len(analytic)) == (1, 0, 0, 0)
+
+
+def _planted_drift(monkeypatch, planted, at_steps):
+    # rates._integrate, with the state whose start is ``planted`` doubled
+    # (trace 2, drift 1) at the step counts in ``at_steps``; the calls'
+    # (stack size, steps) recorded
+    integrate, calls = entrate.rates._integrate, []
+
+    def drifting(gens, mats, t, steps):
+        calls.append((len(gens), steps))
+        out = integrate(gens, mats, t, steps)
+        for j, m in enumerate(mats):
+            if steps in at_steps and np.array_equal(m, planted):
+                out[j] *= 2.0
+        return out
+
+    monkeypatch.setattr(entrate.rates, "_integrate", drifting)
+    return calls
+
+
+def test_a_drifting_state_of_a_stack_is_integrated_again_alone(monkeypatch):
+    # state 2 drifts on its first integration only: it alone is integrated
+    # again, at 128 steps, and every state reads as in its stack of one
+    dims = DimensionSignature.cut(2, 2)
+    gens = [_open_gen(dims, seed=70 + i, n_lindblad=i % 4) for i in range(5)]
+    rhos = [random_pure(dims, 80 + i).density() for i in range(5)]
+    want = [entrate.rates._evolve_tight(g, r, 1e-3).matrix for g, r in zip(gens, rhos)]
+    want[2] = entrate.rates._integrate(gens[2], rhos[2].matrix, 1e-3, 128)
+    calls = _planted_drift(monkeypatch, rhos[2].matrix, (64,))
+    got = entrate.rates._evolve_tight(gens, rhos, 1e-3)
+    assert calls == [(5, 64), (1, 128)]
+    assert [x.matrix.tobytes() for x in got] == [m.tobytes() for m in want]
+    monkeypatch.undo()
+    _planted_drift(monkeypatch, rhos[2].matrix, range(64, 8193))
+    with pytest.raises(entrate.rates.IntegrationError, match="drift 1.000e"):
+        entrate.rates._evolve_tight(gens, rhos, 1e-3)
+
+
+def test_a_theorem2_probe_that_keeps_drifting_is_charged_to_its_trial_alone(monkeypatch):
+    # trial 3's state drifts at every step count, so its stack's probe raises
+    # after trial 3 is integrated again alone up to 8192 steps; the cell runs
+    # again trial by trial and only trial 3 fails
+    cfg = SweepConfig(families=("theorem2",), trials=5, dims_grid=(2,), delta_ts=(1e-3,))
+    cell = cells_for("theorem2", cfg)[0]
+    seeds = [_trial_seed(cfg.base_seed, "theorem2", cell, i) for i in range(5)]
+    planted = _build("theorem2", cell, seeds[3], cfg)["psi"].density().matrix
+    calls = _planted_drift(monkeypatch, planted, range(64, 8193))
+    out = _run_cell(cfg, "theorem2", cell)
+    # the stack and trial 3's 7 retries alone, then trials 0-4 one at a time, trial 3 again with its 7
+    assert [n for n, _ in calls] == [5] + [1] * 7 + [1] * 3 + [1] * 8 + [1]
+    assert out["errors"] == [
+        {"index": 3, "seed": seeds[3], "error": "IntegrationError: drift 1.000e+00 still above 1e-10 at 8192 steps"}
+    ]
+    assert out["failures"] == 1 and math.isfinite(out["worst_margin"])
 
 
 def _pinch(psi, rho):

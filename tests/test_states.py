@@ -5,6 +5,9 @@ from hypothesis import strategies as st
 
 from entrate.linalg import ShapeError
 from entrate.states import (
+    _check_amplitudes,
+    _densities,
+    _unit_rows,
     TOTAL_DIM_CAP,
     DegenerateCut,
     DensityMatrix,
@@ -329,3 +332,85 @@ def test_schmidt_entropy_bounded_by_log_d(seed):
     dims = DimensionSignature.cut(3, 4)
     psi = random_pure(dims, seed)
     assert -1e-12 <= schmidt(psi).entropy() <= np.log(3) + 1e-12
+
+
+def test_stacked_densities_raise_the_single_constructors_messages():
+    # member 2 of a stack is non-Hermitian, off in trace or not positive
+    # (member 3 non-Hermitian too): the stack raises what DensityMatrix of
+    # member 2 raises, word for word
+    dims = DimensionSignature.cut(2, 2)
+    good = [random_density(4, s) for s in range(5)]
+    asym = good[0].copy()
+    asym[0, 1] += 1e-6
+    for bad in (asym, 1.001 * good[0], np.diag([0.6, 0.6, -0.2, 0.0]).astype(complex)):
+        with pytest.raises(ValueError) as single:
+            DensityMatrix(dims, bad)
+        with pytest.raises(ValueError) as stacked:
+            _densities(dims, np.stack([good[0], good[1], bad, asym, good[4]]))
+        assert str(stacked.value) == str(single.value)
+    assert len(_densities(dims, np.stack(good))) == 5
+
+
+def test_stacked_pure_states_raise_the_single_constructors_messages():
+    # row 2 not of unit norm (row 3 too), or not finite
+    dims = DimensionSignature.cut(2, 3)
+    rows = np.stack([random_pure(dims, s).amplitudes for s in range(5)])
+    for bad, scale in ((1.001 * rows[2], 1.01), (np.full(6, np.nan + 0j), 1.0)):
+        with pytest.raises(ValueError) as single:
+            PureState(dims, bad)
+        stack = np.stack([rows[0], rows[1], bad, scale * rows[3], rows[4]])
+        with pytest.raises(ValueError) as stacked:
+            _check_amplitudes(dims, stack)
+        assert str(stacked.value) == str(single.value)
+        if scale == 1.0:  # a row that normalizes to NaN
+            with pytest.raises(ValueError) as unit, np.errstate(invalid="ignore"):
+                _unit_rows(dims, stack)
+            assert str(unit.value) == str(single.value)
+
+
+def _schmidt_before_the_svd_order(psis):
+    # the decompositions as taken before the SVD-order shortcut: phases from
+    # the scalar abs of each lead entry, and every state through the sort on
+    # rounded coefficients and lexicographic left-vector keys
+    dims = psis[0].dims
+    u, s, vh = np.linalg.svd(np.stack([x.amplitudes for x in psis]).reshape(-1, dims.alice, dims.bob),
+                             full_matrices=False)
+    out = []
+    for ui, si, vhi in zip(u, s, vh):
+        p = si**2
+        keep = p > 1e-12
+        ui, p = ui[:, keep].copy(), p[keep]
+        right = vhi[keep, :].T.copy()
+        lead = ui[np.argmax(np.abs(ui) > 1e-12, axis=0), np.arange(p.size)]
+        ph = lead / np.array([abs(x) for x in lead])
+        ui /= ph
+        right *= ph
+
+        def key(n, ui=ui, p=p):
+            lex = tuple(x for e in ui[:, n] for x in (round(float(e.real), 10), round(float(e.imag), 10)))
+            return (-round(float(p[n]), 12), lex)
+
+        order = sorted(range(p.size), key=key)
+        out.append((p[order], ui[:, order], right[:, order]))
+    return out
+
+
+@pytest.mark.parametrize("factors", [(1, 2, 2, 1), (1, 2, 3, 1), (1, 3, 3, 1), (1, 4, 4, 1), (2, 2, 2, 2)])
+def test_schmidt_keeps_its_bits_through_the_svd_order(factors):
+    # random states (distinct coefficients) and locally rotated maximally
+    # entangled states (every coefficient tied), in stacks and one by one
+    dims = DimensionSignature(*factors)
+    d = min(dims.alice, dims.bob)
+    maxent = np.zeros((dims.alice, dims.bob), dtype=complex)
+    maxent[range(d), range(d)] = 1.0 / np.sqrt(d)
+    rotated = [
+        PureState(dims, (random_unitary(dims.alice, s) @ maxent @ random_unitary(dims.bob, s + 1).T).reshape(-1))
+        for s in range(0, 10, 2)
+    ]
+    for psis in ([random_pure(dims, s) for s in range(5)], rotated):
+        want = _schmidt_before_the_svd_order(psis)
+        for got in (schmidt(psis), [schmidt(x) for x in psis]):
+            for sd, (p, left, right) in zip(got, want):
+                assert sd.coefficients.tobytes() == p.tobytes()
+                assert sd.left.tobytes() == left.tobytes() and sd.left.strides == left.strides
+                assert sd.right.tobytes() == right.tobytes() and sd.right.strides == right.strides

@@ -74,7 +74,7 @@ EVERY_FAMILY_COUNTS = {
     "rates.mutual_info_rate_analytic.calls": 9,
     "measures.ree_bruteforce.calls": 3,
     "measures.entanglement_entropy.calls": 12,
-    "states.schmidt.calls": 33,
+    "states.schmidt.calls": 21,
     "states.samplers.calls": 89,
 }
 
@@ -90,3 +90,20 @@ def test_tracer_sees_every_family():
     assert {name: got[name] for name in EVERY_FAMILY_COUNTS} == EVERY_FAMILY_COUNTS
     for fam in entrate.certify.FAMILIES:
         assert got[f"certify.family_s.{fam}"] > 0, fam
+
+
+def test_tracer_sees_every_family_in_stacks_of_five():
+    # five trials per cell run as one stack: every family still shows, the
+    # rate probe is one entangling_rate_fd, _evolve_tight and integration
+    # per theorem2 cell, and none is retried
+    t = _load_tracer().Tracer()
+    try:
+        t.install()
+        entrate.certify.run_sweep(entrate.certify.SweepConfig(trials=5, dims_grid=(2, 3)))
+    finally:
+        t.uninstall()
+    got = t.layer_metrics()
+    for fam in entrate.certify.FAMILIES:
+        assert got[f"certify.family_s.{fam}"] > 0, fam
+    assert [got[f"rates.{n}.calls"] for n in ("entangling_rate_fd", "evolve_tight")] == [6, 6]
+    assert got["dynamics.integrate.calls"] == 6 and got["rates.integrate_attempts_per_probe"] == 1.0
