@@ -47,11 +47,10 @@ from .certify import FormatError, SweepConfig, _trial_seed, run_sweep
 # evolve, relative_entropy and mutual_information are not called here, but
 # perfbench's traced runs wrap these names, so they stay importable from cli
 from .dynamics import IntegrationError, LindbladGenerator, _trace_error, evolve, evolve_series, generator_from_json
-from .linalg import NumericalFailure, dag, hermitize, partial_trace
+from .linalg import SUPPORT_TOL, NumericalFailure, _log_on_support, dag, hermitize, partial_trace
 from .measures import _mutual_informations, _relative_entropies, mutual_information, relative_entropy
 from .rates import _schmidt_logs, entangling_rate_fd, entangling_rate_bound, surrogate_rate_analytic, surrogate_rate_fd
 from .states import (
-    SUPPORT_TOL,
     DensityMatrix,
     DimensionSignature,
     PureState,
@@ -172,7 +171,7 @@ def _reference_log(state, rho: DensityMatrix) -> np.ndarray:
             partial_trace(rho.matrix, factors, keep=(2, 3)),
         )
         reference = smooth(DensityMatrix(rho.dims, hermitize(prod)), REFERENCE_ETA)
-        log_s = reference.log_on_support()
+        log_s = _log_on_support(*reference.eigh())
         floor = float(reference.spectrum.min())
     if floor <= SUPPORT_TOL:
         raise NumericalFailure(f"separable reference has eigenvalue {floor:.3e} <= {SUPPORT_TOL}")

@@ -7,25 +7,25 @@ eigendecomposition; nothing is sparse, iterative, or GPU-aware on purpose.
 ``partial_trace`` also take a stack (k, n, n) and treat each matrix of it as
 they treat one; a stacked LAPACK call runs the same routine on each matrix,
 so a matrix reads the same bits in a stack as on its own.
+
+``SUPPORT_TOL`` is the one threshold of a state's support: the library's
+one log of a state, ``_log_on_support``, takes ln on the eigenvalues above
+it and 0 on the rest, and ``matrix_log_on_support`` is that log of a matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 __all__ = [
-    "EigenDecomposition",
-    "LOG_FLOOR",
     "NotPositive",
     "NumericalFailure",
     "ShapeError",
     "as_matrix",
     "dag",
-    "eigh",
     "hermitize",
     "matrix_log_on_support",
     "operator_norm",
@@ -35,8 +35,9 @@ __all__ = [
     "trace_norm",
 ]
 
-# eigenvalues below this floor are clamped before taking logs
-LOG_FLOOR = 1e-14
+# eigenvalues at or below this are off a state's support, and so are Schmidt
+# coefficients, the eigenvalues of a pure state's marginal
+SUPPORT_TOL = 1e-12
 
 
 class ShapeError(ValueError):
@@ -90,55 +91,34 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return (m + np.conjugate(m).swapaxes(-1, -2)) / 2.0
 
 
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Hermitian spectral data: eigenvalues sorted descending, matching
-    columns (of each matrix, for a stack)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues[..., None, :]) @ dag(u)
+def _log_on_support(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """V diag(ln lambda) V† from an eigendecomposition (lam, V), with ln taken
+    on the eigenvalues above ``SUPPORT_TOL`` and 0 in place of it elsewhere
+    (of each, for a stack)."""
+    return (vec * np.log(np.where(lam > SUPPORT_TOL, lam, 1.0))[..., None, :]) @ dag(vec)
 
 
-def eigh(m) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix (of each matrix, for a stack).
+def matrix_log_on_support(m) -> np.ndarray:
+    """ln of the Hermitian part of M on its support, ``_log_on_support`` of
+    its eigendecomposition (of each matrix, for a stack).
 
-    The input is replaced by its Hermitian part (``hermitize``), so any
-    asymmetry is absorbed rather than rejected; there is no threshold.
-    Eigenvalues come back in descending order with eigenvector columns to
-    match.
+    Raises NotPositive if the spectrum dips below -1e-10, and
+    NumericalFailure, with the off-diagonal norm as its residual, if the
+    eigensolver does not converge.
     """
     a = hermitize(_as_operand(m))
     try:
-        vals, vecs = np.linalg.eigh(a)
+        lam, vec = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         off = a * (1.0 - np.eye(a.shape[-1]))
         raise NumericalFailure(
             f"Hermitian eigensolver did not converge: {exc}",
             residual=float(np.linalg.norm(off)),
         ) from exc
-    # numpy sorts ascending; flip to descending
-    return EigenDecomposition(vals[..., ::-1].copy(), vecs[..., ::-1].copy())
-
-
-def matrix_log_on_support(m) -> np.ndarray:
-    """Hermitian log with the spectrum clamped at ``LOG_FLOOR`` (of each
-    matrix, for a stack).
-
-    Eigenvalues below the floor are treated as ``LOG_FLOOR`` before taking
-    logs, which keeps the result finite on (numerically) rank-deficient
-    inputs.  Raises NotPositive if the spectrum dips below -1e-10.
-    """
-    dec = eigh(m)
-    lo = float(dec.eigenvalues.min()) if dec.eigenvalues.size else 0.0
+    lo = float(lam.min()) if lam.size else 0.0
     if lo < -1e-10:
         raise NotPositive(f"matrix has eigenvalue {lo:.3e} < -1e-10")
-    logs = np.log(np.maximum(dec.eigenvalues, LOG_FLOOR))
-    u = dec.eigenvectors
-    return (u * logs[..., None, :]) @ dag(u)
+    return _log_on_support(lam, vec)
 
 
 def singular_values(m) -> np.ndarray:

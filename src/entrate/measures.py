@@ -2,22 +2,22 @@
 
 D(rho || sigma) = -S(rho) - Tr rho ln sigma.  ``relative_entropy`` takes
 Tr rho ln sigma as one Frobenius contraction Re<L_sigma, rho> with L_sigma =
-ln sigma on its support, the eigenvalues above ``states.SUPPORT_TOL``; a
-DensityMatrix sigma keeps L_sigma (built once from its eigendecomposition),
-so against a fixed reference each call costs O(n^2) beyond the spectrum of
-rho, which a DensityMatrix rho keeps too.  Raw arrays are diagonalized on
-the spot.  The see-saw scores a stack of candidates, each once, so
-``_log_overlap`` takes the overlap there from each candidate's eigenvector
-weights instead.  Both share the +inf leak rule of ``_leaks``, at the same
-threshold.  ``mutual_information`` takes both marginals as traces of rho's
-matrix, also O(n^2), and diagonalizes them in one stack when they are the
-same size.
+ln sigma on its support, the eigenvalues above ``linalg.SUPPORT_TOL``, built
+by the library's one log of a state, ``linalg._log_on_support``, from one
+eigh of the sigma stack; a DensityMatrix rho gives its kept spectrum, a raw
+array or a PureState is diagonalized on the spot.  The see-saw scores a
+stack of candidates, each once, so ``_log_overlap`` takes the overlap there
+from each candidate's eigenvector weights instead.  Both share the +inf
+leak rule of ``_leaks``, at the same threshold.  ``mutual_information``
+takes both marginals as traces of rho's matrix, O(n^2), and diagonalizes
+them in one stack when they are the same size.
 
 The entropy, the relative entropy against a fixed L_sigma and the mutual
 information are stacked kernels (``_entropies``, ``_relative_entropies``,
 ``_mutual_informations``): they take a state, or a stack of states, as its
-matrix and ascending spectrum, and ``von_neumann_entropy``,
-``relative_entropy`` and ``mutual_information`` are their one-state case.
+matrix and ascending spectrum, and ``von_neumann_entropy`` and
+``mutual_information`` are their one-state case.  ``relative_entropy`` on
+one pair is its list path's stack of one (``_relative_entropy_stack``).
 ``entrate simulate`` measures a whole chunk of its series with one call of
 each.  The entropy sums the positive eigenvalues with a masked sum, which
 adds them exactly as summing that suffix of the spectrum alone would, so a
@@ -63,14 +63,12 @@ import numpy as np
 
 # partial_trace is not called here, but perfbench's traced runs wrap
 # the name measures.partial_trace, so it stays importable from this module
-from .linalg import as_matrix, dag, hermitize, partial_trace
+from .linalg import SUPPORT_TOL, _log_on_support, as_matrix, dag, hermitize, partial_trace
 from .states import (
-    SUPPORT_TOL,
     DensityMatrix,
     DimensionSignature,
     PureState,
     _eigvalsh,
-    _log_on_support,
     _one_space,
     _positive_int,
     _positive_real,
@@ -104,23 +102,10 @@ def _mat(x) -> np.ndarray:
     return as_matrix(x, name="state")
 
 
-# The kernels below take an operand: a DensityMatrix, whose kept spectrum and
-# eigendecomposition they read, or a raw matrix, diagonalized on the spot.
-
-def _operand(x):
-    return x if isinstance(x, DensityMatrix) else _mat(x)
-
-
-def _raw(x) -> np.ndarray:
-    return x.matrix if isinstance(x, DensityMatrix) else x
-
-
-def _eigh(x) -> tuple[np.ndarray, np.ndarray]:
-    return x.eigh() if isinstance(x, DensityMatrix) else np.linalg.eigh(hermitize(x))
-
-
-def _spectrum(x) -> np.ndarray:
-    return x.spectrum if isinstance(x, DensityMatrix) else _eigvalsh(x)
+def _spectrum(x, m: np.ndarray) -> np.ndarray:
+    # the ascending spectrum of a state x whose matrix is m: the one a
+    # DensityMatrix keeps, or m's on the spot
+    return x.spectrum if isinstance(x, DensityMatrix) else _eigvalsh(m)
 
 
 # The stacked kernels take a state, or a stack of states, as its matrix and
@@ -156,36 +141,33 @@ def _mutual_informations(dims: DimensionSignature, mats: np.ndarray, lam: np.nda
     return s_left + s_right - _entropies(lam)
 
 
-def _entropy(x) -> float:
-    return float(_entropies(_spectrum(x)))
-
-
 def von_neumann_entropy(rho) -> float:
     """-Tr rho ln rho; eigenvalues are clipped at zero before the log."""
-    return _entropy(_operand(rho))
+    return float(_entropies(_spectrum(rho, _mat(rho))))
 
 
-def _leaks(r, s_lam: np.ndarray, s_vec: np.ndarray):
+def _leaks(r: np.ndarray, s_lam: np.ndarray, s_vec: np.ndarray):
     # whether rho leaks out of the support of sigma, as relative_entropy
-    # documents, for sigma given by its eigendecomposition: a bool, or one
-    # per sigma of a stack (paired with a stack of rho, or all against one);
-    # rho is diagonalized only if some sigma is rank deficient
+    # documents, for rho a matrix or a stack of them and sigma given by its
+    # eigendecomposition: a bool, or one per sigma of a stack (paired with a
+    # stack of rho, or all against one); rho is diagonalized only if some
+    # sigma is rank deficient
     null = s_lam <= SUPPORT_TOL
     if not null.any():
         return False
-    r_lam, r_vec = _eigh(r)
+    r_lam, r_vec = np.linalg.eigh(hermitize(r))
     # the weight of each eigenvector of rho in sigma's null space, counted
     # for the eigenvectors on rho's support
     leak = ((np.abs(dag(s_vec) @ r_vec) ** 2) * null[..., None]).sum(axis=-2)
     return np.where(r_lam > SUPPORT_TOL, leak, 0.0).max(axis=-1) > SUPPORT_TOL
 
 
-def _log_overlap(r, s_lam: np.ndarray, s_vec: np.ndarray) -> np.ndarray:
-    # Tr rho ln sigma on the support of each sigma of a stack given by its
-    # eigendecomposition, from the eigenvector weights <v_j|rho|v_j>, or -inf
-    # on a leak
+def _log_overlap(r: np.ndarray, s_lam: np.ndarray, s_vec: np.ndarray) -> np.ndarray:
+    # Tr rho ln sigma for the matrix rho on the support of each sigma of a
+    # stack given by its eigendecomposition, from the eigenvector weights
+    # <v_j|rho|v_j>, or -inf on a leak
     null = s_lam <= SUPPORT_TOL
-    weights = np.real(np.einsum("...ij,...ij->...j", np.conjugate(s_vec), _raw(r) @ s_vec))
+    weights = np.real(np.einsum("...ij,...ij->...j", np.conjugate(s_vec), r @ s_vec))
     out = np.where(null, 0.0, np.log(np.where(null, 1.0, s_lam)) * weights).sum(axis=-1)
     if null.any():
         out = np.where(_leaks(r, s_lam, s_vec), -np.inf, out)
@@ -200,30 +182,28 @@ def relative_entropy(rho, sigma):
     space of sigma; otherwise both logs are taken on their joint support.
     The result is clamped at zero.  For two lists of DensityMatrix states on
     one space it is an array, one value per pair, from stacked eigensolves;
-    the lists' states keep nothing.
+    one pair (DensityMatrix, PureState or raw array operands) is the stack
+    of one, and no state keeps anything.
     """
     if isinstance(rho, list):
         if len(rho) != len(sigma):
             raise ValueError(f"{len(rho)} states against {len(sigma)} references")
         _one_space([*rho, *sigma])
-        lam, vec = np.linalg.eigh(hermitize(np.stack([x.matrix for x in sigma])))
         r_lam = np.stack([x.spectrum for x in rho])
-        return _relative_entropy_stack(np.stack([x.matrix for x in rho]), r_lam, lam, vec, _log_on_support(lam, vec))
-    r, s = _operand(rho), _operand(sigma)
-    if _raw(r).shape != _raw(s).shape:
-        raise ValueError(f"shape mismatch {_raw(r).shape} vs {_raw(s).shape}")
-    lam, vec = _eigh(s)
-    log_s = s.log_on_support() if isinstance(s, DensityMatrix) else _log_on_support(lam, vec)
-    return float(_relative_entropy_stack(r, _spectrum(r), lam, vec, log_s))
+        return _relative_entropy_stack(np.stack([x.matrix for x in rho]), r_lam, np.stack([x.matrix for x in sigma]))
+    r, s = _mat(rho), _mat(sigma)
+    if r.shape != s.shape:
+        raise ValueError(f"shape mismatch {r.shape} vs {s.shape}")
+    return float(_relative_entropy_stack(r[None], _spectrum(rho, r)[None], s[None])[0])
 
 
-def _relative_entropy_stack(r, r_lam: np.ndarray, s_lam: np.ndarray, s_vec: np.ndarray, log_s: np.ndarray):
-    # D(rho || sigma) of each pair of a stack, as the other stacked kernels
-    # take one: rho as an operand of ``_leaks`` (a stack of matrices, or one
-    # state, whose kept eigh it reuses) with its spectra, sigma as its
-    # eigendecomposition and its log on support; +inf where rho leaks
-    out = _relative_entropies(_raw(r), r_lam, log_s)
-    return np.where(_leaks(r, s_lam, s_vec), math.inf, out)
+def _relative_entropy_stack(r: np.ndarray, r_lam: np.ndarray, s: np.ndarray) -> np.ndarray:
+    # D(rho || sigma) of each pair of the stacks of matrices r and s, rho with
+    # its ascending spectra: one eigh of the sigma stack gives ln sigma on its
+    # support and the leak rule; +inf where rho leaks
+    lam, vec = np.linalg.eigh(hermitize(s))
+    out = _relative_entropies(r, r_lam, _log_on_support(lam, vec))
+    return np.where(_leaks(r, lam, vec), math.inf, out)
 
 
 def entanglement_entropy(psi):
@@ -289,7 +269,7 @@ def _ree_scores(rho: DensityMatrix, neg_entropy: float, sigmas: np.ndarray):
     # stack, +inf on a leak, from one stacked eigh; that eigh is returned too,
     # so the gradient at an accepted candidate does not diagonalize it again
     lam, vec = np.linalg.eigh(hermitize(sigmas))
-    return np.maximum(neg_entropy - _log_overlap(rho, lam, vec), 0.0), lam, vec
+    return np.maximum(neg_entropy - _log_overlap(rho.matrix, lam, vec), 0.0), lam, vec
 
 
 def _log_gradient(r_f: np.ndarray, s_lam: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -375,7 +355,7 @@ def _seesaw(rho: DensityMatrix, w, fa, fb, max_iters, tol):
     r_lam, r_vec = rho.eigh()
     live = r_lam > SUPPORT_TOL
     r_f = r_vec[:, live] * np.sqrt(r_lam[live])
-    neg_entropy = -_entropy(rho)
+    neg_entropy = -von_neumann_entropy(rho)
     na, nb = fa.shape[1], fb.shape[1]
     n = na * nb
 

@@ -623,7 +623,8 @@ def surrogate_rate_fd_richardson(psi: PureState, gen: LindbladGenerator, delta_t
 def mutual_info_rate_analytic(rho, gen, *, eta: float | None = None):
     """d/dt [S(aA) + S(Bb) - S(full)] at t = 0 in closed form.
 
-    Without ``eta`` the logs are taken on their supports, which is intended
+    Without ``eta`` the logs are taken on their supports, ln on the
+    eigenvalues above ``SUPPORT_TOL`` and 0 on the rest, which is intended
     for full-rank states (random Ginibre densities qualify).  With ``eta``
     every logged state is first smoothed toward the maximally mixed state on
     its own space, which makes the formula evaluable at rank-deficient

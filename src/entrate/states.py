@@ -3,8 +3,8 @@
 The bipartition of interest is always aA | Bb: Alice holds the first two
 factors, Bob the last two.  Ancilla-free systems just use d_a = d_b = 1.
 Includes the Schmidt decomposition, the closest separable state built from
-it, smoothing toward the maximally mixed state, seeded random samplers, and
-``SUPPORT_TOL``, the one threshold of every support log and relative entropy.
+it, smoothing toward the maximally mixed state and seeded random samplers;
+``schmidt`` keeps the coefficients above ``linalg.SUPPORT_TOL``.
 
 The samplers, ``schmidt``, ``closest_separable_state`` and
 ``convex_split_witness`` are stacked kernels, and the one-instance call is
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import ShapeError, _as_stack, as_matrix, dag, hermitize, operator_norm
+from .linalg import SUPPORT_TOL, ShapeError, _as_stack, as_matrix, dag, hermitize, operator_norm
 
 __all__ = [
     "TOTAL_DIM_CAP",
@@ -53,9 +53,6 @@ __all__ = [
 
 TOTAL_DIM_CAP = 64
 
-# eigenvalues at or below this are off a state's support, and so are Schmidt
-# coefficients, the eigenvalues of a pure state's marginal
-SUPPORT_TOL = 1e-12
 HERMITIAN_TOL = 1e-10  # the largest |M - M†| a state's matrix may show
 
 
@@ -202,13 +199,6 @@ def _purities(m: np.ndarray):
     return np.vecdot(flat, flat).real
 
 
-def _log_on_support(lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """V diag(ln lambda) V† from an eigendecomposition (lam, V), with ln taken
-    on the eigenvalues above ``SUPPORT_TOL`` and 0 in place of it elsewhere
-    (of each, for a stack)."""
-    return (vec * np.log(np.where(lam > SUPPORT_TOL, lam, 1.0))[..., None, :]) @ dag(vec)
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -224,12 +214,9 @@ class DensityMatrix:
     The state diagonalizes itself at most once.  Validation computes the
     spectrum (ascending eigenvalues of the Hermitian part) and keeps it as
     ``spectrum``; ``eigh()`` computes the full decomposition of the Hermitian
-    part on first request and keeps it too, and ``log_on_support()`` builds
-    ln of the state on its support (eigenvalues above ``SUPPORT_TOL``) from
-    that decomposition and keeps it, so a fixed reference state costs
-    one O(n^3) log however often its relative entropy is taken.  The matrix
-    (a copy, when the caller passed in an array it still holds) and all
-    three results are read-only, so what the state keeps cannot go stale.
+    part on first request and keeps it too.  The matrix (a copy, when the
+    caller passed in an array it still holds) and both results are
+    read-only, so what the state keeps cannot go stale.
     """
 
     dims: DimensionSignature
@@ -238,13 +225,14 @@ class DensityMatrix:
     psd_tol: float = field(default=1e-10, repr=False, compare=False)
     _spectrum: np.ndarray = field(init=False, repr=False)
     _eigh: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
-    _log: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        # the stack of one of ``_densities``, on a copy if the caller holds the matrix
+        # the checks of ``_densities`` on a stack of one, on a copy if the caller holds the matrix
         m = as_matrix(self.matrix, name="density matrix")
-        self.__dict__.update(vars(_densities(self.dims, (m.copy() if m is self.matrix else m)[None],
-                                             self.trace_tol, self.psd_tol)[0]))
+        m = m.copy() if m is self.matrix else m
+        (lam,) = _checked_spectra(self.dims, m[None], self.trace_tol, [self.psd_tol])
+        object.__setattr__(self, "matrix", _read_only(m))
+        object.__setattr__(self, "_spectrum", _read_only(lam))
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -257,13 +245,6 @@ class DensityMatrix:
             lam, vec = np.linalg.eigh(hermitize(self.matrix))
             object.__setattr__(self, "_eigh", (_read_only(lam), _read_only(vec)))
         return self._eigh
-
-    def log_on_support(self) -> np.ndarray:
-        """ln of the state on the eigenvalues of ``eigh()`` above
-        ``SUPPORT_TOL`` (0 off them), computed once."""
-        if self._log is None:
-            object.__setattr__(self, "_log", _read_only(_log_on_support(*self.eigh())))
-        return self._log
 
     def purity(self) -> float:
         """Tr rho^2 as the squared Frobenius norm, rho being Hermitian."""
@@ -278,9 +259,21 @@ def _densities(dims: DimensionSignature, mats: np.ndarray, trace_tol=1e-10, psd_
     that fails a check raises what its constructor would.  Each state keeps
     its matrix and spectrum as views of the stacks."""
     mats = _as_stack(mats, "density matrix")
+    tols = psd_tol if isinstance(psd_tol, list) else [psd_tol] * len(mats)
+    lam = _checked_spectra(dims, mats, trace_tol, tols, spectra)
+    return [
+        _unchecked(DensityMatrix, dims=dims, matrix=_read_only(m), trace_tol=trace_tol, psd_tol=t,
+                   _spectrum=_read_only(x))
+        for m, x, t in zip(mats, lam, tols)
+    ]
+
+
+def _checked_spectra(dims: DimensionSignature, mats: np.ndarray, trace_tol, tols: list, spectra=None):
+    # the DensityMatrix checks on each matrix of a complex stack, with the
+    # spectra from one stacked eigensolve or ``spectra``, which are returned;
+    # the first matrix that fails a check raises
     if mats.shape[-1] != dims.total:
         raise ShapeError(f"matrix dim {mats.shape[-1]} does not match dims total {dims.total}")
-    tols = psd_tol if isinstance(psd_tol, list) else [psd_tol] * len(mats)
     lam = _eigvalsh(mats) if spectra is None else spectra
     herm, traces = _hermiticity_error(mats).tolist(), np.trace(mats, axis1=-2, axis2=-1).tolist()
     for herm_err, trace, low, tol in zip(herm, traces, lam.min(axis=-1).tolist(), tols):
@@ -290,11 +283,7 @@ def _densities(dims: DimensionSignature, mats: np.ndarray, trace_tol=1e-10, psd_
             raise ValueError(f"trace {trace} is not 1 within {trace_tol}")
         if low < -tol:
             raise ValueError(f"min eigenvalue {low:.3e} below -{tol}")
-    return [
-        _unchecked(DensityMatrix, dims=dims, matrix=_read_only(m), trace_tol=trace_tol, psd_tol=t,
-                   _spectrum=_read_only(x))
-        for m, x, t in zip(mats, lam, tols)
-    ]
+    return lam
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entrate.linalg import (
-    LOG_FLOOR,
     NotPositive,
+    NumericalFailure,
     ShapeError,
+    _log_on_support,
     as_matrix,
     dag,
-    eigh,
     hermitize,
     matrix_log_on_support,
     operator_norm,
@@ -18,6 +18,7 @@ from entrate.linalg import (
     tensor,
     trace_norm,
 )
+from entrate.states import DensityMatrix, DimensionSignature
 
 
 def _rand_herm(n, seed):
@@ -40,25 +41,6 @@ def test_as_matrix_rejects_nan():
         as_matrix(m)
 
 
-def test_eigh_descending_and_reconstructs():
-    m = _rand_herm(6, 0)
-    dec = eigh(m)
-    assert np.all(np.diff(dec.eigenvalues) <= 0)
-    assert np.allclose(dec.reconstruct(), m, atol=1e-12)
-
-
-def test_eigh_matches_power_iteration_top_eigenvalue():
-    # oracle: dominant eigenvalue of a PSD matrix by power iteration
-    m = _rand_herm(5, 3)
-    m = m @ m  # PSD
-    v = np.ones(5, dtype=complex) / np.sqrt(5)
-    for _ in range(3000):
-        v = m @ v
-        v /= np.linalg.norm(v)
-    top = float(np.real(np.vdot(v, m @ v)))
-    assert eigh(m).eigenvalues[0] == pytest.approx(top, rel=1e-10)
-
-
 def test_matrix_log_on_support_inverts_exp():
     h = 0.1 * _rand_herm(4, 1)
     lam, vec = np.linalg.eigh(h)
@@ -66,16 +48,33 @@ def test_matrix_log_on_support_inverts_exp():
     assert np.allclose(matrix_log_on_support(m), hermitize(h), atol=1e-12)
 
 
-def test_matrix_log_floors_null_directions():
-    m = np.diag([1.0, 0.0]).astype(complex)
-    lg = matrix_log_on_support(m)
-    assert lg[1, 1] == pytest.approx(np.log(LOG_FLOOR))
-    assert lg[0, 0] == pytest.approx(0.0, abs=1e-14)
+def test_matrix_log_reads_zero_off_the_support():
+    lg = matrix_log_on_support(np.diag([1.0, 0.0]).astype(complex))
+    assert np.array_equal(lg, np.zeros((2, 2)))
+    # a rank-deficient state: the log of its matrix is the one log of its
+    # kept eigendecomposition, bit for bit
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    rho = DensityMatrix(DimensionSignature.cut(2, 3), (q[:, :4] * [0.4, 0.3, 0.2, 0.1]) @ dag(q[:, :4]))
+    assert np.array_equal(matrix_log_on_support(rho.matrix), _log_on_support(*rho.eigh()))
 
 
 def test_matrix_log_rejects_negative():
     with pytest.raises(NotPositive):
         matrix_log_on_support(np.diag([1.0, -0.5]).astype(complex))
+
+
+def test_matrix_log_reports_an_eigensolver_failure(monkeypatch):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    m = np.array([[1.0, 3.0], [4.0, 2.0]], dtype=complex)
+    with pytest.raises(NumericalFailure, match="did not converge") as info:
+        matrix_log_on_support(m)
+    # the residual is the off-diagonal norm of the Hermitian part
+    assert info.value.residual == pytest.approx(np.sqrt(2) * 3.5)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 def test_singular_values_known_matrix():

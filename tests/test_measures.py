@@ -67,8 +67,11 @@ def test_relative_entropy_zero_iff_equal():
 
 
 def test_relative_entropy_shape_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"shape mismatch \(2, 2\) vs \(3, 3\)"):
         relative_entropy(np.eye(2) / 2, np.eye(3) / 3)
+    psi = random_pure(DimensionSignature.cut(2, 2), 0)
+    with pytest.raises(ValueError, match=r"shape mismatch \(4, 4\) vs \(6, 6\)"):
+        relative_entropy(psi, np.eye(6) / 6)
 
 
 def test_entanglement_entropy_frozen_value():
@@ -213,34 +216,62 @@ def test_stacked_scores_match_relative_entropy():
         assert np.abs((v * l) @ v.conj().T - s).max() <= 1e-12
 
 
-def test_relative_entropy_reads_the_kept_log():
-    # for a DensityMatrix sigma, Re<ln sigma, rho> from the log sigma keeps
-    # equals the eigenvector-weight formula; +inf exactly on a leak
+def _support_cases():
+    # a rank-3 rho on 2⊗3, with sigmas that are full rank, rank deficient
+    # holding supp(rho), and rank deficient missing a live direction (a leak)
     rng = np.random.default_rng(23)
     dims = DimensionSignature.cut(2, 3)
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
     rho = DensityMatrix(dims, (q[:, :3] * [0.5, 0.3, 0.2]) @ q[:, :3].conj().T)
     cases = [
-        (random_density(6, 5), False),  # full rank
-        ((q * [0.3, 0.3, 0.2, 0.2, 0.0, 0.0]) @ q.conj().T, False),  # rank deficient, holds supp(rho)
-        ((q * [0.4, 0.4, 0.0, 0.1, 0.1, 0.0]) @ q.conj().T, True),  # misses a live direction
+        (random_density(6, 5), False),
+        ((q * [0.3, 0.3, 0.2, 0.2, 0.0, 0.0]) @ q.conj().T, False),
+        ((q * [0.4, 0.4, 0.0, 0.1, 0.1, 0.0]) @ q.conj().T, True),
     ]
+    return dims, q, rho, cases
+
+
+def _weight_oracle(r, m):
+    # max(-S(rho) - Tr rho ln sigma, 0) for matrices r and m, Tr rho ln sigma
+    # from sigma's eigenvector weights <v_j|rho|v_j> on its support
+    lam, vec = np.linalg.eigh((m + m.conj().T) / 2)
+    live = lam > measures.SUPPORT_TOL
+    weights = np.real(np.einsum("ij,ij->j", vec.conj(), r @ vec))
+    return max(-von_neumann_entropy(r) - float((np.log(lam[live]) * weights[live]).sum()), 0.0)
+
+
+def test_relative_entropy_matches_the_eigenvector_weights():
+    # for a DensityMatrix sigma, Re<ln sigma, rho> equals the eigenvector-weight
+    # formula; +inf exactly on a leak
+    dims, _, rho, cases = _support_cases()
     for m, leaks in cases:
         sigma = DensityMatrix(dims, m)
         got = relative_entropy(rho, sigma)
         if leaks:
             assert got == np.inf
             continue
-        lam, vec = np.linalg.eigh((m + m.conj().T) / 2)
-        live = lam > measures.SUPPORT_TOL
-        weights = np.real(np.einsum("ij,ij->j", vec.conj(), rho.matrix @ vec))
-        want = -von_neumann_entropy(rho) - float((np.log(lam[live]) * weights[live]).sum())
-        assert abs(got - max(want, 0.0)) <= 1e-12
-        log_s = sigma.log_on_support()
-        assert sigma.log_on_support() is log_s  # computed once
+        assert abs(got - _weight_oracle(rho.matrix, m)) <= 1e-12
         assert relative_entropy(rho, sigma) == got
-        with pytest.raises(ValueError):
-            log_s[0, 0] = 0.0
+
+
+def test_relative_entropy_of_one_pair_is_its_stack_of_one():
+    dims, _, rho, cases = _support_cases()
+    for m, leaks in cases:
+        sigma = DensityMatrix(dims, m)
+        got = relative_entropy(rho, sigma)
+        assert type(got) is float and np.isinf(got) == leaks
+        assert got == relative_entropy([rho], [sigma])[0]
+
+
+def test_relative_entropy_takes_raw_and_pure_operands():
+    dims, q, rho, cases = _support_cases()
+    psi = PureState(dims, q[:, 0])  # on supp(rho) and on the second sigma's support
+    for m, leaks in cases:
+        got = relative_entropy(rho.matrix.copy(), m)
+        assert got == np.inf if leaks else abs(got - _weight_oracle(rho.matrix, m)) <= 1e-12
+        assert abs(relative_entropy(psi, m) - _weight_oracle(psi.projector(), m)) <= 1e-12
+    assert relative_entropy(psi, psi) == pytest.approx(0.0, abs=1e-12)
+    assert relative_entropy(rho.matrix.copy(), psi) == np.inf
 
 
 @pytest.mark.parametrize("factors", [(2, 4, 4, 2), (2, 2, 2, 1), (1, 4, 4, 1), (3, 2, 2, 3)])

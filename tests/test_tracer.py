@@ -76,6 +76,8 @@ EVERY_FAMILY_COUNTS = {
     "measures.entanglement_entropy.calls": 12,
     "states.schmidt.calls": 21,
     "states.samplers.calls": 89,
+    "linalg.matrix_log_on_support.calls": 39,
+    "linalg.lapack.eigh.calls": 62,
 }
 
 
