@@ -49,7 +49,7 @@ from .certify import FormatError, SweepConfig, _trial_seed, run_sweep
 from .dynamics import IntegrationError, LindbladGenerator, _trace_error, evolve, evolve_series, generator_from_json
 from .linalg import SUPPORT_TOL, NumericalFailure, _log_on_support, dag, hermitize, partial_trace
 from .measures import _mutual_informations, _relative_entropies, mutual_information, relative_entropy
-from .rates import _schmidt_logs, entangling_rate_fd, entangling_rate_bound, surrogate_rate_analytic, surrogate_rate_fd
+from .rates import entangling_rate_fd, entangling_rate_bound, surrogate_rate_analytic, surrogate_rate_fd
 from .states import (
     DensityMatrix,
     DimensionSignature,
@@ -158,12 +158,12 @@ def _reference_log(state, rho: DensityMatrix) -> np.ndarray:
     support and no row needs the relative entropy's leak check."""
     n = rho.dims.total
     if isinstance(state, PureState):
-        # ln f I + sum_n b_n |v_n><v_n| with f = eta/n (rates module
-        # docstring); every eigenvalue of the reference is at least f
-        v, _, b = _schmidt_logs(schmidt(state), REFERENCE_ETA)
-        log_s = (v * b) @ dag(v)
-        log_s.flat[:: n + 1] += math.log(REFERENCE_ETA / n)
-        floor = REFERENCE_ETA / n
+        # ln f I + sum_n b_n |v_n><v_n| with f = eta/n, b_n = ln(((1 - eta) p_n + f)/f)
+        # and v_n = a_n ⊗ b_n; every eigenvalue of the reference is at least f
+        sd, floor = schmidt(state), REFERENCE_ETA / n
+        v = sd.product_vectors()
+        log_s = (v * np.log(((1.0 - REFERENCE_ETA) * sd.coefficients + floor) / floor)) @ dag(v)
+        log_s.flat[:: n + 1] += math.log(floor)
     else:
         factors = rho.dims.factors()
         prod = np.kron(
@@ -213,12 +213,12 @@ def _cmd_rate(args) -> int:
     state, gen = _instance_from_args(args)
     psi = _require_pure(state, "rate")
     delta_ts = args.delta_t or [1e-4]
-    # the closed form does not depend on the step: one value for every report
-    analytic = surrogate_rate_analytic(psi, gen, eta=args.eta)
+    # the expansion does not depend on the step: one pair for every report
+    kappa, rate_finite = surrogate_rate_analytic(psi, gen)
     reports = []
     for dt in delta_ts:
         rep = dataclasses.asdict(entangling_rate_fd(psi, gen, dt, args.measure, seed=args.seed))
-        reports.append({**rep, "dims": list(psi.dims.factors()), "gamma_surrogate_analytic": analytic})
+        reports.append({**rep, "dims": list(psi.dims.factors()), "kappa": kappa, "rate_finite": rate_finite})
     text = json.dumps({"reports": reports}, indent=2, sort_keys=True) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -346,13 +346,12 @@ def _parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", help="CSV path (default stdout)")
     sim.set_defaults(func=_cmd_simulate)
 
-    rate = sub.add_parser("rate", help="one-step entangling-rate report (pure states only)")
+    rate = sub.add_parser("rate", help="one-step entangling-rate report (pure states only)", description=(
+        "Each report also carries kappa and rate_finite (a) of the pinched probe's closed-form expansion "
+        "E(psi) + kappa dt ln dt + a dt + o(dt), so gamma_surrogate_fd reads a + kappa ln dt at small dt; "
+        "kappa >= 0, and the entangling rate is at most a when kappa = 0 and -inf when kappa > 0."))
     _add_instance_flags(rate)
     _add_probe_flags(rate)
-    rate.add_argument("--eta", type=float, default=1e-8,
-                      help="smoothing of the closed-form t = 0 rate, gamma_surrogate_analytic (default 1e-8); "
-                           "under dissipation the rate has no finite t = 0 value, and it and gamma_surrogate_fd "
-                           "read different cut-offs (eta, delta t): they agree only under closed dynamics")
     rate.add_argument("--measure", choices=("surrogate", "bruteforce"), default="surrogate",
                       help="bruteforce also runs the see-saw REE minimizer (default surrogate)")
     rate.add_argument("--out", help="JSON report path (default stdout)")

@@ -10,8 +10,8 @@ Rates are measured three ways and cross-checked against each other:
   this coincides with the surrogate; with ``measure="bruteforce"`` the
   evolved state's see-saw estimate is folded in via a min, which can only
   tighten it.
-* ``surrogate_rate_analytic`` — the t = 0 derivative in closed form, with
-  both logs smoothed by ``eta``.
+* ``surrogate_rate_analytic`` — the probe's expansion at t = 0 (below) in
+  closed form: the pair (kappa, a).
 
 The pinch.  With a_i, b_j (i, j <= r) the Schmidt vectors of psi and P⊥,
 Q⊥ the projectors onto the complements of their spans, the product
@@ -23,19 +23,22 @@ and no reference matrix is built.  The value is E(psi) at t = 0, and no
 reference constant on the blocks (the dephased Schmidt mixture smoothed
 toward I/n among them) is closer.
 
-A pure state's projector and its dephased Schmidt mixture, both smoothed by
-eta, are diagonal in the Schmidt product basis v_n = l_n ⊗ r_n.  With
-f = eta/n their logs are ln f + a |psi><psi| and ln f + sum_n b_n |v_n><v_n|,
-where a = ln((1 - eta + f)/f) and b_n = ln(((1 - eta) p_n + f)/f).  The
-analytic rate and the coherent-term check use these: no reference matrix,
-no log, no eigensolver.
+The expansion.  With rhodot the generator applied to |psi><psi|, mu_j the
+eigenvalues of R rhodot R (R = I - |psi><psi|, mu = sum_j mu_j), and omega_i
+on a_i ⊗ b_i and nu_k on every other block the block weights of rhodot
+(nu = sum_k nu_k), D(rho_dt || pinch(rho_dt)) = E(psi) + kappa dt ln dt +
+a dt + o(dt) with kappa = mu - nu >= 0, the leak into span{a_i ⊗ b_i} ⊖ psi, and
+a = sum_j mu_j ln mu_j - mu + nu - sum_i omega_i ln p_i - sum_k nu_k ln(nu_k/m_k)
+(0 ln 0 = 0).  The pinch is separable, so the rate of the relative entropy of
+entanglement at psi is at most a when kappa = 0 and is -inf when kappa > 0.
 
 The closed-form bounds (``entangling_rate_bound`` and friends) are what the
 certification sweeps compare the measured rates against.
 
 Each inequality check is a stacked kernel, and so are ``random_xy_pair``,
-``mutual_info_rate_analytic``, ``entangling_rate_fd`` (whose see-saw runs
-per instance) and the caps ``entangling_rate_bound`` and ``mi_rate_bound``:
+``surrogate_rate_analytic``, ``mutual_info_rate_analytic``,
+``entangling_rate_fd`` (whose see-saw runs per instance) and the caps
+``entangling_rate_bound`` and ``mi_rate_bound``:
 given a stack of instances (matrices as (k, n, n) stacks, states and
 generators as lists on one space, a list of Generators as the sampler's
 ``seed``) they return a list of results, one per instance, from stacked
@@ -115,7 +118,6 @@ __all__ = [
     "mi_rate_bound",
     "surrogate_rate_analytic",
     "surrogate_rate_fd",
-    "surrogate_rate_fd_richardson",
     "mutual_info_rate_analytic",
     "mutual_info_rate_fd",
     "entangling_rate_fd",
@@ -178,7 +180,7 @@ def binary_entropy(p: float) -> float:
     return float(-p * math.log(p) - (1.0 - p) * math.log(1.0 - p))
 
 
-# the range of the smoothing weight of the analytic rates
+# the range of the smoothing weight of the analytic mutual-information rate
 def _check_eta(eta) -> None:
     if not 1e-10 <= eta <= 1e-4:
         raise ValueError(f"eta must lie in [1e-10, 1e-4], got {eta}")
@@ -238,40 +240,28 @@ def hamiltonian_term_bound_tight(h, d: int) -> float:
     return _coherent_caps(h, d)[1]
 
 
-def _schmidt_logs(sd: SchmidtDecomposition, eta: float) -> tuple[np.ndarray, float, np.ndarray]:
-    # (V, a, b): the product vectors v_n as the columns of V and the weights
-    # of ln rho_eta and ln sigma0_eta in the module docstring
-    n = sd.dims.total
-    f = eta / n
-    v = (sd.left[:, None, :] * sd.right[None, :, :]).reshape(n, -1)
-    return v, math.log((1.0 - eta + f) / f), np.log(((1.0 - eta) * sd.coefficients + f) / f)
+def hamiltonian_commutator_check(h, psi):
+    """|i Tr(H [rho, ln sigma0])| vs the dimension cap 4 ln d ||H||, rho =
+    |psi><psi| and sigma0 its dephased Schmidt mixture, the log on its support.
 
-
-def hamiltonian_commutator_check(h, psi, *, eta: float = 1e-8):
-    """|i Tr(H [rho_eta, ln sigma0_eta])| vs the dimension cap 4 ln d ||H||.
-
-    Both the state and its dephased Schmidt mixture are smoothed by ``eta`` so
-    the logarithm is taken at full rank.  The witness carries the sharper
-    mixing-based cap, which holds for the smoothed pair as well because
-    smoothing preserves d*sigma0 >= rho.  In the Schmidt product basis the
-    term is -2 (1 - eta) sum_n b_n Im(<psi|v_n><v_n|H psi>) (module docstring),
-    which needs H Hermitian: H must be n x n and Hermitian within 1e-12.
-    A stack of H and a list of states give a list of results."""
+    The term is -2 sum_n ln p_n Im(<psi|v_n><v_n|H psi>) with v_n = a_n ⊗ b_n,
+    which needs H n x n and Hermitian within 1e-12.  The witness carries the
+    sharper cap 2 h2(1/d) d ||H||: by Cauchy-Schwarz d sigma0 >= rho, so
+    sigma0 = rho/d + (1 - 1/d) mu with mu a state, and the term is d times
+    the mixing term at p = 1/d, which 2 h2(p) ||H|| caps.  A stack of H and
+    a list of states give a list of results."""
     if isinstance(psi, PureState):
-        return hamiltonian_commutator_check(_one(h, "hamiltonian"), [psi], eta=eta)[0]
+        return hamiltonian_commutator_check(_one(h, "hamiltonian"), [psi])[0]
     dims = _one_space(psi)
-    if dims.d < 2:
-        raise DegenerateCut("d = 1 cut: the separable reference equals the state")
-    _check_eta(eta)
+    _check_cut(psi[0])
     h = _as_stack(h, name="hamiltonian")
     if h.shape[1:] != (dims.total, dims.total) or len(h) != len(psi):
         raise ShapeError(f"hamiltonian must be {dims.total} x {dims.total}, got shape {h.shape[1:]}")
     _check_hermitian(h)
     out = []
     for hi, x, sd, rhs, tight in zip(h, psi, schmidt(psi), *_coherent_caps(h, dims.d)):
-        v, _, b = _schmidt_logs(sd, eta)
-        amp = x.amplitudes
-        lhs = abs(-2.0 * (1.0 - eta) * float(b @ np.imag((amp.conj() @ v) * (hi @ amp @ v.conj()))))
+        v, amp = sd.product_vectors(), x.amplitudes
+        lhs = abs(-2.0 * float(np.log(sd.coefficients) @ np.imag((amp.conj() @ v) * (hi @ amp @ v.conj()))))
         rhs, tight = float(rhs), float(tight)
         out.append(InequalityResult("coherent-term-cap", lhs, rhs, rhs - lhs, witness={"tight_bound": tight}))
     return out
@@ -547,30 +537,13 @@ def _evolve_tight(gen, rho, t: float):
     return states[0] if one else states
 
 
-def surrogate_rate_analytic(psi: PureState, gen: LindbladGenerator, *, eta: float = 1e-8) -> float:
-    """t = 0 derivative of the relative entropy to the dephased Schmidt
-    mixture, with both logs smoothed by eta toward the maximally mixed state.
-    Re Tr rhodot (ln rho_eta - ln sigma0_eta), rhodot the generator applied to
-    |psi><psi|, is a <psi|rhodot|psi> - sum_n b_n <v_n|rhodot|v_n> (module
-    docstring): the ln(eta/n) parts cancel."""
-    _check_cut(psi)
-    _check_eta(eta)
-    _same_space(gen, psi)
-    v, a, b = _schmidt_logs(schmidt(psi), eta)
-    amp = psi.amplitudes
-    rhodot = apply_generator(gen, psi.projector())
-    weights = np.real(np.einsum("in,in->n", v.conj(), rhodot @ v))
-    return float(a * np.vdot(amp, rhodot @ amp).real - b @ weights)
-
-
-def _pinch_overlap(sds: list[SchmidtDecomposition], m: np.ndarray) -> list[float]:
-    # Tr rho ln pinch(rho) = sum_k w_k ln(w_k / m_k) (module docstring) of each
-    # decomposition of a list on one space and each matrix of a stack, the
-    # blocks as an (r + 1) x (r + 1) table whose last row and column are P⊥
-    # and Q⊥, one product per Schmidt rank; a block of rank 0 or weight <= 0 adds nothing
+def _block_weights(sds: list[SchmidtDecomposition], m: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    # (w, mult) of each decomposition of a list on one space and each matrix M of a
+    # stack: w_k = Tr Pi_k M on the pinch's blocks (module docstring), 0 if of rank 0, and
+    # their ranks m_k, as (r + 1)^2 tables, last row and column P⊥ and Q⊥, one product per rank
     alice, bob = sds[0].dims.alice, sds[0].dims.bob
 
-    def overlaps(r: int, idx: list[int]) -> list[float]:
+    def tables(r: int, idx: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
         left, right, mi = np.stack([sds[i].left for i in idx]), np.stack([sds[i].right for i in idx]), m[idx]
         # the columns a_i ⊗ b_j, as np.kron lays them out
         u = (left[:, :, None, :, None] * right[:, None, :, None, :]).reshape(len(idx), alice * bob, r * r)
@@ -583,24 +556,59 @@ def _pinch_overlap(sds: list[SchmidtDecomposition], m: np.ndarray) -> list[float
             w[:, r, :r] = np.real(np.einsum("...xj,...xy,...yj->...j", right.conj(), m_b, right)) - w[:, :r, :r].sum(-2)
             w[:, r, r] = np.real(np.trace(mi, axis1=-2, axis2=-1)) - w.sum(axis=(-2, -1))
         mult = np.outer([1] * r + [alice - r], [1] * r + [bob - r])
-        keep = (mult > 0) & (w > 0.0)
-        return [float(wi[k] @ np.log(wi[k] / mult[k])) for wi, k in zip(w, keep)]
+        w[:, mult == 0] = 0.0
+        return [(wi, mult) for wi in w]
 
-    return _grouped([sd.coefficients.size for sd in sds], overlaps)
+    return _grouped([sd.coefficients.size for sd in sds], tables)
+
+
+def _xlogx(x: np.ndarray, m=1.0) -> float:
+    # sum x ln(x / m) over the entries x > 0: 0 ln 0 = 0, and roundoff below 0 adds nothing
+    keep = x > 0.0
+    return float(x[keep] @ np.log(x[keep] / np.broadcast_to(m, x.shape)[keep]))
+
+
+def _paired(states: list, gens: list) -> DimensionSignature:
+    # the space of a list of states on one space, each paired with a generator on it
+    dims = _one_space(states)
+    if len(gens) != len(states):
+        raise ValueError(f"{len(states)} states but {len(gens)} generators")
+    for g in gens:
+        _same_space(g, states[0])
+    return dims
+
+
+def surrogate_rate_analytic(psi, gen):
+    """(kappa, a) of the pinched probe's expansion E(psi) + kappa dt ln dt + a dt
+    + o(dt) (module docstring); a list of pairs for a list of states on one space
+    and their generators, from one stacked generator application and eigvalsh."""
+    if isinstance(psi, PureState):
+        return surrogate_rate_analytic([psi], [gen])[0]
+    _check_cut(psi[0])
+    n = _paired(psi, gen).total
+    sds = schmidt(psi)
+    amps = np.stack([x.amplitudes for x in psi])
+    proj = amps[:, :, None] * amps.conj()[:, None, :]
+    rhodot, perp = apply_generator(gen, proj), np.eye(n) - proj
+    out = []
+    for sd, (w, mult), mu in zip(sds, _block_weights(sds, rhodot), _eigvalsh(perp @ rhodot @ perp)):
+        omega = np.diagonal(w)[: sd.coefficients.size]
+        nu = w - np.diag(np.append(omega, 0.0))  # nu_k: every block but the a_i ⊗ b_i
+        kappa = float(mu.sum()) - float(nu.sum())
+        out.append((kappa, _xlogx(mu) - kappa - float(omega @ np.log(sd.coefficients)) - _xlogx(nu, mult)))
+    return out
 
 
 def _surrogate_step(psis: list[PureState], gens: list[LindbladGenerator], delta_t: float):
-    # (schmidt(psi), rho_dt, D(rho_dt || pinch(rho_dt))) of each state of a
-    # list on one space under its generator, the pinch in the Schmidt frame of psi
+    # (schmidt(psi), rho_dt, D(rho_dt || pinch(rho_dt))) of each state of a list on one
+    # space under its generator, the pinch in the Schmidt frame of psi (module docstring)
     _check_cut(psis[0])
     _positive_real(delta_t, "delta_t")
-    _one_space(psis)
-    for g in gens:
-        _same_space(g, psis[0])
+    _paired(psis, gens)
     sds = schmidt(psis)
     rhos = _evolve_tight(gens, _pure_densities(psis), delta_t)
-    overlaps = _pinch_overlap(sds, np.stack([x.matrix for x in rhos]))
-    return [(sd, x, max(-von_neumann_entropy(x) - o, 0.0)) for sd, x, o in zip(sds, rhos, overlaps)]
+    tables = _block_weights(sds, np.stack([x.matrix for x in rhos]))
+    return [(sd, x, max(-von_neumann_entropy(x) - _xlogx(*t), 0.0)) for sd, x, t in zip(sds, rhos, tables)]
 
 
 def surrogate_rate_fd(psi: PureState, gen: LindbladGenerator, delta_t: float) -> float:
@@ -609,15 +617,6 @@ def surrogate_rate_fd(psi: PureState, gen: LindbladGenerator, delta_t: float) ->
     that needs no regularizer, and equals E(psi) at t = 0."""
     ((sd, _, dist),) = _surrogate_step([psi], [gen], delta_t)
     return (dist - sd.entropy()) / delta_t
-
-
-def surrogate_rate_fd_richardson(psi: PureState, gen: LindbladGenerator, delta_t: float) -> float:
-    """Three-point extrapolation 4 g(dt/4) - 4 g(dt/2) + g(dt) of
-    ``surrogate_rate_fd``.  Under coherent dynamics the quotient's error is
-    a dt + b dt ln dt (the pinch's off-diagonal weights grow as dt^2, and
-    w ln w adds the log), and the rule cancels both terms."""
-    g1, g2, g4 = (surrogate_rate_fd(psi, gen, delta_t / k) for k in (1.0, 2.0, 4.0))
-    return 4.0 * g4 - 4.0 * g2 + g1
 
 
 def mutual_info_rate_analytic(rho, gen, *, eta: float | None = None):
@@ -634,11 +633,7 @@ def mutual_info_rate_analytic(rho, gen, *, eta: float | None = None):
     if not isinstance(rho, list):
         return mutual_info_rate_analytic([rho], [gen], eta=eta)[0]
     rho = [x.density() if isinstance(x, PureState) else x for x in rho]
-    dims = _one_space(rho)
-    if len(gen) != len(rho):
-        raise ValueError(f"{len(rho)} states but {len(gen)} generators")
-    for g, x in zip(gen, rho):
-        _same_space(g, x)
+    dims = _paired(rho, gen)
     if eta is not None:
         _check_eta(eta)
     factors = dims.factors()

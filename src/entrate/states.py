@@ -300,6 +300,10 @@ class SchmidtDecomposition:
         p = self.coefficients[self.coefficients > 0]
         return float(-(p * np.log(p)).sum())
 
+    def product_vectors(self) -> np.ndarray:
+        """The product vectors l_n ⊗ r_n as the columns of an n x r matrix."""
+        return (self.left[:, None, :] * self.right[None, :, :]).reshape(self.dims.total, -1)
+
     def reconstruct(self) -> PureState:
         amp = np.einsum("n,in,jn->ij", np.sqrt(self.coefficients), self.left, self.right).reshape(-1)
         return PureState(self.dims, amp / np.linalg.norm(amp))

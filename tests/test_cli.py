@@ -282,7 +282,7 @@ def test_csv_writers_print_numpy_scalars_as_numbers(tmp_path, monkeypatch):
 
 def test_rate_report_stdout(capsys):
     code = main(["rate", "--dims", "2", "2", "--seed", "4",
-                 "--delta-t", "1e-3", "--delta-t", "1e-4", "--eta", "1e-6", "--strict"])
+                 "--delta-t", "1e-3", "--delta-t", "1e-4", "--strict"])
     assert code == 0
     obj = json.loads(capsys.readouterr().out)
     assert len(obj["reports"]) == 2
@@ -292,11 +292,11 @@ def test_rate_report_stdout(capsys):
     assert rep["measure"] == "surrogate"
     assert rep["gamma_fd"] == rep["gamma_surrogate_fd"]
     assert rep["dims"] == [1, 2, 2, 1]
-    # the closed form is computed once per instance, at --eta: the same bits in every report
+    # the expansion is computed once per instance: the same bits in every report
     psi, gen = cli._random_instance(DimensionSignature.cut(2, 2), 4, 1, True)
-    want = surrogate_rate_analytic(psi, gen, eta=1e-6)
-    assert [r["gamma_surrogate_analytic"] for r in obj["reports"]] == [want, want]
-    assert want != surrogate_rate_analytic(psi, gen)
+    kappa, rate_finite = surrogate_rate_analytic(psi, gen)
+    assert [(r["kappa"], r["rate_finite"]) for r in obj["reports"]] == [(kappa, rate_finite)] * 2
+    assert "gamma_surrogate_analytic" not in rep
 
 
 def test_rate_bruteforce_orders_below_surrogate(tmp_path):
@@ -315,8 +315,8 @@ def test_rate_requires_pure_state(tmp_path):
 
 def test_rate_rejects_bad_flags(capsys):
     assert main(["rate", "--dims", "2", "2", "--delta-t", "-1"]) == 2
-    assert main(["rate", "--dims", "2", "2", "--eta-ref", "1e-13"]) == 2  # a retired flag
-    assert main(["rate", "--dims", "2", "2", "--eta", "0.5"]) == 2
+    assert main(["rate", "--dims", "2", "2", "--eta-ref", "1e-13"]) == 2  # retired flags
+    assert main(["rate", "--dims", "2", "2", "--eta", "1e-8"]) == 2
     assert main(["rate", "--dims", "1", "2"]) == 2  # degenerate cut, rate undefined
     capsys.readouterr()
     assert main(["rate", "--dims", "2", "2", "--lindblad-ops", "-1"]) == 2
@@ -364,7 +364,7 @@ def test_certify_rejects_bad_config(tmp_path, capsys):
     assert main(["certify", "--config", str(cfg)]) == 2
     assert main(["certify", "--config", str(tmp_path / "missing.json")]) == 2
     # the last two: eta changed no check, and eta_ref smoothed the reference the
-    # pinch replaced; neither is a config key now (`rate --eta` stays)
+    # pinch replaced; neither is a config key now
     for text in ('{"trials": 2.5}', '{"trials": true}', '{"tolerances": {"prop1": NaN}}', '{"eta_ref": 1e-3}',
                  '{"trials": 1, "eta": 1e-8}', '{"trials": 1, "eta_ref": 1e-13}'):
         cfg.write_text(text)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import entrate.rates
 from entrate.certify import SweepConfig, _build, _run_cell, _trial_seed, cells_for
 from entrate.dynamics import LindbladGenerator, apply_generator
-from entrate.linalg import ShapeError, matrix_log_on_support
+from entrate.linalg import ShapeError
 from entrate.measures import relative_entropy, von_neumann_entropy
 from entrate.rates import (
     InvalidPair,
@@ -34,7 +34,6 @@ from entrate.rates import (
     small_incremental_mixing_check,
     surrogate_rate_analytic,
     surrogate_rate_fd,
-    surrogate_rate_fd_richardson,
     unitary_rate_bound,
 )
 from entrate.states import (
@@ -42,7 +41,6 @@ from entrate.states import (
     DensityMatrix,
     DimensionSignature,
     PureState,
-    _smoothed,
     closest_separable_state,
     random_density,
     random_gue_hamiltonian,
@@ -122,20 +120,17 @@ def _probe_states(dims, seed):
     ]
 
 
-def _smoothed_pair(psi, eta=1e-8):
-    # the smoothed projector and dephased Schmidt mixture, as matrices
-    sigma0 = closest_separable_state(schmidt(psi)).matrix
-    return _smoothed(psi.projector(), eta), _smoothed(sigma0, eta)
-
-
 @pytest.mark.parametrize("factors", [(1, 2, 2, 1), (1, 2, 4, 1), (1, 3, 3, 1), (2, 2, 2, 2)])
 def test_hamiltonian_commutator_check_matches_the_log_formula(factors):
+    # the closed form against i Tr(H [rho, ln sigma0]) with the log of the
+    # dephased Schmidt mixture taken numerically on its support
     dims = DimensionSignature(*factors)
     for s in range(3):
         h = random_gue_hamiltonian(dims.total, seed=500 + s)
         for psi in _probe_states(dims, s):
             res = hamiltonian_commutator_check(h, psi)
-            assert res.lhs == pytest.approx(abs(hamiltonian_term(h, *_smoothed_pair(psi))), rel=0, abs=1e-12)
+            sigma0 = closest_separable_state(schmidt(psi)).matrix
+            assert res.lhs == pytest.approx(abs(hamiltonian_term(h, psi.projector(), sigma0)), rel=0, abs=1e-12)
             assert res.rhs == hamiltonian_term_bound(h, dims.d)
             assert res.witness["tight_bound"] == hamiltonian_term_bound_tight(h, dims.d)
 
@@ -353,8 +348,8 @@ def test_surrogate_rate_input_validation():
     for dt in (0.0, np.inf, np.nan, True, "1e-3"):  # True used to step by 1
         with pytest.raises(ValueError, match="finite and > 0"):
             surrogate_rate_fd(psi, gen, dt)
-    with pytest.raises(ValueError):
-        surrogate_rate_analytic(psi, gen, eta=1.0)
+    with pytest.raises(ValueError, match="2 states but 1 generators"):
+        surrogate_rate_analytic([psi, psi], [gen])
     other = random_pure(DimensionSignature.cut(2, 3), seed=0)
     with pytest.raises(ValueError):
         surrogate_rate_analytic(other, gen)
@@ -362,28 +357,110 @@ def test_surrogate_rate_input_validation():
         surrogate_rate_fd(other, gen, 1e-3)
 
 
-@pytest.mark.parametrize("da,db", [(2, 2), (2, 3)])
-def test_unitary_richardson_matches_analytic(da, db):
-    dims = DimensionSignature.cut(da, db)
-    for s in range(5):
-        psi = random_pure(dims, seed=s)
-        gen = _unitary_gen(dims, seed=100 + s)
-        fd = surrogate_rate_fd_richardson(psi, gen, 1e-4)
-        exact = surrogate_rate_analytic(psi, gen)
-        assert fd == pytest.approx(exact, abs=1e-5)
+def _expansion_oracle(psi, gen):
+    # (kappa, a) with every term built as a matrix: rhodot, the eigenvalues
+    # mu_j of R rhodot R (R = I - |psi><psi|) and the weights Tr Pi_k rhodot
+    # on the pinch's blocks as projectors (``_pinch_blocks``)
+    rho = psi.projector()
+    rhodot = apply_generator(gen, rho)
+    r_perp = np.eye(psi.dims.total) - rho
+    mu = np.linalg.eigvalsh(r_perp @ rhodot @ r_perp)
+    p = schmidt(psi).coefficients
+    omega_log_p, nu = 0.0, []
+    for block, rank, i in _pinch_blocks(psi):
+        weight = np.trace(block @ rhodot).real
+        if i is None:
+            nu.append((weight, rank))
+        else:
+            omega_log_p += weight * math.log(p[i])
+    kappa = mu.sum() - sum(w for w, _ in nu)
+    xlogx = sum(x * math.log(x) for x in mu if x > 0) - sum(w * math.log(w / m) for w, m in nu if w > 0)
+    return kappa, xlogx - kappa - omega_log_p
 
 
 @pytest.mark.parametrize("factors", [(2, 2, 2, 2), (1, 2, 3, 1), (2, 3, 2, 1), (1, 4, 4, 1)])
 def test_surrogate_rate_analytic_matches_the_log_formula(factors):
-    # the closed form against Re Tr rhodot (ln rho_eta - ln sigma0_eta) with both logs taken numerically
+    # the closed form against the same formula with its terms built as
+    # matrices: no block-weight table, no product-vector reshapes
     dims = DimensionSignature(*factors)
     for k in range(4):
         gen = _open_gen(dims, seed=40 + k, n_lindblad=k)
         for psi in _probe_states(dims, k):
-            rho_eta, sigma_eta = _smoothed_pair(psi)
-            rhodot = apply_generator(gen, psi.projector())
-            old = np.real(np.trace(rhodot @ (matrix_log_on_support(rho_eta) - matrix_log_on_support(sigma_eta))))
-            assert abs(surrogate_rate_analytic(psi, gen) - old) <= 1e-6 * max(1.0, abs(old))
+            kappa, a = surrogate_rate_analytic(psi, gen)
+            want_kappa, want_a = _expansion_oracle(psi, gen)
+            assert abs(kappa - want_kappa) <= 1e-12 and abs(a - want_a) <= 1e-11 * max(1.0, abs(want_a))
+
+
+# instances of the probe's convergence to its expansion: the factors, which of
+# ``_probe_states`` (random, product, Schmidt rank 2) and the jump operators
+_EXPANSION_CASES = {
+    "2x2-two-jumps": ((1, 2, 2, 1), 0, 2),
+    "3x3": ((1, 3, 3, 1), 0, 1),
+    "4x4": ((1, 4, 4, 1), 0, 1),
+    "2x3-rank2": ((1, 2, 3, 1), 2, 1),
+    "2x3-product": ((1, 2, 3, 1), 1, 1),
+    "2-2x2-1-ancilla": ((2, 2, 2, 1), 0, 1),
+}
+
+
+@pytest.mark.parametrize("factors,which,n_lindblad", list(_EXPANSION_CASES.values()), ids=list(_EXPANSION_CASES))
+def test_probe_converges_to_its_expansion(factors, which, n_lindblad):
+    # surrogate_rate_fd(dt) - (a + kappa ln dt) is o(1): its next terms are
+    # O(dt ln dt), so it falls about 8-10x per decade of dt.  The range stops
+    # at dt = 1e-5, because the probe's roundoff grows as 1/dt (about 1e-8 at
+    # dt = 1e-5) and soon floors the difference
+    dims = DimensionSignature(*factors)
+    psi, gen = _probe_states(dims, 60)[which], _open_gen(dims, 60, n_lindblad)
+    kappa, a = surrogate_rate_analytic(psi, gen)
+    assert kappa >= -1e-12
+    err = [abs(surrogate_rate_fd(psi, gen, dt) - (a + kappa * math.log(dt))) for dt in (1e-3, 1e-4, 1e-5)]
+    assert err[0] >= 5.0 * err[1] and err[1] >= 5.0 * err[2], err
+
+
+def test_expansion_of_a_stack_matches_one_state_at_a_time():
+    # Schmidt ranks 1-3 and 0-3 jump operators in one stack: the same bits
+    dims = DimensionSignature.cut(3, 3)
+    psis = _probe_states(dims, 61) + _probe_states(dims, 62)
+    gens = [_open_gen(dims, 70 + i, n_lindblad=i % 4) for i in range(len(psis))]
+    got = surrogate_rate_analytic(psis, gens)
+    want = [surrogate_rate_analytic(x, g) for x, g in zip(psis, gens)]
+    assert [tuple(map(repr, pair)) for pair in got] == [tuple(map(repr, pair)) for pair in want]
+
+
+def test_expansion_reaches_the_zz_entangling_capacity():
+    # H = Z ⊗ Z has entangling capacity max_p 2 sqrt(p(1-p)) ln(p/(1-p)) =
+    # 1.3254868387 nats, attained by sqrt(p*)|++> - i sqrt(1-p*)|--> at
+    # p* = 0.9167783 (Dür, Vidal, Cirac, Linden & Popescu, PRL 87, 137901 (2001))
+    dims, p = DimensionSignature.cut(2, 2), 0.9167783
+    z = np.diag([1.0, -1.0]).astype(complex)
+    plus, minus = np.array([1.0, 1.0]) / math.sqrt(2.0), np.array([1.0, -1.0]) / math.sqrt(2.0)
+    psi = PureState(dims, math.sqrt(p) * np.kron(plus, plus) - 1j * math.sqrt(1.0 - p) * np.kron(minus, minus))
+    kappa, a = surrogate_rate_analytic(psi, LindbladGenerator(dims, np.kron(z, z)))
+    assert kappa <= 1e-12
+    assert abs(a - 1.3254868387) <= 1e-9
+
+
+@pytest.mark.parametrize("factors", [(1, 2, 2, 1), (1, 2, 3, 1), (1, 3, 3, 1), (2, 2, 2, 2)])
+def test_expansion_vanishes_under_local_hamiltonians(factors):
+    # H_A ⊗ I + I ⊗ H_B moves no entanglement, and the rate is 0 at every pure state
+    dims = DimensionSignature(*factors)
+    for s in range(3):
+        h_a, h_b = random_gue_hamiltonian(dims.d_A, 90 + s), random_gue_hamiltonian(dims.d_B, 95 + s)
+        gen = LindbladGenerator(dims, np.kron(h_a, np.eye(dims.d_B)) + np.kron(np.eye(dims.d_A), h_b))
+        for psi in _probe_states(dims, 90 + s):
+            kappa, a = surrogate_rate_analytic(psi, gen)
+            assert abs(kappa) <= 1e-12 and abs(a) <= 1e-12, (s, kappa, a)
+
+
+@pytest.mark.parametrize("factors", [(1, 2, 2, 1), (1, 2, 3, 1), (1, 3, 3, 1), (2, 2, 2, 2)])
+def test_expansion_has_no_log_term_at_product_states(factors):
+    # at a product state span{a_1 ⊗ b_1} is psi itself, so no weight leaks
+    # into the pinch's diagonal blocks off psi: kappa = 0 under any jump operators
+    dims = DimensionSignature(*factors)
+    for k in range(1, 4):
+        psi = _probe_states(dims, 100 + k)[1]
+        kappa, _ = surrogate_rate_analytic(psi, _open_gen(dims, 100 + k, n_lindblad=k))
+        assert abs(kappa) <= 1e-12, (k, kappa)
 
 
 def _counting(monkeypatch, owner, name):
@@ -466,22 +543,28 @@ def test_a_theorem2_probe_that_keeps_drifting_is_charged_to_its_trial_alone(monk
     assert out["failures"] == 1 and math.isfinite(out["worst_margin"])
 
 
-def _pinch(psi, rho):
-    # the block pinch of rho in the Schmidt frame of psi as a matrix: the
-    # projectors a_i ⊗ b_j, a_i ⊗ Q⊥, P⊥ ⊗ b_j and P⊥ ⊗ Q⊥, each weighted by
-    # Tr(Pi rho) / rank(Pi), built from the Schmidt vectors alone
+def _pinch_blocks(psi):
+    # the pinch's blocks in the Schmidt frame of psi as (projector, rank, i):
+    # a_i ⊗ b_j, a_i ⊗ Q⊥, P⊥ ⊗ b_j and P⊥ ⊗ Q⊥ of rank > 0, built from the
+    # Schmidt vectors alone; i indexes a diagonal block a_i ⊗ b_i, None any other
     sd = schmidt(psi)
-    alice, bob = sd.left.shape[0], sd.right.shape[0]
+    alice, bob, r = sd.left.shape[0], sd.right.shape[0], sd.coefficients.size
     side_a = [np.outer(a, a.conj()) for a in sd.left.T] + [np.eye(alice) - sd.left @ sd.left.conj().T]
     side_b = [np.outer(b, b.conj()) for b in sd.right.T] + [np.eye(bob) - sd.right @ sd.right.conj().T]
-    out = np.zeros_like(rho)
-    for pa in side_a:
-        for pb in side_b:
+    out = []
+    for i, pa in enumerate(side_a):
+        for j, pb in enumerate(side_b):
             block = np.kron(pa, pb)
             rank = round(np.trace(block).real)
             if rank:
-                out += np.trace(block @ rho).real / rank * block
+                out.append((block, rank, i if i == j < r else None))
     return out
+
+
+def _pinch(psi, rho):
+    # the block pinch of rho in the Schmidt frame of psi as a matrix: each
+    # block weighted by Tr(Pi rho) / rank(Pi)
+    return sum(np.trace(block @ rho).real / rank * block for block, rank, _ in _pinch_blocks(psi))
 
 
 @pytest.mark.parametrize("factors", [(1, 2, 2, 1), (1, 2, 3, 1), (1, 3, 3, 1), (1, 4, 4, 1), (2, 2, 2, 2)],
@@ -627,7 +710,6 @@ def test_rate_probes_reject_degenerate_cut():
     for probe in (
         lambda: entangling_rate_fd(psi, gen, 1e-4),
         lambda: surrogate_rate_fd(psi, gen, 1e-4),
-        lambda: surrogate_rate_fd_richardson(psi, gen, 1e-4),
         lambda: surrogate_rate_analytic(psi, gen),
     ):
         with pytest.raises(DegenerateCut):
@@ -645,12 +727,14 @@ def test_measured_rates_respect_bound(da, db):
 
 
 def test_unitary_rates_respect_closed_bound():
+    # closed dynamics: kappa = 0, and the rate a is finite and under 4 ||H|| ln d
     dims = DimensionSignature.cut(3, 3)
     for s in range(10):
         psi = random_pure(dims, seed=s)
         gen = _unitary_gen(dims, seed=400 + s)
-        rate = surrogate_rate_fd_richardson(psi, gen, 1e-4)
-        assert rate <= unitary_rate_bound(gen) + 1e-3
+        kappa, a = surrogate_rate_analytic(psi, gen)
+        assert abs(kappa) <= 1e-12
+        assert a <= unitary_rate_bound(gen)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
