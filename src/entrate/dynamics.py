@@ -24,11 +24,11 @@ Hermitian operators onto the real matrices and keep the Frobenius norm; in
 them S is Re S + (Im S) P, with P the vec transpose.  M is built in these
 coordinates in float64, half the bytes of the complex map.  The same
 coordinates taken over the whole space turn a Hermitian rho into one real
-(d_AB^2, (d_a d_b)^2) matrix, so a segment is one real product with half the
-columns of the complex block, and the state it returns is exactly
-Hermitian.  The build forms sum_k L_k ⊗ L̄_k as one batched product over the
-jump operators, T4(A) = (I + A) + A^2 (I/2 + A/6 + A^2/24) in two products
-of size d_AB^2, and the power by binary powering.
+(d_AB^2, (d_a d_b)^2) block, half the columns of the complex block, so a
+segment is one real product; and the state read back from a block is
+exactly Hermitian.  The build forms sum_k L_k ⊗ L̄_k as one batched product
+over the jump operators, T4(A) = (I + A) + A^2 (I/2 + A/6 + A^2/24) in two
+products of size d_AB^2, and the power by binary powering.
 
 The other path applies the generator to the block in K-form, with 2 + 2k
 products of size d_AB per application (k jump operators), and evaluates the
@@ -52,19 +52,26 @@ until then (apply(0) = 0, 0 + x = x) and reads as in a stack of one.
 The caller picks the path.  ``evolve_series``, the time-series entry
 point, builds the step map of its (h, steps) when d_AB <= 16
 (``STEP_MAP_MAX_AB``), builds it again only when a retry changes the step
-count, and passes it to ``_integrate`` for every segment: the 49 equal
-segments of an ``entrate simulate`` series share one build.  Above that the
-build costs more than the K-form segments it would replace, so they run in
-K-form too.  Every other integration (``evolve``, the rate probes and
-``convergence_order``) is a one-off and runs in K-form; a theorem2 probe
-takes about five generator applications, less than a build costs.  The
-generator keeps no map, so no result depends on what ran on it before.
+count, and runs the series as the chain y_(k+1) = M y_k of real blocks:
+the start state goes into the coordinates once, and each segment is one
+``_integrate`` call that takes and returns a block, so the 49 equal
+segments of an ``entrate simulate`` series share one build and no state
+goes back into the coordinates.  Above that the build costs more than the
+K-form segments it would replace, so they run in K-form too.  Every other
+integration (``evolve``, the rate probes and ``convergence_order``) is a
+one-off and runs in K-form; a theorem2 probe takes about five generator
+applications, less than a build costs.  The generator keeps no map, so no
+result depends on what ran on it before.
 
 ``evolve_series`` integrates its segments one after another and checks
-the states in chunks: one stacked eigensolve gives the drift of every state
-of a chunk and the spectra the caller measures with, so what a state costs
-beyond its product and its eigensolve is a share of a few stacked calls,
-not a chain of per-state ones.
+the states in chunks.  On the map path a chunk's blocks come back to
+complex states in one stacked conversion, and as these are exactly
+Hermitian the chunk's own check is the finiteness of its blocks; in K-form
+it is the Hermiticity of its states.  Then one stacked eigensolve gives the
+drift of every state of a chunk and the spectra the caller measures with,
+so what a state costs beyond its product and its eigensolve is a share of a
+few stacked calls, not a chain of per-state ones.  The chain carries the
+last good block across chunks and retries.
 """
 
 from __future__ import annotations
@@ -108,9 +115,10 @@ __all__ = [
 DRIFT_TOL = 1e-8
 
 # evolve_series builds the step map only up to this d_AB.  The build grows as d_AB^6
-# and a K-form segment as d_AB^3: a 49-segment series of 32 steps with three
-# jump operators (one BLAS thread) took 0.015 s with the map and 0.135 s in
-# K-form at d_AB = 16 (dims 2 4 4 2), but 0.374 s against 0.078 s at d_AB = 32
+# and a K-form segment as d_AB^3: integrating a 49-segment series of 32 steps
+# with three jump operators (one BLAS thread, 2-vCPU Xeon, best of 7) took
+# 0.013 s as the map's chain (build, products and conversions) and 0.14 s in
+# K-form at d_AB = 16 (dims 2 4 4 2), but 0.41 s against 0.075 s at d_AB = 32
 # (dims 1 4 8 1); at 64 the map is estimated at about 20 s and several hundred MB
 STEP_MAP_MAX_AB = 16
 
@@ -205,13 +213,13 @@ class LindbladGenerator:
 # rho on a ⊗ (A⊗B) ⊗ b has axes (a, AB, b, a', AB', b').  The K-form keeps it
 # as rows AB by columns (a, b, a', b', AB'), so left products act on the rows
 # and right products on the trailing AB' axis of the same buffer; the step
-# map takes rows (AB, AB') by columns (a, b, a', b').  The K-form layouts
-# carry a leading stack axis.
+# map takes rows (AB, AB') by columns (a, b, a', b').  Both layouts carry a
+# leading stack axis.
 
-_ROWS = (0, 2, 1, 3, 4, 6, 5)  # self-inverse, on a stack
-_VEC = (1, 4, 0, 2, 3, 5)
-_VEC_INV = (2, 0, 3, 4, 1, 5)
-_T_AB_PAIR = (0, 1, 4, 5, 2, 3)  # on the _VEC layout: (a, b) <-> (a', b')
+_ROWS = (0, 2, 1, 3, 4, 6, 5)  # self-inverse
+_VEC = (0, 2, 5, 1, 3, 4, 6)
+_VEC_INV = (0, 3, 1, 4, 5, 2, 6)
+_T_ANC = (0, 1, 2, 5, 6, 3, 4)  # on the _VEC layout: (a, b) <-> (a', b')
 
 
 def _axes(dims: DimensionSignature) -> tuple[int, int, int, int]:
@@ -331,27 +339,52 @@ def _power(base: np.ndarray, steps: int, spare: np.ndarray) -> np.ndarray:
         base, spare = spare, base
 
 
-def _apply_step_map(m: np.ndarray, rho: np.ndarray, dims: DimensionSignature) -> np.ndarray:
-    # rho Hermitian, laid out as x (AB, AB', ab, a'b'), goes through the
-    # coordinates Re X + Im X of the whole space as one real matrix
-    # Y = (Re x)^{T_AB} + Im x, half the columns of the complex block.  With
-    # Z = M Y, rho' = (Z^{T_AB} + Z^{T_ab})/2 + (i/2)(Z - Z^{T_AB T_ab}): S
-    # commutes with the transpose up to conjugation (S_r P = P S_r,
-    # S_i P = -P S_i) and x^{T_ab} = conj(x)^{T_AB}, which take the pair back
-    # to Re and Im of S x.  Each entry of rho' and its mirror are the same
-    # two numbers summed, so rho' is exactly Hermitian.
-    # The halving goes on Y, where it is exact and half the size.
-    d_a, ab, d_b, n = _axes(dims)
-    x = rho.reshape(d_a, ab, d_b, d_a, ab, d_b).transpose(_VEC)
+def _to_coords(rho: np.ndarray, dims: DimensionSignature) -> np.ndarray:
+    # a stack of Hermitian rho, laid out as x (AB, AB', ab, a'b'), in the
+    # coordinates Re X + Im X of the whole space: one real
+    # (d_AB^2, (d_a d_b)^2) block Y = ((Re x)^{T_AB} + Im x)/2 per state, half
+    # the columns of the complex block.  The halving is exact and makes
+    # _from_coords a sum of two entries
+    d_a, ab, d_b, _ = _axes(dims)
+    x = rho.reshape(-1, d_a, ab, d_b, d_a, ab, d_b).transpose(_VEC)
     y = np.empty(x.shape)
-    np.add(x.real.swapaxes(0, 1), x.imag, out=y)
+    np.add(x.real.swapaxes(1, 2), x.imag, out=y)
     y *= 0.5
-    z = (m @ y.reshape(ab * ab, -1)).reshape(x.shape)
-    z_t = z.swapaxes(0, 1)
-    out = np.empty(x.shape, dtype=complex)
-    np.add(z_t, z.transpose(_T_AB_PAIR), out=out.real)
-    np.subtract(z, z_t.transpose(_T_AB_PAIR), out=out.imag)
-    return out.transpose(_VEC_INV).reshape(n, n)
+    return y.reshape(len(rho), ab * ab, -1)
+
+
+def _from_coords(y: np.ndarray, dims: DimensionSignature) -> np.ndarray:
+    # the stack of states of a stack of blocks Z = M Y: with Z^{T_AB} and
+    # Z^{T_ab} the transposes of (AB, AB') and of (ab, a'b'),
+    # rho = Z^{T_AB} + Z^{T_ab} + i(Z - Z^{T_AB T_ab}).  S commutes with the
+    # transpose up to conjugation (S_r P = P S_r, S_i P = -P S_i) and
+    # x^{T_ab} = conj(x)^{T_AB}, which take the pair back to Re and Im of S x.
+    # Each entry of rho and its mirror are the same two numbers summed or
+    # subtracted, so rho is exactly Hermitian; and _to_coords(rho) is Z up to
+    # roundoff, so a chain of products never needs it
+    n = dims.total
+    re_a, re_b, im_a, im_b = _coord_pairs(dims)
+    z = y.reshape(len(y), -1)
+    out = np.empty((len(y), n * n), dtype=complex)
+    np.add(np.take(z, re_a, axis=1), np.take(z, re_b, axis=1), out=out.real)
+    np.subtract(np.take(z, im_a, axis=1), np.take(z, im_b, axis=1), out=out.imag)
+    return out.reshape(len(y), n, n)
+
+
+@lru_cache(maxsize=16)
+def _coord_pairs(dims: DimensionSignature) -> np.ndarray:
+    # for each entry of rho, row-major, the positions in Z of the two numbers
+    # its real part sums and of the two its imaginary part subtracts.
+    # Gathering them beats writing the sums through a strided view of rho,
+    # whose innermost axis is only d_b long.  Read-only, as the arrays are shared
+    d_a, ab, d_b, _ = _axes(dims)
+    z = np.arange(ab * ab * (d_a * d_b) ** 2).reshape(1, ab, ab, d_a, d_b, d_a, d_b)
+    z_t = z.swapaxes(1, 2)
+    pairs = np.stack(
+        [p.transpose(_VEC_INV).reshape(-1) for p in (z_t, z.transpose(_T_ANC), z, z_t.transpose(_T_ANC))]
+    )
+    pairs.flags.writeable = False
+    return pairs
 
 
 # ------------------------------------------------------------- integration
@@ -361,12 +394,15 @@ def _integrate(gen, rho: np.ndarray, t: float, steps: int, step_map: np.ndarray 
     (for a list of generators on one space and a stack, each matrix under its own).
 
     With ``step_map``, which must be ``_build_step_map`` of this (one)
-    generator's (t/steps, steps), this is one product.  Otherwise, in K-form,
-    the steps go in chunks of m with m h beta <= 1 (beta = ``_norm_bound``),
-    and each chunk is Horner's rule on the coefficients c_0..c_J of T4(x)^m,
-    zero-padded over a stack (module docstring), J <= 4m applications."""
+    generator's (t/steps, steps), ``rho`` is one state's real block in the
+    map's coordinates (``_to_coords``), and so is the result: one product, and
+    ``_from_coords`` turns a stack of such blocks back into states.
+    Otherwise, in K-form, the steps go in chunks of m with m h beta <= 1
+    (beta = ``_norm_bound``), and each chunk is Horner's rule on the
+    coefficients c_0..c_J of T4(x)^m, zero-padded over a stack (module
+    docstring), J <= 4m applications."""
     if step_map is not None:
-        return _apply_step_map(step_map, rho, gen.dims)
+        return step_map @ rho
     one = isinstance(gen, LindbladGenerator)
     gens, rho = ([gen], rho[None]) if one else (gen, rho)
     h = t / steps
@@ -478,50 +514,66 @@ def evolve_series(
     eigenvalues, in time order.  The first chunk is ``rho0`` alone.
 
     Each segment is an integration of ``steps`` steps, run one after
-    another; up to d_AB = 16 they share one step map, built again only when
-    a retry changes ``steps``.  A chunk holds at most ``SERIES_CHUNK_BYTES``
-    of complex matrices and is checked as a stack: one stacked eigensolve
-    for the trace and positivity drift, then the Hermiticity and finiteness
-    of the rows before the first that drifts.
+    another.  Up to d_AB = 16 they share one step map, built again only when
+    a retry changes ``steps``, and the series is the chain y_(k+1) = M y_k of
+    real blocks in the map's coordinates: ``rho0`` goes into them once, each
+    segment is one product, and each chunk comes back to complex states in
+    one stacked conversion.  A chunk holds at most ``SERIES_CHUNK_BYTES`` of
+    complex matrices and is checked as a stack: the finiteness of its
+    blocks (the chain's states are exactly Hermitian), or in K-form the
+    Hermiticity of its states, and one stacked eigensolve for the trace and
+    positivity drift.
     The rows before a failure are yielded first.  A segment that drifts is
     integrated again from the last good state with the suggested step count,
     which the later segments keep; its ``SERIES_RETRIES + 1``-th drift
-    raises IntegrationError, and a row that is not Hermitian within
-    ``HERMITIAN_TOL`` (or not finite) raises ValueError.
+    raises IntegrationError, and a row that is not finite (or, in K-form,
+    not Hermitian within ``HERMITIAN_TOL``) raises ValueError.
     """
     _same_space(gen, rho0)
     _positive_real(t, "t")
     count = _positive_int(count, "count")
     steps = _positive_int(steps, "steps")
-    n = rho0.dims.total
+    dims = rho0.dims
+    n = dims.total
     rows = max(1, SERIES_CHUNK_BYTES // (16 * n * n))
-    start = rho0.matrix
-    yield start[None], rho0.spectrum[None]
-    use_map = gen.dims.d_A * gen.dims.d_B <= STEP_MAP_MAX_AB
-    step_map = _build_step_map(gen._k, gen.lindblad_ops, t / steps, steps) if use_map else None
+    yield rho0.matrix[None], rho0.spectrum[None]
+    # start: the last good state, as the chain's real block on the map path
+    step_map, start = None, rho0.matrix
+    if dims.d_A * dims.d_B <= STEP_MAP_MAX_AB:
+        step_map = _build_step_map(gen._k, gen.lindblad_ops, t / steps, steps)
+        start = _to_coords(rho0.matrix[None], dims)[0]
     done = failures = 0  # failures: of the segment after the last good one
     while done < count:
-        mats = np.empty((min(rows, count - done), n, n), dtype=complex)
-        m = start
-        for i in range(len(mats)):
-            m = mats[i] = _integrate(gen, m, t, steps, step_map)
-        herm = _hermiticity_error(mats)
-        # the step map's states are exactly Hermitian, their own Hermitian part
-        drift, lam = _drift(mats, None if herm.any() else np.linalg.eigvalsh(mats))
-        good = _first(drift > DRIFT_TOL, len(mats))
-        ok = _first(~(herm[:good] <= HERMITIAN_TOL), good)  # a non-finite state fails too
+        ys = np.empty((min(rows, count - done), *start.shape), dtype=start.dtype)
+        y = start
+        for i in range(len(ys)):
+            y = ys[i] = _integrate(gen, y, t, steps, step_map)
+        if step_map is None:
+            mats = ys
+            herm = _hermiticity_error(mats)
+            clean = _first(~(herm <= HERMITIAN_TOL), len(mats))  # a non-finite state fails too
+            drift, lam = _drift(mats, None if herm.any() else np.linalg.eigvalsh(mats))
+        else:
+            # only the blocks before the first non-finite one come back
+            clean = _first(~np.isfinite(ys).all(axis=(1, 2)), len(ys))
+            mats = _from_coords(ys[:clean], dims)
+            drift, lam = _drift(mats, np.linalg.eigvalsh(mats))
+        good = _first(drift > DRIFT_TOL, len(ys))
+        ok = min(good, clean)
         if ok:
             yield mats[:ok], lam[:ok]
-            start, done, failures = mats[ok - 1], done + ok, 0
-        if ok < good:
-            raise ValueError(f"segment {done + 1} not Hermitian: max |M - M†| = {herm[ok]:.3e}")
-        if good < len(mats):
+            start, done, failures = ys[ok - 1], done + ok, 0
+        if clean < good:
+            if step_map is not None:
+                raise ValueError(f"segment {done + 1} not finite")
+            raise ValueError(f"segment {done + 1} not Hermitian: max |M - M†| = {herm[clean]:.3e}")
+        if good < len(ys):
             failures += 1
             err = _drift_error(drift[good], steps)
             if failures > SERIES_RETRIES:
                 raise err
             steps = err.suggested_steps
-            if use_map:
+            if step_map is not None:
                 step_map = _build_step_map(gen._k, gen.lindblad_ops, t / steps, steps)
 
 

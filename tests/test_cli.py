@@ -266,6 +266,20 @@ def test_simulate_csv_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
         assert got.read_bytes() == want.read_bytes()
 
 
+def test_simulate_reproduces_the_benchmark_reference_row(tmp_path):
+    # the simulate-d64 reference instance, run through the CLI, ends on the
+    # row recorded in perfbench/reference.json, column for column within its
+    # atol + rtol |value|
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    ref = json.loads(reference.read_text())["simulate-d64"]
+    out = tmp_path / "ref.csv"
+    assert main([*ref["argv"], "--out", str(out)]) == 0
+    header, *rows = _read_csv(out)
+    assert tuple(header) == CSV_COLUMNS
+    for col, got, want in zip(CSV_COLUMNS, rows[-1], ref["final_row"], strict=True):
+        assert abs(float(got) - want) <= ref["atol"] + ref["rtol"] * abs(want), col
+
+
 def test_csv_writers_print_numpy_scalars_as_numbers(tmp_path, monkeypatch):
     # NumPy scalars reach both CSV writers (simulate's columns come out of
     # stacked kernels as arrays); every cell is a plain number

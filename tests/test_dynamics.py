@@ -8,9 +8,11 @@ from entrate.dynamics import (
     IntegrationError,
     LindbladGenerator,
     _build_step_map,
+    _from_coords,
     _horner_degree,
     _integrate,
     _t4_power_coefficients,
+    _to_coords,
     apply_generator,
     convergence_order,
     embed_ab,
@@ -24,6 +26,7 @@ from entrate.rates import _evolve_tight, entangling_rate_fd, mutual_info_rate_fd
 from entrate.states import (
     DensityMatrix,
     DimensionSignature,
+    _hermiticity_error,
     random_density,
     random_ginibre_lindblad,
     random_gue_hamiltonian,
@@ -91,13 +94,20 @@ def _rk4_full(gen, rho, t, steps):
 
 
 def _forbid_step_map(monkeypatch):
-    # every integration after this runs in K-form: building or applying a
-    # step map fails the test
+    # every integration after this runs in K-form: building a step map or
+    # converting to or from its coordinates fails the test
     def refuse(*args):
-        raise AssertionError("a step map was built or applied")
+        raise AssertionError("a step map was built or its coordinates used")
 
-    monkeypatch.setattr(dynamics, "_build_step_map", refuse)
-    monkeypatch.setattr(dynamics, "_apply_step_map", refuse)
+    for name in ("_build_step_map", "_to_coords", "_from_coords"):
+        monkeypatch.setattr(dynamics, name, refuse)
+
+
+def _through_map(gen, rho, t, steps, m):
+    # one segment as the series runs it: rho into the map's real coordinates,
+    # one _integrate there, and back
+    y = _integrate(gen, _to_coords(rho[None], gen.dims)[0], t, steps, m)
+    return _from_coords(y[None], gen.dims)[0]
 
 
 def _recording_builds(monkeypatch):
@@ -137,22 +147,31 @@ def test_block_kernels_match_full_space_rk4(factors, monkeypatch):
     m = _build_step_map(gen._k, gen.lindblad_ops, 0.3 / 48, 48)  # 48 = 0b110000 also exercises the powering's multiply
     assert m.dtype == np.float64  # built in the coordinates Re X + Im X
     monkeypatch.setattr(dynamics, "_kform", None)  # the map is applied, not the K-form
-    mapped = _integrate(gen, rho, 0.3, 48, m)
+    mapped = _through_map(gen, rho, 0.3, 48, m)
     monkeypatch.undo()
     assert np.abs(kform - want).max() <= 1e-13
     assert np.abs(mapped - want).max() <= 1e-13
     assert np.abs(apply_generator(gen, rho) - _full_space_apply(gen)(rho)).max() <= 1e-13
 
 
-def test_repeated_segments_switch_to_the_step_map(monkeypatch):
+@pytest.mark.parametrize("factors", [(1, 4, 4, 1), (2, 2, 3, 2)], ids=["no-ancilla", "ancillas"])
+def test_repeated_segments_switch_to_the_step_map(factors, monkeypatch):
     # a time series builds the map once and applies the same object to every
-    # equal segment; the result is the same RK4 polynomial either way
-    gen, rho = _random_generator((1, 4, 4, 1), 3, seed=11)
+    # equal segment, each a real block of the chain; the result is the same
+    # RK4 polynomial either way, and every state it yields is exactly Hermitian
+    gen, rho = _random_generator(factors, 3, seed=11)
     built = _recording_builds(monkeypatch)
     applied = []
-    apply = dynamics._apply_step_map
-    monkeypatch.setattr(dynamics, "_apply_step_map", lambda m, *args: applied.append(m) or apply(m, *args))
+    integrate = dynamics._integrate
+
+    def recording(gen, y, t, steps, step_map=None):
+        assert y.dtype == np.float64 and y.ndim == 2
+        applied.append(step_map)
+        return integrate(gen, y, t, steps, step_map)
+
+    monkeypatch.setattr(dynamics, "_integrate", recording)
     mats = np.concatenate([m for m, _ in evolve_series(gen, DensityMatrix(gen.dims, rho), 0.2, 3, 64)])
+    assert np.array_equal(_hermiticity_error(mats[1:]), np.zeros(3))
     for prev, out in zip(mats, mats[1:]):
         assert np.abs(out - _rk4_full(gen, prev, 0.2, 64)).max() <= 1e-13
     ((key, m),) = built
@@ -162,8 +181,8 @@ def test_repeated_segments_switch_to_the_step_map(monkeypatch):
 
 def test_new_step_count_rebuilds_the_map():
     gen, rho = _random_generator((2, 2, 2, 1), 1, seed=5)
-    coarse = _integrate(gen, rho, 0.5, 4, _build_step_map(gen._k, gen.lindblad_ops, 0.5 / 4, 4))
-    fine = _integrate(gen, rho, 0.5, 8, _build_step_map(gen._k, gen.lindblad_ops, 0.5 / 8, 8))
+    coarse = _through_map(gen, rho, 0.5, 4, _build_step_map(gen._k, gen.lindblad_ops, 0.5 / 4, 4))
+    fine = _through_map(gen, rho, 0.5, 8, _build_step_map(gen._k, gen.lindblad_ops, 0.5 / 8, 8))
     assert np.abs(coarse - _rk4_full(gen, rho, 0.5, 4)).max() <= 1e-13
     assert np.abs(fine - _rk4_full(gen, rho, 0.5, 8)).max() <= 1e-13
     assert np.abs(coarse - fine).max() > 1e-8
@@ -280,7 +299,7 @@ def test_simulate_shape_builds_the_map_and_one_offs_stay_in_kform(monkeypatch):
         _, first, second = np.concatenate([m for m, _ in evolve_series(gen, DensityMatrix(gen.dims, rho), 0.02, 2, 32)])
         ((key, m),) = built
         assert key == (0.02 / 32, 32) and m.dtype == np.float64
-        assert np.array_equal(first, _integrate(gen, rho, 0.02, 32, m)), factors
+        assert np.array_equal(first, _through_map(gen, rho, 0.02, 32, m)), factors
         assert np.abs(second - _rk4_full(gen, first, 0.02, 32)).max() <= 1e-13, factors
         for out in (first, second):
             assert np.array_equal(out, out.conj().T), factors
@@ -419,7 +438,8 @@ def test_evolve_zero_time_is_identity():
 def test_evolve_series_matches_repeated_evolve(factors, monkeypatch):
     # the series in chunks of 3 states is the chain of single integrations
     # (through the step map at d_AB = 4, in K-form at 32), state for state
-    # and spectrum for spectrum, bit for bit; in K-form each link is evolve
+    # and spectrum for spectrum, bit for bit; in K-form each link is evolve,
+    # through the map it is one _integrate of the real block of the link before
     gen, rho = _random_generator(factors, 2, seed=3)
     state = DensityMatrix(gen.dims, rho)
     monkeypatch.setattr(dynamics, "SERIES_CHUNK_BYTES", 3 * 16 * gen.dims.total**2)
@@ -431,18 +451,24 @@ def test_evolve_series_matches_repeated_evolve(factors, monkeypatch):
     if gen.dims.d_A * gen.dims.d_B <= dynamics.STEP_MAP_MAX_AB:
         step_map = _build_step_map(gen._k, gen.lindblad_ops, 0.05 / 16, 16)
     want = state
+    y = rho if step_map is None else _to_coords(rho[None], gen.dims)[0]
     for i in range(8):
         if i:
-            m = _integrate(gen, want.matrix, 0.05, 16, step_map)
+            y = _integrate(gen, y, 0.05, 16, step_map)
             if step_map is None:
+                m = y
                 assert np.array_equal(m, evolve(gen, want, 0.05, 16).matrix), i
+            else:
+                m = _from_coords(y[None], gen.dims)[0]
             want = DensityMatrix(gen.dims, m)
         assert np.array_equal(mats[i], want.matrix) and np.array_equal(lams[i], want.spectrum), i
 
 
 def test_evolve_series_stops_at_a_state_that_is_not_hermitian(monkeypatch):
     # the states before it are handed out first; it does not drift, so it is
-    # a ValueError and no retry
+    # a ValueError and no retry.  Only the K-form series checks Hermiticity:
+    # the step map's states are Hermitian by construction
+    monkeypatch.setattr(dynamics, "STEP_MAP_MAX_AB", 0)
     dims = DimensionSignature.cut(2, 1)
     gen = LindbladGenerator(dims, None, ())
     rho0 = DensityMatrix(dims, np.diag([0.5, 0.5]).astype(complex))
@@ -457,6 +483,29 @@ def test_evolve_series_stops_at_a_state_that_is_not_hermitian(monkeypatch):
     seen = []
     with pytest.raises(ValueError, match="segment 3 not Hermitian"):
         for mats, _ in evolve_series(gen, rho0, 0.1, 4, 8):
+            seen.append(len(mats))
+    assert seen == [1, 2] and calls == [8] * 4
+
+
+def test_evolve_series_stops_at_a_block_that_is_not_finite(monkeypatch):
+    # on the step map's path the chunk check is the finiteness of the real
+    # blocks: a NaN planted in segment 3 hands out the states before it, then
+    # raises; segment 4 is computed from it but never converted
+    gen, rho = _random_generator((2, 2, 2, 1), 2, seed=13)
+    integrate, calls = dynamics._integrate, []
+
+    def planting(gen, y, t, steps, step_map=None):
+        out = integrate(gen, y, t, steps, step_map)
+        calls.append(steps)
+        if len(calls) == 3:
+            out[5, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(dynamics, "_integrate", planting)
+    seen = []
+    with pytest.raises(ValueError, match="segment 3 not finite"):
+        for mats, lam in evolve_series(gen, DensityMatrix(gen.dims, rho), 0.1, 4, 8):
+            assert np.isfinite(mats).all() and np.isfinite(lam).all()
             seen.append(len(mats))
     assert seen == [1, 2] and calls == [8] * 4
 
